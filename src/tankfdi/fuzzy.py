@@ -6,6 +6,12 @@ MIN-MAX inference to per-variable OK/AL activations, and defuzzify those to
 an alarm degree in [0, 1] per supervised variable. Degrees above the alarm
 threshold for ``debounce`` consecutive samples raise the fault flag.
 
+``DetectorKernel`` runs this pipeline over whole residual blocks. It only
+computes the memberships the rules read, in closed form on |r| (generated
+rules read Z and nonZ only), and fires the rules from index lists into a
+(rules, T) array; ``fuzzify``/``infer``/``defuzzify`` are the scalar form of
+the same formulas and agree with it bit for bit.
+
 The rule base is generated mechanically from the fault-signature matrix:
 one rule per candidate fault set, with residuals shared by several
 candidate faults left unconstrained so that mutually canceling faults
@@ -22,6 +28,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -170,6 +177,42 @@ class RuleBase:
         missing = [v for v in VARIABLES if v not in al_covered or v not in ok_covered]
         if missing:
             raise ValueError(f"rule base leaves variables without AL or OK rules: {missing}")
+
+    @cached_property
+    def index(self) -> "RuleIndex":
+        """Index lists the detection kernel fires this rule base from."""
+        return RuleIndex.of(self)
+
+
+#: Membership rows of the kernel table, one block of five residuals per
+#: constraint; NB..PB only exist when some rule reads them.
+_COLUMN = {"Z": 0, "nonZ": 1, "NB": 2, "N": 3, "P": 4, "PB": 5}
+
+
+class RuleIndex(NamedTuple):
+    """A rule base as index lists into the kernel's membership table.
+
+    ``reads[k]`` holds the table rows (``5 * column + residual``) that rule
+    k takes the minimum over; ``any`` premises read nothing. ``al_rows[j]``
+    and ``ok_rows[j]`` list the rules concluding AL / OK for variable j.
+    """
+
+    reads: tuple[tuple[int, ...], ...]
+    al_rows: tuple[tuple[int, ...], ...]
+    ok_rows: tuple[tuple[int, ...], ...]
+    signed: bool
+
+    @classmethod
+    def of(cls, rb: RuleBase) -> "RuleIndex":
+        reads = tuple(
+            tuple(5 * _COLUMN[c] + i for i, c in enumerate(rule.premise) if c != "any")
+            for rule in rb.rules)
+        al_rows = tuple(tuple(k for k, r in enumerate(rb.rules) if v in r.al)
+                        for v in VARIABLES)
+        ok_rows = tuple(tuple(k for k, r in enumerate(rb.rules) if v in r.ok)
+                        for v in VARIABLES)
+        signed = any(row >= 10 for rows in reads for row in rows)
+        return cls(reads, al_rows, ok_rows, signed)
 
 
 def build_rulebase(sig: SignatureMatrix | None = None,
@@ -431,86 +474,140 @@ def load_config(path: str) -> DetectorConfig:
 # ---------------------------------------------------------------------------
 # Vectorized detection kernel and streaming detector
 
-_CODE = {"Z": 0, "nonZ": 1, "any": 2, "NB": 3, "N": 4, "P": 5, "PB": 6}
-
-
 class DetectorKernel:
     """Batch evaluation of the full pipeline over residual arrays.
 
-    Shares its formulas with the scalar API; the streaming Detector runs
-    single rows through this kernel so both paths agree bit for bit.
+    Memberships are closed forms on ``x = |r|``. The partition is symmetric
+    and ``beta >= a4``, so with ``w12 = a2 - a1`` and ``w34 = a4 - a3``
+
+        Z    = clip((a2 - x)/w12, 0, 1)
+        nonZ = clip(max(min((x - a1)/w12, (a4 - x)/w34), (x - a3)/w34), 0, 1)
+
+    (nonZ = max(NB, N, P, PB) is the P/PB envelope, and clipping x at beta
+    changes neither). Both equal what ``_trapezoid`` gives, bit for bit; a
+    NaN residual reads 0 in every set, as it does there. NB/N/P/PB are only
+    tabulated when a rule reads them, which ``build_rulebase`` never does.
+    The table is laid out (sets * 5 residuals, T). Rule firing is a running
+    minimum over each rule's index list (``RuleBase.index``), laid out
+    (rules, T), and AL/OK a running maximum over each variable's rule rows,
+    laid out (7, T). The streaming Detector runs single rows through this
+    kernel, so both paths agree with the scalar ``fuzzify``/``infer``/
+    ``defuzzify`` path bit for bit.
     """
 
     def __init__(self, cfg: DetectorConfig):
         self.cfg = cfg
-        rules = cfg.rulebase.rules
-        self.codes = np.array([[_CODE[c] for c in r.premise] for r in rules],
-                              dtype=np.intp)
-        self.al_mask = np.zeros((len(rules), 7), dtype=bool)
-        self.ok_mask = np.zeros((len(rules), 7), dtype=bool)
-        for k, rule in enumerate(rules):
-            for v in rule.al:
-                self.al_mask[k, VARIABLES.index(v)] = True
-            for v in rule.ok:
-                self.ok_mask[k, VARIABLES.index(v)] = True
+        self.index = cfg.rulebase.index
+        parts = cfg.input_partitions
+        self._a = [np.array([getattr(p, f) for p in parts])[:, None]
+                   for f in ("a1", "a2", "a3", "a4")]
         self.support = np.array([p.support for p in cfg.output_partitions])
         self.core = np.array([p.core for p in cfg.output_partitions])
-        self._j_idx = np.arange(5)[:, None]
+        self._span = (self.support - self.core)[:, None]
+
+    def _memberships(self, r: np.ndarray) -> np.ndarray:
+        """Membership table (columns * 5, T) of residual rows ``r`` (T, 5)."""
+        a1, a2, a3, a4 = self._a
+        columns = 6 if self.index.signed else 2
+        table = np.empty((columns, 5, r.shape[0]))
+        x = np.abs(r.T, order="C")
+        rise, fall = a2 - a1, a4 - a3
+        z, nonz = table[0], table[1]
+        np.subtract(a2, x, out=z)
+        z /= rise
+        np.clip(z, 0.0, 1.0, out=z)
+        np.subtract(x, a1, out=nonz)
+        nonz /= rise
+        edge = a4 - x
+        edge /= fall
+        np.minimum(nonz, edge, out=nonz)
+        np.subtract(x, a3, out=edge)
+        edge /= fall
+        np.maximum(nonz, edge, out=nonz)
+        np.clip(nonz, 0.0, 1.0, out=nonz)
+        missing = np.isnan(x)
+        if missing.any():
+            table[:2, missing] = 0.0
+        if columns > 2:
+            for i, p in enumerate(self.cfg.input_partitions):
+                table[2:, i] = _membership_table(r[:, i], p)[:, [0, 1, 3, 4]].T
+        return table.reshape(columns * 5, -1)
 
     def activations(self, residuals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per-variable (AL, OK) activations for residual rows (T, 5)."""
-        r = np.asarray(residuals, dtype=float)
-        t_len = r.shape[0]
-        tables = [
-            _membership_table(r[:, i], p)
-            for i, p in enumerate(self.cfg.input_partitions)
-        ]  # each (T, 5 sets) ordered NB, N, Z, P, PB
-        comp = np.empty((t_len, 5, 7))
-        for i, tab in enumerate(tables):
-            comp[:, i, 0] = tab[:, 2]                       # Z
-            comp[:, i, 1] = tab[:, [0, 1, 3, 4]].max(axis=1)  # nonZ
-            comp[:, i, 2] = 1.0                             # any
-            comp[:, i, 3] = tab[:, 0]                       # NB
-            comp[:, i, 4] = tab[:, 1]                       # N
-            comp[:, i, 5] = tab[:, 3]                       # P
-            comp[:, i, 6] = tab[:, 4]                       # PB
-        firing = comp[:, self._j_idx, self.codes.T].min(axis=1)  # (T, R)
-        al = np.zeros((t_len, 7))
-        ok = np.zeros((t_len, 7))
-        for j in range(7):
-            if self.al_mask[:, j].any():
-                al[:, j] = firing[:, self.al_mask[:, j]].max(axis=1)
-            if self.ok_mask[:, j].any():
-                ok[:, j] = firing[:, self.ok_mask[:, j]].max(axis=1)
-        return al, ok
+        # row views are taken once: on single rows (streaming) the cost is
+        # the per-call overhead of the few hundred ufunc calls below
+        table = list(self._memberships(np.asarray(residuals, dtype=float)))
+        t_len = len(table[0])
+        firing = list(np.empty((len(self.index.reads), t_len)))
+        for row, reads in zip(firing, self.index.reads):
+            if not reads:
+                row.fill(1.0)
+                continue
+            np.copyto(row, table[reads[0]])
+            for i in reads[1:]:
+                np.minimum(row, table[i], out=row)
+        al = np.zeros((7, t_len))
+        ok = np.zeros((7, t_len))
+        for out, rows_per_var in ((al, self.index.al_rows), (ok, self.index.ok_rows)):
+            for row, rules in zip(out, rows_per_var):
+                for k in rules:
+                    np.maximum(row, firing[k], out=row)
+        return al.T, ok.T
+
+    def _decide(self, residuals: np.ndarray, held0: np.ndarray | None,
+                starts: np.ndarray | None) -> np.ndarray:
+        """Defuzzify and hold -> alarm degrees (T, 7).
+
+        A row with neither set activated holds the previous degree; the
+        first row holds ``held0`` (zeros by default), and with ``starts``
+        every listed row starts a fresh trace holding 0.
+        """
+        al, ok = self.activations(residuals)
+        al, ok = al.T, ok.T
+        # the clipped areas of defuzzify, evaluated in place:
+        # al_mass = span * (al - al*al/2), ok_mass = ok*support - ok*ok*span/2
+        sq = al * al
+        sq /= 2.0
+        al_mass = np.subtract(al, sq, out=al)
+        al_mass *= self._span
+        np.multiply(ok, ok, out=sq)
+        sq *= self._span
+        sq /= 2.0
+        ok_mass = np.multiply(ok, self.support[:, None], out=ok)
+        ok_mass -= sq
+        total = np.add(al_mass, ok_mass, out=sq)
+        defined = total > 0.0
+        # both masses are non-negative, so al_mass is 0 wherever total is
+        raw = np.divide(al_mass, total, out=al_mass, where=defined)
+        if starts is not None:
+            defined[:, starts] = True
+        if defined.all():
+            return raw.T
+        t_len = raw.shape[1]
+        idx = np.where(defined, np.arange(t_len), -1)
+        np.maximum.accumulate(idx, axis=1, out=idx)
+        filled = np.take_along_axis(raw, np.maximum(idx, 0), axis=1)
+        held0 = np.zeros(7) if held0 is None else np.asarray(held0)
+        return np.where(idx >= 0, filled, held0[:, None]).T
 
     def degrees(self, residuals: np.ndarray,
                 held0: np.ndarray | None = None) -> np.ndarray:
         """Alarm degrees (T, 7); undefined samples hold the previous degree."""
-        al, ok = self.activations(residuals)
-        al_mass = (self.support - self.core)[None, :] * (al - al * al / 2.0)
-        ok_mass = ok * self.support[None, :] - ok * ok * (self.support - self.core)[None, :] / 2.0
-        total = al_mass + ok_mass
-        defined = total > 0.0
-        raw = np.where(defined, al_mass / np.where(defined, total, 1.0), 0.0)
-
-        t_len = raw.shape[0]
-        if held0 is None:
-            held0 = np.zeros(7)
-        idx = np.where(defined, np.arange(t_len)[:, None], -1)
-        idx = np.maximum.accumulate(idx, axis=0)
-        filled = np.take_along_axis(raw, np.maximum(idx, 0), axis=0)
-        return np.where(idx >= 0, filled, held0[None, :])
+        return self._decide(residuals, held0, None)
 
     def flags(self, degrees: np.ndarray) -> np.ndarray:
         """Debounced flags: degree above threshold for ``debounce`` consecutive rows."""
-        above = degrees > self.cfg.alarm_threshold
+        out = degrees > self.cfg.alarm_threshold
         d = self.cfg.debounce
-        cum = np.cumsum(above, axis=0)
-        window = cum.copy()
-        window[d:] = cum[d:] - cum[:-d]
-        out = np.zeros_like(above)
-        out[d - 1:] = window[d - 1:] == d
+        # out[t] holds "above on rows t - width + 1 .. t"; AND-ing in a
+        # copy shifted by at most ``width`` rows widens that window
+        width = 1
+        while width < d:
+            step = min(width, d - width)
+            out[step:] &= out[:-step]
+            width += step
+        out[:d - 1] = False
         return out
 
     def run(self, residuals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -525,20 +622,7 @@ class DetectorKernel:
         debounce windows are reset at trace boundaries, so the result equals
         running each trace separately.
         """
-        al, ok = self.activations(residuals)
-        span = (self.support - self.core)[None, :]
-        al_mass = span * (al - al * al / 2.0)
-        ok_mass = ok * self.support[None, :] - ok * ok * span / 2.0
-        total = al_mass + ok_mass
-        defined = total > 0.0
-        raw = np.where(defined, al_mass / np.where(defined, total, 1.0), 0.0)
-        raw[starts] = np.where(defined[starts], raw[starts], 0.0)
-        defined[starts] = True
-        t_len = raw.shape[0]
-        idx = np.where(defined, np.arange(t_len)[:, None], -1)
-        idx = np.maximum.accumulate(idx, axis=0)
-        degrees = np.take_along_axis(raw, idx, axis=0)
-
+        degrees = self._decide(residuals, None, starts)
         flags = self.flags(degrees)
         d = self.cfg.debounce
         for s in starts:

@@ -289,11 +289,12 @@ def classify(injected_events: Sequence[FaultEvent],
         starts[ev.target] = min(starts.get(ev.target, math.inf), ev.start)
 
     extras = set(flag_times) - injected
-    premature = any(flag_times[v] < starts[v] - 1e-9
-                    for v in flag_times.keys() & injected)
+    # VARIABLES order, not set order: the delays feed a floating-point mean
+    # whose last bit would otherwise follow the per-process string hash
+    found = [v for v in VARIABLES if v in flag_times and v in injected]
+    premature = any(flag_times[v] < starts[v] - 1e-9 for v in found)
     delays = {v: flag_times[v] - starts[v]
-              for v in flag_times.keys() & injected
-              if flag_times[v] >= starts[v] - 1e-9}
+              for v in found if flag_times[v] >= starts[v] - 1e-9}
 
     if extras or premature:
         return "false_alarm", delays
@@ -304,13 +305,28 @@ def classify(injected_events: Sequence[FaultEvent],
     return "proper", delays
 
 
+def _first_flag_rows(flags: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """First flagged row of every segment and variable, -1 where none.
+
+    ``offsets`` holds each segment's first row in ``flags`` plus a trailing
+    sentinel; rows are counted from the segment start -> (segments, 7).
+    """
+    t_len = flags.shape[0]
+    if t_len == 0:
+        return np.full((len(offsets) - 1, flags.shape[1]), -1)
+    rows = np.where(flags, np.arange(t_len)[:, None], t_len)
+    first = np.minimum.reduceat(rows, offsets[:-1], axis=0)
+    return np.where(first < offsets[1:, None], first - offsets[:-1, None], -1)
+
+
+def _flag_times(times: np.ndarray, first_rows: np.ndarray) -> dict[str, float]:
+    return {name: float(times[row])
+            for name, row in zip(VARIABLES, first_rows.tolist()) if row >= 0}
+
+
 def _first_flag_times(times: np.ndarray, flags: np.ndarray) -> dict[str, float]:
-    out = {}
-    for j, name in enumerate(VARIABLES):
-        hits = np.flatnonzero(flags[:, j])
-        if hits.size:
-            out[name] = float(times[hits[0]])
-    return out
+    first = _first_flag_rows(flags, np.array([0, len(flags)]))
+    return _flag_times(times, first[0])
 
 
 DetectorFn = Callable[[FaultScenario, np.ndarray, np.ndarray],
@@ -321,20 +337,19 @@ def evaluate_bank(cfg: DetectorConfig, bank: ResidualBank,
                   detector_fn: DetectorFn | None = None,
                   ) -> tuple[list[DetectionReport], SuiteMetrics]:
     """Run the detector over precomputed residual traces and aggregate."""
-    block_flags = None
     if detector_fn is None:
-        kernel = DetectorKernel(cfg)
-        _, block_flags = kernel.run_block(bank.block, bank.offsets[:-1])
+        _, block_flags = DetectorKernel(cfg).run_block(bank.block, bank.offsets[:-1])
+        first_rows = _first_flag_rows(block_flags, bank.offsets)
     reports = []
     counts = {c: 0 for c in CLASSIFICATIONS}
     all_delays: list[float] = []
     for idx, scenario in enumerate(bank.scenarios):
         times = bank.times[idx]
-        if block_flags is not None:
-            flags = block_flags[bank.offsets[idx]: bank.offsets[idx + 1]]
+        if detector_fn is None:
+            flag_times = _flag_times(times, first_rows[idx])
         else:
             _, flags = detector_fn(scenario, times, bank.residuals[idx])
-        flag_times = _first_flag_times(times, flags)
+            flag_times = _first_flag_times(times, flags)
         classification, delays = classify(scenario.events, flag_times)
         counts[classification] += 1
         all_delays.extend(delays.values())

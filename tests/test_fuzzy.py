@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from tankfdi import fuzzy, residuals
 from tankfdi.fuzzy import (DetectorConfig, Detector, DetectorKernel,
-                           InputPartition, Memberships, OutputPartition,
-                           build_rulebase, config_to_params, defuzzify,
-                           fuzzify, infer, params_to_config)
+                           InputPartition, Memberships, OutputPartition, Rule,
+                           RuleBase, build_rulebase, config_to_params,
+                           defuzzify, fuzzify, infer, params_to_config)
 from tankfdi.plant import VARIABLES
 
 
@@ -56,6 +56,45 @@ def brute_force_activations(table, rb):
         for v in rule.ok:
             out[v]["OK"] = max(out[v]["OK"], strength)
     return out
+
+
+@st.composite
+def input_partitions(draw):
+    """Valid partitions, including a2 == a3 and beta == a4."""
+    gap = st.floats(0.01, 2.0)
+    a1 = draw(gap)
+    a2 = a1 + draw(gap)
+    a3 = a2 + draw(st.one_of(st.just(0.0), gap))
+    a4 = a3 + draw(gap)
+    beta = a4 + draw(st.one_of(st.just(0.0), st.floats(0.01, 20.0)))
+    return InputPartition(a1, a2, a3, a4, beta)
+
+
+def residual_rows(parts):
+    """Rows (T, 5) mixing random values, every partition boundary of its
+    residual (+-a1..a4, +-beta), values beyond beta, infinities and NaN."""
+    def column(p):
+        edges = [p.a1, p.a2, p.a3, p.a4, p.beta, 2 * p.beta + 1, np.inf]
+        special = st.sampled_from([s * e for e in edges for s in (1, -1)]
+                                  + [0.0, np.nan])
+        return st.one_of(special, st.floats(-1.5 * p.beta, 1.5 * p.beta))
+    row = st.tuples(*(column(p) for p in parts))
+    return st.lists(row, min_size=1, max_size=12).map(
+        lambda rows: np.array(rows, dtype=float))
+
+
+#: build_rulebase never emits NB/N/P/PB premises; this hand-built rule base
+#: keeps the kernel's signed membership columns covered.
+SIGNED_RULEBASE = RuleBase((
+    Rule(("NB", "any", "any", "any", "any"), ("Msf1",), ()),
+    Rule(("any", "N", "any", "any", "any"), ("Msf2",), ()),
+    Rule(("any", "any", "P", "any", "any"), ("De1",), ()),
+    Rule(("any", "any", "any", "PB", "any"), ("De2",), ()),
+    Rule(("N", "P", "nonZ", "any", "Z"), ("De3",), ("Msf1",)),
+    Rule(("PB", "NB", "any", "Z", "any"), ("Df1", "Df2"), ("Msf2",)),
+    Rule(("any",) * 5, ("Df2",), ("De1",)),
+    Rule(("Z",) * 5, (), VARIABLES),
+), max_fault_order=1)
 
 
 # ---------------------------------------------------------------------------
@@ -194,12 +233,27 @@ class TestInfer:
         table = [Memberships(*vals[5 * i: 5 * i + 5]) for i in range(5)]
         expected = brute_force_activations(table, rb)
         got = infer(table, rb)
-        kernel = DetectorKernel(DetectorConfig(
-            (InputPartition(1, 2, 3, 4),) * 5,
-            (OutputPartition(-1, -0.3, 0.3, 1),) * 7, rb))
         for v in VARIABLES:
             assert got[v]["AL"] == pytest.approx(expected[v]["AL"])
             assert got[v]["OK"] == pytest.approx(expected[v]["OK"])
+
+    @pytest.mark.parametrize("rb", [build_rulebase(max_fault_order=2),
+                                    SIGNED_RULEBASE], ids=["generated", "signed"])
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_kernel_matches_brute_force(self, rb, data):
+        parts = tuple(data.draw(input_partitions()) for _ in range(5))
+        rows = data.draw(residual_rows(parts))
+        kernel = DetectorKernel(DetectorConfig(
+            parts, (OutputPartition(-1, -0.3, 0.3, 1),) * 7, rb))
+        al, ok = kernel.activations(rows)
+        for t, row in enumerate(rows):
+            table = [fuzzify(r, p) for r, p in zip(row, parts)]
+            expected = brute_force_activations(table, rb)
+            got = infer(table, rb)
+            for j, v in enumerate(VARIABLES):
+                assert al[t, j] == expected[v]["AL"] == got[v]["AL"]
+                assert ok[t, j] == expected[v]["OK"] == got[v]["OK"]
 
     @given(bump=st.floats(0.0, 0.5))
     @settings(max_examples=30, deadline=None)
@@ -391,6 +445,31 @@ class TestDetector:
         assert not al[0].any() and not ok[0].any()
         j = VARIABLES.index("Msf1")
         assert degrees[7, j] == degrees[5, j] > 0.9
+
+    def test_nan_residual_reads_zero_membership(self, tuned_cfg):
+        # pins today's rule for a dropped-out residual: membership 0 in every
+        # set, degrees as the five-set table gives them, hold when nothing fires
+        parts = tuned_cfg.input_partitions
+        assert fuzzify(np.nan, parts[0]) == Memberships(0, 0, 0, 0, 0)
+        rows = np.zeros((9, 5))
+        rows[1:4] = [3.0, 0, 0, 0, 0]            # Msf1 fault pattern
+        rows[4] = [np.nan, 0, 0, 0, 3.0]         # a rule with r1 = any still fires
+        rows[5] = [np.nan, 0, 0, 0, 0]           # nothing fires
+        rows[6:8] = np.nan                       # every residual drops out
+        kernel = DetectorKernel(tuned_cfg)
+        degrees = kernel.degrees(rows)
+        held = np.zeros(7)
+        for t, row in enumerate(rows):
+            act = infer([fuzzify(r, p) for r, p in zip(row, parts)],
+                        tuned_cfg.rulebase)
+            expected = [defuzzify(act[v], p, fallback=held[j])
+                        for j, (v, p) in enumerate(zip(VARIABLES,
+                                                       tuned_cfg.output_partitions))]
+            np.testing.assert_array_equal(degrees[t], expected)
+            held = degrees[t]
+        assert not np.array_equal(degrees[4], degrees[3])
+        np.testing.assert_array_equal(degrees[5], degrees[4])
+        np.testing.assert_array_equal(degrees[7], degrees[4])
 
     def test_compensated_pair_keeps_alarms_active(self, params, tuned_cfg):
         # contributions tuned to cancel in r2; the pair rule must still fire

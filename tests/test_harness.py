@@ -2,10 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tankfdi
 from tankfdi import fuzzy, harness, plant, residuals
 from tankfdi.harness import (ResidualBank, SuiteSpec, classify,
                              compensation_pair, evaluate, generate_suite,
@@ -204,6 +209,37 @@ class TestEvaluate:
         m2, r2 = evaluate(tuned_cfg, suite, params, OPERATING_INPUTS)
         assert m1 == m2
         assert r1 == r2
+
+    def test_block_pass_matches_per_trace_detector(self, params, tuned_cfg):
+        # the one-pass first-flag extraction over the bank block must give
+        # what running and scanning every trace on its own gives
+        bank = ResidualBank.from_suite(generate_suite(8, seed=5), params,
+                                       OPERATING_INPUTS)
+        kernel = fuzzy.DetectorKernel(tuned_cfg)
+        per_trace = harness.evaluate_bank(
+            tuned_cfg, bank, detector_fn=lambda sc, times, resid: kernel.run(resid))
+        assert harness.evaluate_bank(tuned_cfg, bank) == per_trace
+        assert any(rep.flagged for rep in per_trace[0])
+
+    def test_mean_delay_independent_of_hash_seed(self):
+        # the mean delay sums per-variable delays; their order must not
+        # follow the per-process string hash
+        script = (
+            "from tankfdi import fuzzy, harness, plant\n"
+            "bank = harness.ResidualBank.from_suite(\n"
+            "    harness.generate_suite(200, 1000), plant.PlantParams())\n"
+            "_, metrics = harness.evaluate_bank(fuzzy.example_tuned_config(), bank)\n"
+            "print(repr(metrics.mean_delay))\n")
+        src = str(Path(tankfdi.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        procs = [subprocess.Popen([sys.executable, "-c", script], text=True,
+                                  stdout=subprocess.PIPE,
+                                  env={**os.environ, "PYTHONPATH": path,
+                                       "PYTHONHASHSEED": str(seed)})
+                 for seed in range(3)]
+        outputs = {proc.communicate()[0] for proc in procs}
+        assert all(proc.returncode == 0 for proc in procs)
+        assert len(outputs) == 1, outputs
 
     def test_parallel_jobs_match_serial(self, params, tuned_cfg):
         suite = generate_suite(6, seed=8)
