@@ -237,7 +237,7 @@ class TestEvaluate:
                                   env={**os.environ, "PYTHONPATH": path,
                                        "PYTHONHASHSEED": str(seed)})
                  for seed in range(3)]
-        outputs = {proc.communicate()[0] for proc in procs}
+        outputs = {proc.communicate(timeout=600)[0] for proc in procs}
         assert all(proc.returncode == 0 for proc in procs)
         assert len(outputs) == 1, outputs
 
