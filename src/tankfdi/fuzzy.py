@@ -211,7 +211,8 @@ class RuleIndex(NamedTuple):
                         for v in VARIABLES)
         ok_rows = tuple(tuple(k for k, r in enumerate(rb.rules) if v in r.ok)
                         for v in VARIABLES)
-        signed = any(row >= 10 for rows in reads for row in rows)
+        signed = any(c in ("NB", "N", "P", "PB")
+                     for rule in rb.rules for c in rule.premise)
         return cls(reads, al_rows, ok_rows, signed)
 
 
