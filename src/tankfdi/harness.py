@@ -241,19 +241,65 @@ DERIVATIVE_SPIKE_WINDOW = 3
 def _simulate_residuals(scenario: FaultScenario, params: PlantParams,
                         inputs: tuple[float, float],
                         ) -> tuple[np.ndarray, np.ndarray]:
+    """One scenario through ``plant.run`` and ``residual_trace``: the
+    per-scenario path that a ResidualBank build equals bit for bit."""
     trace = plant.run(scenario, params, inputs)
     return residuals.residual_trace(trace, params,
                                     tau=DERIVATIVE_TAU_FACTOR * scenario.dt,
                                     spike_window=DERIVATIVE_SPIKE_WINDOW)
 
 
+#: Scenarios simulated together in one array pass of a bank build. Bigger
+#: blocks amortize the per-step Python overhead further; the cap bounds the
+#: working set of a 1,000+-scenario build to a few MB.
+BANK_BLOCK = 256
+
+
+def _bank_rows(suite: Sequence[FaultScenario], params: PlantParams,
+               inputs: tuple[float, float], first: int = 0,
+               ) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Times and residual rows of every scenario, in suite order.
+
+    Scenarios sharing (dt, duration) are simulated and conditioned together
+    in blocks of at most BANK_BLOCK. A divergence is reported for the
+    earliest diverging scenario in suite order, numbered from ``first``.
+    """
+    groups: dict[tuple[float, float], list[int]] = {}
+    for i, scenario in enumerate(suite):
+        groups.setdefault((scenario.dt, scenario.duration), []).append(i)
+    times: list = [None] * len(suite)
+    resid: list = [None] * len(suite)
+    diverged: plant.SimulationDiverged | None = None
+    for (dt, _), members in groups.items():
+        for lo in range(0, len(members), BANK_BLOCK):
+            idx = members[lo:lo + BANK_BLOCK]
+            try:
+                t, signals = plant.simulate_suite([suite[i] for i in idx], params, inputs)
+            except plant.SimulationDiverged as exc:
+                i = first + idx[exc.scenario]
+                if diverged is None or i < diverged.scenario:
+                    diverged = plant.SimulationDiverged(exc.variable, exc.t, i)
+                continue
+            t = t[1:]
+            t.setflags(write=False)
+            rows = residuals.residual_batch(signals, dt, params,
+                                            tau=DERIVATIVE_TAU_FACTOR * dt,
+                                            spike_window=DERIVATIVE_SPIKE_WINDOW)
+            for j, i in enumerate(idx):
+                times[i], resid[i] = t, rows[j]
+    if diverged is not None:
+        raise diverged
+    return times, resid
+
+
 @dataclass(frozen=True)
 class ResidualBank:
     """Precomputed residual traces of a suite, reusable across detectors.
 
-    Also carries the suite's residual rows concatenated into one block so a
-    detector can be evaluated in a single vectorized pass; ``offsets`` holds
-    each scenario's start row (plus one trailing sentinel).
+    Also carries the suite's residual rows concatenated into one read-only
+    block so a detector can be evaluated in a single vectorized pass;
+    ``offsets`` holds each scenario's start row (plus one trailing
+    sentinel), and ``residuals[i]`` is scenario i's slice of the block.
     """
 
     scenarios: tuple[FaultScenario, ...]
@@ -266,18 +312,22 @@ class ResidualBank:
     def from_suite(cls, suite: Sequence[FaultScenario], params: PlantParams,
                    inputs: tuple[float, float] = (1.0, 0.8),
                    jobs: int = 1) -> "ResidualBank":
-        if jobs > 1:
+        if jobs > 1 and len(suite) > 1:
+            size = -(-len(suite) // jobs)
+            starts = range(0, len(suite), size)
             with ProcessPoolExecutor(max_workers=jobs) as pool:
-                results = list(pool.map(_simulate_residuals, suite,
-                                        itertools.repeat(params),
-                                        itertools.repeat(inputs)))
+                parts = list(pool.map(_bank_rows, [suite[lo:lo + size] for lo in starts],
+                                      itertools.repeat(params), itertools.repeat(inputs),
+                                      starts))
+            times = [t for part, _ in parts for t in part]
+            resid = [r for _, part in parts for r in part]
         else:
-            results = [_simulate_residuals(sc, params, inputs) for sc in suite]
-        times = tuple(t for t, _ in results)
-        resid = tuple(r for _, r in results)
+            times, resid = _bank_rows(suite, params, inputs)
         block = np.vstack(resid)
+        block.setflags(write=False)
         offsets = np.cumsum([0] + [len(r) for r in resid])
-        return cls(tuple(suite), times, resid, block, offsets)
+        views = tuple(block[lo:hi] for lo, hi in zip(offsets[:-1], offsets[1:]))
+        return cls(tuple(suite), tuple(times), views, block, offsets)
 
 
 def classify(injected_events: Sequence[FaultEvent],
@@ -468,10 +518,7 @@ def suite_from_dict(obj: dict) -> tuple[list[FaultScenario], tuple[float, float]
     if "scenarios" not in obj or not isinstance(obj["scenarios"], list):
         raise SchemaError("suite is missing its 'scenarios' list")
     scenarios = [plant.scenario_from_dict(sc) for sc in obj["scenarios"]]
-    inputs = obj.get("inputs", {"Msf1": 1.0, "Msf2": 0.8})
-    if not isinstance(inputs, dict) or "Msf1" not in inputs or "Msf2" not in inputs:
-        raise SchemaError("suite field 'inputs' must carry Msf1 and Msf2")
-    return scenarios, (float(inputs["Msf1"]), float(inputs["Msf2"]))
+    return scenarios, plant.parse_inputs(obj, "suite")
 
 
 def save_suite(suite: Sequence[FaultScenario], path: str,

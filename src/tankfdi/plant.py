@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
+from types import SimpleNamespace
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -27,12 +28,21 @@ InputSchedule = Callable[[float], tuple[float, float]]
 
 
 class SimulationDiverged(RuntimeError):
-    """Raised when a state variable becomes non-finite during integration."""
+    """Raised when a state variable becomes non-finite during integration.
 
-    def __init__(self, variable: str, t: float):
+    ``scenario`` is the index of the diverging scenario when a whole suite
+    was simulated, else None.
+    """
+
+    def __init__(self, variable: str, t: float, scenario: int | None = None):
         self.variable = variable
         self.t = t
-        super().__init__(f"simulation diverged: {variable} is non-finite at t={t:.6g}s")
+        self.scenario = scenario
+        where = "" if scenario is None else f" in scenario {scenario}"
+        super().__init__(f"simulation diverged: {variable} is non-finite at t={t:.6g}s{where}")
+
+    def __reduce__(self):
+        return type(self), (self.variable, self.t, self.scenario)
 
 
 class SchemaError(ValueError):
@@ -62,6 +72,9 @@ class PlantParams:
                           # linear one at unit pressure difference
 
     def __post_init__(self):
+        for name in self.__dataclass_fields__:
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"PlantParams.{name} must be finite")
         for name in ("C1", "C2", "C3", "R1", "R2", "R3", "R12", "R23"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"PlantParams.{name} must be strictly positive")
@@ -133,6 +146,9 @@ class FaultEvent:
             raise ValueError(f"FaultEvent.target must be one of {VARIABLES}, got {self.target!r}")
         if self.profile not in FAULT_PROFILES:
             raise ValueError(f"FaultEvent.profile must be one of {FAULT_PROFILES}")
+        for name in ("start", "magnitude"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"FaultEvent.{name} must be finite")
 
     def offset_at(self, t: float) -> float:
         if t < self.start:
@@ -154,6 +170,9 @@ class FaultScenario:
     events: tuple[FaultEvent, ...] = ()
 
     def __post_init__(self):
+        for name in ("duration", "dt", "noise_std_R", "noise_std_C"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"FaultScenario.{name} must be finite")
         if self.dt <= 0:
             raise ValueError("FaultScenario.dt must be positive")
         if self.duration < self.dt:
@@ -231,6 +250,24 @@ def _derivatives(de: tuple[float, float, float], inputs: tuple[float, float],
     )
 
 
+def _rk4(de: tuple, inputs: tuple[float, float], params, dt: float,
+         mode: str) -> tuple:
+    """One classical RK4 step of the three pressures.
+
+    The same arithmetic serves Python floats (``step``) and (S,) arrays of
+    a batch (``simulate_suite``); ``params`` supplies R and C as floats or
+    as arrays alike.
+    """
+    k1 = _derivatives(de, inputs, params, mode)
+    k2 = _derivatives(tuple(x + 0.5 * dt * k for x, k in zip(de, k1)), inputs, params, mode)
+    k3 = _derivatives(tuple(x + 0.5 * dt * k for x, k in zip(de, k2)), inputs, params, mode)
+    k4 = _derivatives(tuple(x + dt * k for x, k in zip(de, k3)), inputs, params, mode)
+    return tuple(
+        x + dt / 6.0 * (a + 2 * b + 2 * c + d)
+        for x, a, b, c, d in zip(de, k1, k2, k3, k4)
+    )
+
+
 def step(state: PlantState, inputs: tuple[float, float], params: PlantParams,
          dt: float, mode: str = "linear", integrator: str = "rk4") -> PlantState:
     """Advance the plant one fixed step with the configured integrator."""
@@ -241,14 +278,7 @@ def step(state: PlantState, inputs: tuple[float, float], params: PlantParams,
         k1 = _derivatives(de, inputs, params, mode)
         new = tuple(x + dt * k for x, k in zip(de, k1))
     elif integrator == "rk4":
-        k1 = _derivatives(de, inputs, params, mode)
-        k2 = _derivatives(tuple(x + 0.5 * dt * k for x, k in zip(de, k1)), inputs, params, mode)
-        k3 = _derivatives(tuple(x + 0.5 * dt * k for x, k in zip(de, k2)), inputs, params, mode)
-        k4 = _derivatives(tuple(x + dt * k for x, k in zip(de, k3)), inputs, params, mode)
-        new = tuple(
-            x + dt / 6.0 * (a + 2 * b + 2 * c + d)
-            for x, a, b, c, d in zip(de, k1, k2, k3, k4)
-        )
+        new = _rk4(de, inputs, params, dt, mode)
     else:
         raise ValueError(f"unknown integrator {integrator!r}")
     t_next = state.t + dt
@@ -271,19 +301,20 @@ def measure(state: PlantState, inputs: tuple[float, float], params: PlantParams,
     return MeasurementFrame(t, *values)
 
 
+#: The parameters that noise perturbs, in the order their draws are taken.
+NOISY_PARAMS = ("R1", "R2", "R3", "R12", "R23", "C1", "C2", "C3")
+
+
 def perturb_params(params: PlantParams, noise_std_R: float, noise_std_C: float,
                    rng: np.random.Generator) -> PlantParams:
     """Multiply each R and C by (1 + N(0, sigma)), floored at 1% of nominal."""
     if noise_std_R < 0 or noise_std_C < 0:
         raise ValueError("noise standard deviations must be non-negative")
     updates = {}
-    for name in ("R1", "R2", "R3", "R12", "R23"):
+    for name in NOISY_PARAMS:
         nominal = getattr(params, name)
-        updates[name] = max(nominal * (1.0 + noise_std_R * rng.standard_normal()),
-                            0.01 * nominal)
-    for name in ("C1", "C2", "C3"):
-        nominal = getattr(params, name)
-        updates[name] = max(nominal * (1.0 + noise_std_C * rng.standard_normal()),
+        sigma = noise_std_R if name.startswith("R") else noise_std_C
+        updates[name] = max(nominal * (1.0 + sigma * rng.standard_normal()),
                             0.01 * nominal)
     return replace(params, **updates)
 
@@ -352,6 +383,70 @@ def run(scenario: FaultScenario, params: PlantParams, inputs,
     return Trace(times, signals, scenario.dt)
 
 
+def simulate_suite(suite: Sequence[FaultScenario], params: PlantParams,
+                   inputs: tuple[float, float]) -> tuple[np.ndarray, np.ndarray]:
+    """Simulate scenarios that share ``dt`` and ``duration`` in one RK4 pass.
+
+    Returns (times (T,), signals (S, T, 7)); ``signals[i]`` equals
+    ``run(suite[i], params, inputs).signals`` bit for bit (linear mode,
+    constant inputs). The integration is one loop over time on (S,) state
+    arrays. Each scenario's R/C noise is drawn up front, in the order ``run``
+    draws it step by step, and the fault offsets are added after
+    integration. If any scenario diverges, raises the SimulationDiverged
+    that simulating the suite one scenario at a time would raise first.
+    """
+    if not suite:
+        raise ValueError("simulate_suite needs at least one scenario")
+    dt, duration = suite[0].dt, suite[0].duration
+    if any(sc.dt != dt or sc.duration != duration for sc in suite):
+        raise ValueError("simulate_suite needs scenarios sharing dt and duration")
+    n_steps = math.ceil(duration / dt - 1e-9)
+    n_rows = n_steps + 1
+    u = (float(inputs[0]), float(inputs[1]))
+    x0 = steady_state(u, params)
+
+    # Per-step R and C of every scenario, (8, T, S) in NOISY_PARAMS order.
+    nominal = np.array([getattr(params, name) for name in NOISY_PARAMS])
+    rc = np.empty((len(NOISY_PARAMS), n_rows, len(suite)))
+    rc[:] = nominal[:, None, None]
+    for i, sc in enumerate(suite):
+        if sc.noise_std_R > 0 or sc.noise_std_C > 0:
+            sigma = np.array([sc.noise_std_R if name.startswith("R") else sc.noise_std_C
+                              for name in NOISY_PARAMS])
+            z = np.random.default_rng(sc.seed).standard_normal((n_rows, len(NOISY_PARAMS)))
+            rc[:, :, i] = np.maximum(nominal * (1.0 + sigma * z), 0.01 * nominal).T
+
+    de = np.empty((3, n_rows, len(suite)))
+    de[:, 0] = np.array([x0.De1, x0.De2, x0.De3])[:, None]
+    state = tuple(de[:, 0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n_steps):
+            state = _rk4(state, u, SimpleNamespace(**dict(zip(NOISY_PARAMS, rc[:, k]))),
+                         dt, "linear")
+            for j in range(3):
+                de[j, k + 1] = state[j]
+        finite = np.isfinite(de[:, 1:])
+        if not finite.all():
+            bad = ~finite.all(axis=0)                       # (steps, S)
+            i = int(np.argmax(bad.any(axis=0)))
+            k = int(np.argmax(bad[:, i]))
+            j = int(np.argmin(finite[:, k, i]))
+            raise SimulationDiverged(("De1", "De2", "De3")[j], k * dt + dt, scenario=i)
+        df1, df2 = coupling_flows(de[0], de[1], de[2],
+                                  SimpleNamespace(R12=rc[3], R23=rc[4]))
+
+    times = np.arange(n_rows) * dt
+    signals = np.empty((len(suite), n_rows, 7))
+    signals[:, :, 0], signals[:, :, 1] = u
+    for j, column in enumerate((de[0], de[1], de[2], df1, df2), start=2):
+        signals[:, :, j] = column.T
+    for i, sc in enumerate(suite):
+        for ev in sc.events:
+            offset = ev.magnitude if ev.profile == "step" else ev.magnitude * (times - ev.start)
+            signals[i, :, VARIABLE_INDEX[ev.target]] += np.where(times < ev.start, 0.0, offset)
+    return times, signals
+
+
 # ---------------------------------------------------------------------------
 # JSON / CSV interfaces
 
@@ -406,6 +501,20 @@ def scenario_from_dict(obj: dict) -> FaultScenario:
         raise SchemaError(f"invalid scenario: {exc}") from exc
 
 
+def parse_inputs(obj: dict, owner: str) -> tuple[float, float]:
+    """Operating inputs (Msf1, Msf2) of a scenario or suite file object."""
+    inputs = obj.get("inputs", {"Msf1": 1.0, "Msf2": 0.8})
+    if not isinstance(inputs, dict) or "Msf1" not in inputs or "Msf2" not in inputs:
+        raise SchemaError(f"{owner} field 'inputs' must carry Msf1 and Msf2")
+    try:
+        pair = (float(inputs["Msf1"]), float(inputs["Msf2"]))
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"{owner} field 'inputs': {exc}") from exc
+    if not all(math.isfinite(v) for v in pair):
+        raise SchemaError(f"{owner} field 'inputs' must hold finite Msf1 and Msf2")
+    return pair
+
+
 def load_scenario(path: str) -> tuple[FaultScenario, tuple[float, float]]:
     """Read a scenario JSON file; returns (scenario, operating inputs)."""
     with open(path, "r", encoding="utf-8") as fh:
@@ -414,10 +523,7 @@ def load_scenario(path: str) -> tuple[FaultScenario, tuple[float, float]]:
         except json.JSONDecodeError as exc:
             raise SchemaError(f"scenario file is not valid JSON: {exc}") from exc
     scenario = scenario_from_dict(obj)
-    inputs = obj.get("inputs", {"Msf1": 1.0, "Msf2": 0.8})
-    if not isinstance(inputs, dict) or "Msf1" not in inputs or "Msf2" not in inputs:
-        raise SchemaError("scenario field 'inputs' must carry Msf1 and Msf2")
-    return scenario, (float(inputs["Msf1"]), float(inputs["Msf2"]))
+    return scenario, parse_inputs(obj, "scenario")
 
 
 def write_trace_csv(trace: Trace, path: str) -> None:

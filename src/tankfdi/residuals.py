@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .plant import VARIABLES, MeasurementFrame, PlantParams, Trace
 
@@ -68,26 +69,36 @@ def derivative_estimate(window: Sequence[float], dt: float,
     return y
 
 
+def arr_residuals(s, d, params: PlantParams) -> tuple:
+    """The five ARR residuals (r1..r5) from the seven supervised signals
+    ``s`` (VARIABLES order) and the three pressure derivatives ``d``.
+
+    Works on Python floats and on same-shaped arrays alike, so the
+    streaming and the batch paths share one implementation.
+    """
+    msf1, msf2, de1, de2, de3, df1, df2 = s
+    d_de1, d_de2, d_de3 = d
+    p = params
+    return (msf1 - p.C1 * d_de1 - de1 / p.R1 - df1,
+            df1 - p.C2 * d_de2 - de2 / p.R2 - df2,
+            msf2 - df2 - p.C3 * d_de3 - de3 / p.R3,
+            (de3 - de2) / p.R23 - df2,
+            (de1 - de2) / p.R12 - df1)
+
+
+def _frame_signals(frame: MeasurementFrame) -> tuple[float, ...]:
+    return (frame.Msf1, frame.Msf2, frame.De1, frame.De2, frame.De3,
+            frame.Df1, frame.Df2)
+
+
 def evaluate_arrs(frame: MeasurementFrame, prev: MeasurementFrame,
                   params: PlantParams, dt: float) -> ResidualVector:
     """Residuals at ``frame`` given the previous frame (plain backward diff)."""
     if prev is None:
         raise InsufficientHistory("residual evaluation needs the previous frame")
-    d_de1 = (frame.De1 - prev.De1) / dt
-    d_de2 = (frame.De2 - prev.De2) / dt
-    d_de3 = (frame.De3 - prev.De3) / dt
-    return _residuals_from_values(frame, d_de1, d_de2, d_de3, params)
-
-
-def _residuals_from_values(frame: MeasurementFrame, d_de1: float, d_de2: float,
-                           d_de3: float, params: PlantParams) -> ResidualVector:
-    p = params
-    r1 = frame.Msf1 - p.C1 * d_de1 - frame.De1 / p.R1 - frame.Df1
-    r2 = frame.Df1 - p.C2 * d_de2 - frame.De2 / p.R2 - frame.Df2
-    r3 = frame.Msf2 - frame.Df2 - p.C3 * d_de3 - frame.De3 / p.R3
-    r4 = (frame.De3 - frame.De2) / p.R23 - frame.Df2
-    r5 = (frame.De1 - frame.De2) / p.R12 - frame.Df1
-    return ResidualVector(frame.t, r1, r2, r3, r4, r5)
+    d = ((frame.De1 - prev.De1) / dt, (frame.De2 - prev.De2) / dt,
+         (frame.De3 - prev.De3) / dt)
+    return ResidualVector(frame.t, *arr_residuals(_frame_signals(frame), d, params))
 
 
 class ResidualEvaluator:
@@ -131,52 +142,72 @@ class ResidualEvaluator:
             self._recent.append(raw)
             if len(self._recent) > self.spike_window:
                 self._recent.pop(0)
-            raw = np.median(self._recent, axis=0)
+            raw = (_median3(*self._recent) if len(self._recent) == 3
+                   else np.median(self._recent, axis=0))
         if self._filtered is None:
             self._filtered = raw
         else:
             self._filtered = self._filtered + self._alpha * (raw - self._filtered)
-        d = self._filtered
-        return _residuals_from_values(frame, d[0], d[1], d[2], self.params)
+        return ResidualVector(frame.t, *arr_residuals(_frame_signals(frame),
+                                                      self._filtered, self.params))
+
+
+def _median3(a, b, c):
+    """Median of three by exact selection; the value ``np.median`` picks,
+    NaN propagating as it does there."""
+    return np.maximum(np.minimum(a, b), np.minimum(np.maximum(a, b), c))
+
+
+def _rolling_median(raw: np.ndarray, window: int) -> np.ndarray:
+    """Median of each row along axis 1 and the ``window - 1`` rows before it.
+
+    The first rows take the median of the history they have. A window of
+    three uses ``_median3``; other windows use ``np.median`` over a sliding
+    view.
+    """
+    out = np.empty_like(raw)
+    n = raw.shape[1]
+    for k in range(min(window - 1, n)):
+        out[:, k] = np.median(raw[:, :k + 1], axis=1)
+    if window == 3 and n >= 3:
+        out[:, 2:] = _median3(raw[:, :-2], raw[:, 1:-1], raw[:, 2:])
+    elif n >= window:
+        out[:, window - 1:] = np.median(sliding_window_view(raw, window, axis=1), axis=-1)
+    return out
+
+
+def residual_batch(signals: np.ndarray, dt: float, params: PlantParams,
+                   tau: float | None = None, spike_window: int = 1) -> np.ndarray:
+    """Residuals of S traces sampled at ``dt``: signals (S, T, 7) -> (S, T-1, 5).
+
+    Rows start at each trace's second frame. Every trace is conditioned on
+    its own: a rolling median of ``spike_window`` raw differences, then a
+    single-pole low-pass run as one loop over time across all traces.
+    """
+    raw = np.diff(signals[:, :, 2:5], axis=1) / dt
+    if spike_window > 1:
+        raw = _rolling_median(raw, spike_window)
+    if tau:
+        alpha = dt / (tau + dt)
+        d = np.empty_like(raw)
+        d[:, 0] = raw[:, 0]
+        for k in range(1, raw.shape[1]):
+            d[:, k] = d[:, k - 1] + alpha * (raw[:, k] - d[:, k - 1])
+    else:
+        d = raw
+    out = arr_residuals(np.moveaxis(signals[:, 1:], -1, 0), np.moveaxis(d, -1, 0), params)
+    return np.stack(out, axis=-1)
 
 
 def residual_trace(trace: Trace, params: PlantParams, tau: float | None = None,
                    spike_window: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """Residuals over a whole trace; rows start at the second frame.
 
-    Returns (times (T-1,), residuals (T-1, 5)). Matches a streaming
-    ResidualEvaluator with the same settings sample for sample.
+    Returns (times (T-1,), residuals (T-1, 5)). With ``tau`` set, matches a
+    streaming ResidualEvaluator with the same settings sample for sample.
     """
-    de = trace.signals[:, [VARIABLES.index("De1"), VARIABLES.index("De2"),
-                           VARIABLES.index("De3")]]
-    raw = np.diff(de, axis=0) / trace.dt
-    if spike_window > 1:
-        medianed = np.empty_like(raw)
-        for k in range(len(raw)):
-            lo = max(0, k - spike_window + 1)
-            medianed[k] = np.median(raw[lo:k + 1], axis=0)
-        raw = medianed
-    if tau:
-        alpha = trace.dt / (tau + trace.dt)
-        d = np.empty_like(raw)
-        d[0] = raw[0]
-        for k in range(1, len(raw)):
-            d[k] = d[k - 1] + alpha * (raw[k] - d[k - 1])
-    else:
-        d = raw
-
-    s = trace.signals[1:]
-    msf1, msf2 = s[:, 0], s[:, 1]
-    de1, de2, de3 = s[:, 2], s[:, 3], s[:, 4]
-    df1, df2 = s[:, 5], s[:, 6]
-    p = params
-    out = np.empty((len(s), 5))
-    out[:, 0] = msf1 - p.C1 * d[:, 0] - de1 / p.R1 - df1
-    out[:, 1] = df1 - p.C2 * d[:, 1] - de2 / p.R2 - df2
-    out[:, 2] = msf2 - df2 - p.C3 * d[:, 2] - de3 / p.R3
-    out[:, 3] = (de3 - de2) / p.R23 - df2
-    out[:, 4] = (de1 - de2) / p.R12 - df1
-    return trace.times[1:], out
+    return trace.times[1:], residual_batch(trace.signals[None], trace.dt, params,
+                                           tau, spike_window)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -92,6 +92,51 @@ class TestSimulate:
         assert "diverged" in capsys.readouterr().err
 
 
+class TestNonFiniteInput:
+    """JSON NaN/Infinity is rejected at load with exit code 2."""
+
+    def _simulate(self, tmp_path, scenario, plant_cfg=None):
+        sc = tmp_path / "sc.json"
+        sc.write_text(json.dumps(scenario))
+        argv = ["simulate", "--scenario", str(sc),
+                "--out-trace", str(tmp_path / "t.csv"),
+                "--out-residuals", str(tmp_path / "r.csv")]
+        if plant_cfg is not None:
+            path = tmp_path / "plant.json"
+            path.write_text(json.dumps(plant_cfg))
+            argv += ["--plant", str(path)]
+        return main(argv)
+
+    def test_infinite_duration(self, tmp_path, capsys):
+        code = self._simulate(tmp_path, {"schema": 1, "duration": float("inf")})
+        assert code == 2
+        assert "duration must be finite" in capsys.readouterr().err
+
+    def test_nan_step(self, tmp_path, capsys):
+        code = self._simulate(tmp_path, {"schema": 1, "dt": float("nan")})
+        assert code == 2
+        assert "dt must be finite" in capsys.readouterr().err
+
+    def test_infinite_fault_magnitude(self, tmp_path, capsys):
+        code = self._simulate(tmp_path, {"schema": 1, "events": [
+            {"target": "De1", "start": 1.0, "magnitude": float("inf")}]})
+        assert code == 2
+        assert "magnitude must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "t.csv").exists()
+
+    def test_nan_plant_parameter(self, tmp_path, capsys):
+        code = self._simulate(tmp_path, {"schema": 1}, plant_cfg={"schema": 1,
+                                                                  "C1": float("nan")})
+        assert code == 2
+        assert "C1 must be finite" in capsys.readouterr().err
+
+    def test_nan_operating_input(self, tmp_path, capsys):
+        code = self._simulate(tmp_path, {"schema": 1, "inputs": {
+            "Msf1": float("nan"), "Msf2": 0.8}})
+        assert code == 2
+        assert "inputs" in capsys.readouterr().err
+
+
 class TestTune:
     def test_pso_history_non_increasing(self, tmp_path, suite_file, capsys):
         out_cfg = tmp_path / "tuned.json"

@@ -249,6 +249,74 @@ class TestEvaluate:
             np.testing.assert_array_equal(a, b)
 
 
+def _mixed_suite(params):
+    """Every case the batched bank must reproduce, two (dt, duration)
+    groups interleaved in suite order."""
+    long = dict(duration=12.0, dt=0.1)
+    short = dict(duration=6.0, dt=0.05)
+    return [
+        FaultScenario(seed=1, **long),
+        FaultScenario(seed=2, noise_std_R=0.05, **short),
+        FaultScenario(seed=3, noise_std_R=0.02, noise_std_C=0.02,
+                      events=(FaultEvent("De1", 3.0, 1.5),
+                              FaultEvent("Msf2", 4.0, -0.1, "ramp")), **long),
+        FaultScenario(seed=4, noise_std_C=0.03,
+                      events=compensation_pair(2.0, params, 2.5), **short),
+        FaultScenario(seed=5, noise_std_R=0.02, noise_std_C=0.02,
+                      events=(FaultEvent("Df1", 2.0, 1.0),
+                              FaultEvent("Df1", 5.0, 0.25, "ramp")), **long),
+        FaultScenario(seed=6, events=(FaultEvent("De3", 1.0, -2.0),), **short),
+    ]
+
+
+class TestResidualBank:
+    @pytest.mark.parametrize("block", [1, 2, harness.BANK_BLOCK])
+    def test_batched_bank_equals_per_scenario_path(self, params, monkeypatch, block):
+        monkeypatch.setattr(harness, "BANK_BLOCK", block)
+        suite = _mixed_suite(params)
+        bank = ResidualBank.from_suite(suite, params, OPERATING_INPUTS)
+        expected = [harness._simulate_residuals(sc, params, OPERATING_INPUTS)
+                    for sc in suite]
+        assert len(bank.times) == len(bank.residuals) == len(suite)
+        for (times, resid), got_t, got_r in zip(expected, bank.times, bank.residuals):
+            assert got_t.tobytes() == times.tobytes()
+            assert got_r.tobytes() == resid.tobytes()
+        block_rows = np.vstack([resid for _, resid in expected])
+        assert bank.block.tobytes() == block_rows.tobytes()
+        np.testing.assert_array_equal(
+            bank.offsets, np.cumsum([0] + [len(resid) for _, resid in expected]))
+
+    def test_bank_arrays_are_read_only(self, params):
+        bank = ResidualBank.from_suite(generate_suite(3, seed=2), params,
+                                       OPERATING_INPUTS)
+        with pytest.raises(ValueError):
+            bank.residuals[0][0, 0] = 1.0
+        with pytest.raises(ValueError):
+            bank.times[0][0] = 1.0
+
+    @pytest.mark.parametrize("jobs,block", [(1, 1), (1, harness.BANK_BLOCK), (2, 1)])
+    @pytest.mark.parametrize("unstable", [(1, 3), (3,)])
+    def test_divergence_reports_what_the_sequential_loop_reports(
+            self, params, monkeypatch, jobs, block, unstable):
+        # with (1, 3), both diverge and 3 does so earlier in simulated time;
+        # the scenario-by-scenario loop stops at scenario 1, so must the bank
+        monkeypatch.setattr(harness, "BANK_BLOCK", block)
+        suite = [FaultScenario(seed=seed, duration=1200.0, dt=3.0, noise_std_R=0.3)
+                 if i in unstable else FaultScenario(seed=seed, duration=5.0, dt=0.1)
+                 for i, seed in enumerate((5, 0, 6, 1))]
+        diverged = []
+        for idx, sc in enumerate(suite):
+            try:
+                harness._simulate_residuals(sc, params, OPERATING_INPUTS)
+            except plant.SimulationDiverged as exc:
+                diverged.append((idx, exc.variable, exc.t))
+        assert [idx for idx, _, _ in diverged] == list(unstable)
+        assert diverged[-1][2] <= diverged[0][2]
+        with pytest.raises(plant.SimulationDiverged) as err:
+            ResidualBank.from_suite(suite, params, OPERATING_INPUTS, jobs=jobs)
+        assert (err.value.scenario, err.value.variable, err.value.t) == diverged[0]
+
+
 class TestCompare:
     def test_identical_configs_identical_rows(self, params, tuned_cfg):
         suite = generate_suite(6, seed=3)

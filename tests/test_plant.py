@@ -1,5 +1,8 @@
 """Plant model: integration, fault injection, parameter noise, traces."""
 
+import math
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -209,6 +212,63 @@ class TestRun:
         with pytest.raises(ValueError):
             FaultScenario(duration=1.0, dt=0.1,
                           events=(FaultEvent("De1", 5.0, 1.0),))
+
+
+class TestSimulateSuite:
+    def test_rows_equal_scalar_runs(self, params):
+        suite = [
+            FaultScenario(seed=1, duration=6.0, dt=0.1),
+            FaultScenario(seed=2, duration=6.0, dt=0.1, noise_std_R=0.05),
+            FaultScenario(seed=3, duration=6.0, dt=0.1, noise_std_C=0.05,
+                          events=(FaultEvent("Df2", 2.0, 0.5),
+                                  FaultEvent("Df2", 3.0, -0.2, "ramp"))),
+        ]
+        times, signals = plant.simulate_suite(suite, params, OPERATING_INPUTS)
+        assert signals.shape == (3, 61, 7)
+        for sc, rows in zip(suite, signals):
+            trace = plant.run(sc, params, OPERATING_INPUTS)
+            assert times.tobytes() == trace.times.tobytes()
+            assert rows.tobytes() == trace.signals.tobytes()
+
+    def test_rejects_mixed_steps(self, params):
+        suite = [FaultScenario(duration=2.0, dt=0.1), FaultScenario(duration=2.0, dt=0.2)]
+        with pytest.raises(ValueError):
+            plant.simulate_suite(suite, params, OPERATING_INPUTS)
+
+    def test_divergence_names_scenario_variable_and_time(self):
+        stiff = PlantParams(C1=1e-8, C2=1e-8, C3=1e-8)
+        suite = [FaultScenario(seed=s, duration=50.0, dt=0.5) for s in range(2)]
+        with pytest.raises(SimulationDiverged) as scalar:
+            plant.run(suite[0], stiff, (1e6, 0.0))
+        with pytest.raises(SimulationDiverged) as batch:
+            plant.simulate_suite(suite, stiff, (1e6, 0.0))
+        assert batch.value.scenario == 0
+        assert (batch.value.variable, batch.value.t) == (scalar.value.variable,
+                                                         scalar.value.t)
+
+    def test_divergence_survives_pickling(self):
+        exc = pickle.loads(pickle.dumps(SimulationDiverged("De2", 1.5, scenario=4)))
+        assert (exc.variable, exc.t, exc.scenario) == ("De2", 1.5, 4)
+        assert str(exc).endswith("in scenario 4")
+
+
+class TestNonFiniteRejected:
+    @pytest.mark.parametrize("field", ["C1", "R23", "g"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_plant_params(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            PlantParams(**{field: value})
+
+    @pytest.mark.parametrize("field", ["duration", "dt", "noise_std_R", "noise_std_C"])
+    def test_scenario_fields(self, field):
+        with pytest.raises(ValueError, match=field):
+            FaultScenario(**{field: math.inf})
+
+    @pytest.mark.parametrize("field", ["start", "magnitude"])
+    def test_event_fields(self, field):
+        kwargs = {"start": 1.0, "magnitude": 1.0, field: math.nan}
+        with pytest.raises(ValueError, match=field):
+            FaultEvent("De1", **kwargs)
 
 
 class TestScenarioJson:

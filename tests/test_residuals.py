@@ -1,5 +1,7 @@
 """Residual evaluation, signature structure and self-consistency oracles."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -110,6 +112,60 @@ class TestEvaluateArrs:
         trace = plant.run(sc, params, OPERATING_INPUTS, mode="nonlinear")
         _, resid = residual_trace(trace, params)
         assert np.abs(resid[-1]).max() > 1e-3
+
+
+class TestRollingMedian:
+    VALUES = (-np.inf, -1.0, 0.0, 0.5, 1.0, np.inf, np.nan)
+
+    @pytest.mark.parametrize("window", [2, 3, 4, 5])
+    def test_matches_np_median_of_the_history(self, window):
+        # every ordered triple of the values above, ties, infinities and
+        # NaN included, as the last three rows of one trace each
+        triples = np.array(list(itertools.product(self.VALUES, repeat=3)))
+        lead = np.array([2.0, -3.0])
+        raw = np.concatenate([np.broadcast_to(lead, (len(triples), 2)), triples],
+                             axis=1)[:, :, None]
+        raw = np.concatenate([raw, raw[:, ::-1]], axis=2)
+        with np.errstate(invalid="ignore"):  # means of inf and -inf
+            got = residuals._rolling_median(raw, window)
+            want = np.empty_like(raw)
+            for k in range(raw.shape[1]):
+                want[:, k] = np.median(raw[:, max(0, k - window + 1):k + 1], axis=1)
+        np.testing.assert_array_equal(got, want)
+
+    def test_short_trace_uses_warm_up_rows_only(self):
+        raw = np.array([[[1.0], [5.0]]])
+        np.testing.assert_array_equal(residuals._rolling_median(raw, 3),
+                                      [[[1.0], [3.0]]])
+
+
+class TestResidualBatch:
+    def test_each_row_equals_its_own_trace(self, params):
+        scenarios = [FaultScenario(seed=s, duration=4.0, dt=0.1, noise_std_R=0.02,
+                                   events=(FaultEvent("De2", 1.0 + s, 1.0),))
+                     for s in range(3)]
+        _, signals = plant.simulate_suite(scenarios, params, OPERATING_INPUTS)
+        batch = residuals.residual_batch(signals, 0.1, params, tau=0.3, spike_window=3)
+        for sc, rows in zip(scenarios, batch):
+            trace = plant.run(sc, params, OPERATING_INPUTS)
+            _, want = residuals.residual_trace(trace, params, tau=0.3, spike_window=3)
+            assert rows.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("spike_window", [1, 2, 3, 4])
+    def test_streaming_evaluator_equals_batch_exactly(self, params, spike_window):
+        # the operator's online loop must reproduce the bank rows bit for bit
+        sc = FaultScenario(seed=8, duration=8.0, dt=0.1, noise_std_R=0.03,
+                           noise_std_C=0.03,
+                           events=(FaultEvent("De2", 2.0, 1.0),
+                                   FaultEvent("Msf1", 3.0, 0.2, "ramp")))
+        trace = plant.run(sc, params, OPERATING_INPUTS)
+        _, batch = residual_trace(trace, params, tau=0.3, spike_window=spike_window)
+        stream = ResidualEvaluator(params, dt=0.1, tau=0.3, spike_window=spike_window)
+        frames = list(trace.frames())
+        with pytest.raises(InsufficientHistory):
+            stream.update(frames[0])
+        rows = np.array([stream.update(f).as_array() for f in frames[1:]])
+        assert rows.tobytes() == batch.tobytes()
 
 
 class TestLinearity:
