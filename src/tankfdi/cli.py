@@ -145,15 +145,13 @@ def cmd_detect(args) -> int:
     return EXIT_OK
 
 
-def _render_reports(out_dir: str, cfg, bank: harness.ResidualBank) -> None:
+def _render_reports(out_dir: str, reports: list[harness.DetectionReport]) -> None:
     os.makedirs(out_dir, exist_ok=True)
-    kernel = fuzzy.DetectorKernel(cfg)
     graph = render.CausalGraph()
-    for idx in range(len(bank.scenarios)):
-        degrees = kernel.degrees(bank.residuals[idx])
-        path = os.path.join(out_dir, f"scenario_{idx:03d}.dot")
+    for rep in reports:
+        path = os.path.join(out_dir, f"scenario_{rep.scenario_id:03d}.dot")
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(render.emit_dot(graph, degrees[-1]))
+            fh.write(render.emit_dot(graph, rep.final_degrees))
 
 
 def cmd_evaluate(args) -> int:
@@ -167,7 +165,7 @@ def cmd_evaluate(args) -> int:
     if args.reports:
         harness.write_reports_jsonl(reports, args.reports)
     if args.render:
-        _render_reports(args.render, cfg, bank)
+        _render_reports(args.render, reports)
     _write_run_config(args.out, "evaluate", {
         "config": args.config, "suite": args.suite, "generate": args.generate,
         "suite_seed": args.suite_seed, "plant": args.plant, "name": name,
@@ -191,10 +189,10 @@ def cmd_compare(args) -> int:
     bank = harness.ResidualBank.from_suite(suite, params, inputs, jobs=args.jobs)
     rows = []
     for name, cfg in configs:
-        _, metrics = harness.evaluate_bank(cfg, bank)
+        reports, metrics = harness.evaluate_bank(cfg, bank)
         rows.append(harness.metrics_row(name, metrics))
         if args.render:
-            _render_reports(os.path.join(args.render, name), cfg, bank)
+            _render_reports(os.path.join(args.render, name), reports)
     harness.write_metrics_csv(rows, args.out)
     _write_run_config(args.out, "compare", {
         "configs": list(args.config), "suite": args.suite,

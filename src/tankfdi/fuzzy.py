@@ -4,13 +4,13 @@ Pipeline per timestep: fuzzify each residual over the symmetric five-set
 partition {NB, N, Z, P, PB}, fire a compensation-aware rule base with
 MIN-MAX inference to per-variable OK/AL activations, and defuzzify those to
 an alarm degree in [0, 1] per supervised variable. Degrees above the alarm
-threshold for ``debounce`` consecutive samples raise the fault flag.
+threshold for ``debounce`` consecutive samples raise the fault flag. Rule
+premises read Z, nonZ = max(NB, N, P, PB), or nothing (``any``).
 
-``DetectorKernel`` runs this pipeline over whole residual blocks. It only
-computes the memberships the rules read, in closed form on |r| (generated
-rules read Z and nonZ only), and fires the rules from index lists into a
-(rules, T) array; ``fuzzify``/``infer``/``defuzzify`` are the scalar form of
-the same formulas and agree with it bit for bit.
+``DetectorKernel`` runs this pipeline over whole residual blocks. It
+computes Z and nonZ in closed form on |r| and fires the rules from index
+lists into a (rules, T) array; ``fuzzify``/``infer``/``defuzzify`` are the
+scalar form of the same formulas and agree with it bit for bit.
 
 The rule base is generated mechanically from the fault-signature matrix:
 one rule per candidate fault set, with residuals shared by several
@@ -36,8 +36,8 @@ import numpy as np
 from .plant import VARIABLES, SchemaError
 from .residuals import SignatureMatrix, signature_matrix
 
-LINGUISTIC_SETS = ("NB", "N", "Z", "P", "PB")
-CONSTRAINTS = LINGUISTIC_SETS + ("nonZ", "any")
+#: Premise constraints a rule may place on one residual.
+CONSTRAINTS = ("Z", "nonZ", "any")
 
 DEFAULT_BETA = 25.0
 DEFAULT_ALARM_THRESHOLD = 0.5
@@ -142,9 +142,9 @@ class Rule:
     """One linguistic if-then rule.
 
     ``premise`` holds one constraint per residual (index order r1..r5) from
-    {NB, N, Z, P, PB, nonZ, any}; ``al``/``ok`` are the variables concluded
-    in alarm / normal state; ``members`` records the candidate fault set the
-    rule was generated for (empty for the all-clear rule).
+    {Z, nonZ, any}; ``al``/``ok`` are the variables concluded in alarm /
+    normal state; ``members`` records the candidate fault set the rule was
+    generated for (empty for the all-clear rule).
     """
 
     premise: tuple[str, str, str, str, str]
@@ -185,8 +185,8 @@ class RuleBase:
 
 
 #: Membership rows of the kernel table, one block of five residuals per
-#: constraint; NB..PB only exist when some rule reads them.
-_COLUMN = {"Z": 0, "nonZ": 1, "NB": 2, "N": 3, "P": 4, "PB": 5}
+#: constraint.
+_COLUMN = {"Z": 0, "nonZ": 1}
 
 
 class RuleIndex(NamedTuple):
@@ -200,7 +200,6 @@ class RuleIndex(NamedTuple):
     reads: tuple[tuple[int, ...], ...]
     al_rows: tuple[tuple[int, ...], ...]
     ok_rows: tuple[tuple[int, ...], ...]
-    signed: bool
 
     @classmethod
     def of(cls, rb: RuleBase) -> "RuleIndex":
@@ -211,9 +210,7 @@ class RuleIndex(NamedTuple):
                         for v in VARIABLES)
         ok_rows = tuple(tuple(k for k, r in enumerate(rb.rules) if v in r.ok)
                         for v in VARIABLES)
-        signed = any(c in ("NB", "N", "P", "PB")
-                     for rule in rb.rules for c in rule.premise)
-        return cls(reads, al_rows, ok_rows, signed)
+        return cls(reads, al_rows, ok_rows)
 
 
 def build_rulebase(sig: SignatureMatrix | None = None,
@@ -273,9 +270,7 @@ def _constraint_degree(constraint: str, m: Memberships) -> float:
         return m.z
     if constraint == "nonZ":
         return m.non_zero
-    if constraint == "any":
-        return 1.0
-    return getattr(m, constraint.lower())
+    return 1.0
 
 
 def infer(memberships: Sequence[Memberships], rb: RuleBase) -> dict[str, dict[str, float]]:
@@ -486,12 +481,11 @@ class DetectorKernel:
 
     (nonZ = max(NB, N, P, PB) is the P/PB envelope, and clipping x at beta
     changes neither). Both equal what ``_trapezoid`` gives, bit for bit; a
-    NaN residual reads 0 in every set, as it does there. NB/N/P/PB are only
-    tabulated when a rule reads them, which ``build_rulebase`` never does.
-    The table is laid out (sets * 5 residuals, T). Rule firing is a running
-    minimum over each rule's index list (``RuleBase.index``), laid out
-    (rules, T), and AL/OK a running maximum over each variable's rule rows,
-    laid out (7, T). The streaming Detector runs single rows through this
+    NaN residual reads 0 in every set, as it does there. The table is laid
+    out (2 sets * 5 residuals, T). Rule firing is a running minimum over
+    each rule's index list (``RuleBase.index``), laid out (rules, T), and
+    AL/OK a running maximum over each variable's rule rows, laid out
+    (7, T). The streaming Detector runs single rows through this
     kernel, so both paths agree with the scalar ``fuzzify``/``infer``/
     ``defuzzify`` path bit for bit.
     """
@@ -507,10 +501,9 @@ class DetectorKernel:
         self._span = (self.support - self.core)[:, None]
 
     def _memberships(self, r: np.ndarray) -> np.ndarray:
-        """Membership table (columns * 5, T) of residual rows ``r`` (T, 5)."""
+        """Membership table (2 * 5, T) of residual rows ``r`` (T, 5): Z, then nonZ."""
         a1, a2, a3, a4 = self._a
-        columns = 6 if self.index.signed else 2
-        table = np.empty((columns, 5, r.shape[0]))
+        table = np.empty((2, 5, r.shape[0]))
         x = np.abs(r.T, order="C")
         rise, fall = a2 - a1, a4 - a3
         z, nonz = table[0], table[1]
@@ -528,11 +521,8 @@ class DetectorKernel:
         np.clip(nonz, 0.0, 1.0, out=nonz)
         missing = np.isnan(x)
         if missing.any():
-            table[:2, missing] = 0.0
-        if columns > 2:
-            for i, p in enumerate(self.cfg.input_partitions):
-                table[2:, i] = _membership_table(r[:, i], p)[:, [0, 1, 3, 4]].T
-        return table.reshape(columns * 5, -1)
+            table[:, missing] = 0.0
+        return table.reshape(10, -1)
 
     def activations(self, residuals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per-variable (AL, OK) activations for residual rows (T, 5)."""

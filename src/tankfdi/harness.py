@@ -24,7 +24,7 @@ import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -37,13 +37,15 @@ CLASSIFICATIONS = ("proper", "missed", "bad", "false_alarm")
 
 @dataclass(frozen=True)
 class DetectionReport:
-    """Per-scenario decision, first-flag times and detection delays."""
+    """Per-scenario decision, first-flag times, detection delays and the
+    alarm degrees (VARIABLES order) at the scenario's last sample."""
 
     scenario_id: int
     injected: frozenset[str]
     flagged: dict[str, float]
     classification: str
     delays: dict[str, float]
+    final_degrees: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -379,48 +381,29 @@ def _first_flag_times(times: np.ndarray, flags: np.ndarray) -> dict[str, float]:
     return _flag_times(times, first[0])
 
 
-DetectorFn = Callable[[FaultScenario, np.ndarray, np.ndarray],
-                      tuple[np.ndarray, np.ndarray]]
-
-
 def evaluate_bank(cfg: DetectorConfig, bank: ResidualBank,
-                  detector_fn: DetectorFn | None = None,
                   ) -> tuple[list[DetectionReport], SuiteMetrics]:
     """Run the detector over precomputed residual traces and aggregate."""
-    if detector_fn is None:
-        _, block_flags = DetectorKernel(cfg).run_block(bank.block, bank.offsets[:-1])
-        first_rows = _first_flag_rows(block_flags, bank.offsets)
+    degrees, block_flags = DetectorKernel(cfg).run_block(bank.block, bank.offsets[:-1])
+    first_rows = _first_flag_rows(block_flags, bank.offsets)
+    final_degrees = degrees[bank.offsets[1:] - 1].tolist()
     reports = []
     counts = {c: 0 for c in CLASSIFICATIONS}
     all_delays: list[float] = []
     for idx, scenario in enumerate(bank.scenarios):
-        times = bank.times[idx]
-        if detector_fn is None:
-            flag_times = _flag_times(times, first_rows[idx])
-        else:
-            _, flags = detector_fn(scenario, times, bank.residuals[idx])
-            flag_times = _first_flag_times(times, flags)
+        flag_times = _flag_times(bank.times[idx], first_rows[idx])
         classification, delays = classify(scenario.events, flag_times)
         counts[classification] += 1
         all_delays.extend(delays.values())
         reports.append(DetectionReport(idx, scenario.injected, flag_times,
-                                       classification, delays))
+                                       classification, delays,
+                                       tuple(final_degrees[idx])))
     metrics = SuiteMetrics(
         proper_rate=counts["proper"] / len(bank.scenarios),
         mean_delay=float(np.mean(all_delays)) if all_delays else math.nan,
         counts=counts,
     )
     return reports, metrics
-
-
-def evaluate(cfg: DetectorConfig, suite: Sequence[FaultScenario],
-             params: PlantParams, inputs: tuple[float, float] = (1.0, 0.8),
-             detector_fn: DetectorFn | None = None, jobs: int = 1,
-             ) -> tuple[SuiteMetrics, list[DetectionReport]]:
-    """Simulate a suite and evaluate one detector configuration over it."""
-    bank = ResidualBank.from_suite(suite, params, inputs, jobs=jobs)
-    reports, metrics = evaluate_bank(cfg, bank, detector_fn)
-    return metrics, reports
 
 
 def compare(configs: Sequence[tuple[str, DetectorConfig]],

@@ -13,7 +13,7 @@ import json
 import math
 from dataclasses import dataclass, replace
 from types import SimpleNamespace
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -23,8 +23,6 @@ VARIABLES = ("Msf1", "Msf2", "De1", "De2", "De3", "Df1", "Df2")
 VARIABLE_INDEX = {name: i for i, name in enumerate(VARIABLES)}
 
 FAULT_PROFILES = ("step", "ramp")
-
-InputSchedule = Callable[[float], tuple[float, float]]
 
 
 class SimulationDiverged(RuntimeError):
@@ -222,7 +220,7 @@ def coupling_flows(De1: float, De2: float, De3: float, params: PlantParams,
     """Coupling flows Df1 (tank1 -> tank2) and Df2 (tank3 -> tank2).
 
     Linear mode divides the pressure difference by the coupling resistance.
-    Nonlinear mode uses the signed square-root valve law
+    Nonlinear mode uses the sign-preserving square-root valve law
     ``az * S * sgn(hi - hj) * sqrt(2 g |hi - hj|)`` with ``h = De / (rho g)``.
     """
     if mode == "linear":
@@ -269,18 +267,11 @@ def _rk4(de: tuple, inputs: tuple[float, float], params, dt: float,
 
 
 def step(state: PlantState, inputs: tuple[float, float], params: PlantParams,
-         dt: float, mode: str = "linear", integrator: str = "rk4") -> PlantState:
-    """Advance the plant one fixed step with the configured integrator."""
+         dt: float, mode: str = "linear") -> PlantState:
+    """Advance the plant one fixed RK4 step."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    de = (state.De1, state.De2, state.De3)
-    if integrator == "euler":
-        k1 = _derivatives(de, inputs, params, mode)
-        new = tuple(x + dt * k for x, k in zip(de, k1))
-    elif integrator == "rk4":
-        new = _rk4(de, inputs, params, dt, mode)
-    else:
-        raise ValueError(f"unknown integrator {integrator!r}")
+    new = _rk4((state.De1, state.De2, state.De3), inputs, params, dt, mode)
     t_next = state.t + dt
     for name, value in zip(("De1", "De2", "De3"), new):
         if not math.isfinite(value):
@@ -335,33 +326,18 @@ def steady_state(inputs: tuple[float, float], params: PlantParams) -> PlantState
     return PlantState(float(de[0]), float(de[1]), float(de[2]), 0.0)
 
 
-def constant_inputs(msf1: float, msf2: float) -> InputSchedule:
-    def schedule(_t: float) -> tuple[float, float]:
-        return (msf1, msf2)
-
-    return schedule
-
-
-def _as_schedule(inputs) -> InputSchedule:
-    if callable(inputs):
-        return inputs
-    msf1, msf2 = inputs
-    return constant_inputs(float(msf1), float(msf2))
-
-
-def run(scenario: FaultScenario, params: PlantParams, inputs,
-        x0: PlantState | None = None, mode: str = "linear",
-        integrator: str = "rk4") -> Trace:
+def run(scenario: FaultScenario, params: PlantParams, inputs: tuple[float, float],
+        x0: PlantState | None = None, mode: str = "linear") -> Trace:
     """Simulate a scenario and return the measured trace.
 
-    ``inputs`` is either a constant (Msf1, Msf2) pair or a callable t -> pair.
-    The initial state defaults to the linear steady state for the inputs at
-    t=0, so fault-free runs sit at the operating point from the first frame.
-    Deterministic given the scenario seed.
+    ``inputs`` is the constant operating point (Msf1, Msf2). The initial
+    state defaults to its linear steady state, so fault-free runs sit at the
+    operating point from the first frame. Deterministic given the scenario
+    seed.
     """
-    schedule = _as_schedule(inputs)
+    u = (float(inputs[0]), float(inputs[1]))
     if x0 is None:
-        x0 = steady_state(schedule(0.0), params)
+        x0 = steady_state(u, params)
     n_steps = math.ceil(scenario.duration / scenario.dt - 1e-9)
     rng = np.random.default_rng(scenario.seed)
     noisy = scenario.noise_std_R > 0 or scenario.noise_std_C > 0
@@ -371,7 +347,6 @@ def run(scenario: FaultScenario, params: PlantParams, inputs,
     state = x0
     for k in range(n_steps + 1):
         t = k * scenario.dt
-        u = schedule(t)
         step_params = (perturb_params(params, scenario.noise_std_R, scenario.noise_std_C, rng)
                        if noisy else params)
         frame = measure(state, u, step_params, scenario.events, t, mode)
@@ -379,7 +354,7 @@ def run(scenario: FaultScenario, params: PlantParams, inputs,
         signals[k] = frame.as_vector()
         if k < n_steps:
             state = step(PlantState(state.De1, state.De2, state.De3, t), u,
-                         step_params, scenario.dt, mode, integrator)
+                         step_params, scenario.dt, mode)
     return Trace(times, signals, scenario.dt)
 
 

@@ -18,7 +18,6 @@ linear-mode traces by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -47,28 +46,6 @@ class ResidualVector:
         return np.array([self.r1, self.r2, self.r3, self.r4, self.r5])
 
 
-def derivative_estimate(window: Sequence[float], dt: float,
-                        tau: float | None = None) -> float:
-    """Backward-difference derivative at the end of a uniformly sampled window.
-
-    With ``tau`` set, the successive raw differences are run through a
-    single-pole low-pass (y += dt/(tau+dt) * (d - y), seeded at the first
-    difference) and the filtered value at the last sample is returned.
-    """
-    if len(window) < 2:
-        raise InsufficientHistory("derivative needs at least two samples")
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    diffs = [(window[i + 1] - window[i]) / dt for i in range(len(window) - 1)]
-    if tau is None:
-        return diffs[-1]
-    alpha = dt / (tau + dt)
-    y = diffs[0]
-    for d in diffs[1:]:
-        y += alpha * (d - y)
-    return y
-
-
 def arr_residuals(s, d, params: PlantParams) -> tuple:
     """The five ARR residuals (r1..r5) from the seven supervised signals
     ``s`` (VARIABLES order) and the three pressure derivatives ``d``.
@@ -89,16 +66,6 @@ def arr_residuals(s, d, params: PlantParams) -> tuple:
 def _frame_signals(frame: MeasurementFrame) -> tuple[float, ...]:
     return (frame.Msf1, frame.Msf2, frame.De1, frame.De2, frame.De3,
             frame.Df1, frame.Df2)
-
-
-def evaluate_arrs(frame: MeasurementFrame, prev: MeasurementFrame,
-                  params: PlantParams, dt: float) -> ResidualVector:
-    """Residuals at ``frame`` given the previous frame (plain backward diff)."""
-    if prev is None:
-        raise InsufficientHistory("residual evaluation needs the previous frame")
-    d = ((frame.De1 - prev.De1) / dt, (frame.De2 - prev.De2) / dt,
-         (frame.De3 - prev.De3) / dt)
-    return ResidualVector(frame.t, *arr_residuals(_frame_signals(frame), d, params))
 
 
 class ResidualEvaluator:
@@ -123,7 +90,7 @@ class ResidualEvaluator:
         self.dt = dt
         self.tau = tau
         self.spike_window = spike_window
-        self._alpha = dt / (tau + dt) if tau else 1.0
+        self._alpha = dt / (tau + dt) if tau else None
         self._prev: MeasurementFrame | None = None
         self._filtered: np.ndarray | None = None
         self._recent: list[np.ndarray] = []
@@ -144,7 +111,7 @@ class ResidualEvaluator:
                 self._recent.pop(0)
             raw = (_median3(*self._recent) if len(self._recent) == 3
                    else np.median(self._recent, axis=0))
-        if self._filtered is None:
+        if self._filtered is None or self._alpha is None:
             self._filtered = raw
         else:
             self._filtered = self._filtered + self._alpha * (raw - self._filtered)
@@ -203,8 +170,8 @@ def residual_trace(trace: Trace, params: PlantParams, tau: float | None = None,
                    spike_window: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """Residuals over a whole trace; rows start at the second frame.
 
-    Returns (times (T-1,), residuals (T-1, 5)). With ``tau`` set, matches a
-    streaming ResidualEvaluator with the same settings sample for sample.
+    Returns (times (T-1,), residuals (T-1, 5)), equal sample for sample to
+    a streaming ResidualEvaluator with the same settings.
     """
     return trace.times[1:], residual_batch(trace.signals[None], trace.dt, params,
                                            tau, spike_window)[0]

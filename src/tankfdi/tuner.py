@@ -47,6 +47,13 @@ def constriction(c1: float, c2: float) -> float:
     return 2.0 / abs(2.0 - c - math.sqrt(c * c - 4.0 * c))
 
 
+def _checked_bounds(bounds) -> np.ndarray:
+    b = np.asarray(bounds, dtype=float)
+    if b.ndim != 2 or b.shape[1] != 2 or np.any(b[:, 1] <= b[:, 0]):
+        raise ValueError("bounds must be an (n, 2) array of proper intervals")
+    return b
+
+
 @dataclass
 class Particle:
     x: np.ndarray
@@ -71,10 +78,7 @@ class PsoParams:
             raise ValueError("iterations must be non-negative")
         if self.c1 + self.c2 <= 4.0:
             raise ValueError("PSO constriction requires c1 + c2 > 4")
-        b = np.asarray(self.bounds, dtype=float)
-        if b.ndim != 2 or b.shape[1] != 2 or np.any(b[:, 1] <= b[:, 0]):
-            raise ValueError("bounds must be an (n, 2) array of proper intervals")
-        object.__setattr__(self, "bounds", b)
+        object.__setattr__(self, "bounds", _checked_bounds(self.bounds))
 
 
 @dataclass(frozen=True)
@@ -99,10 +103,7 @@ class GaParams:
             raise ValueError("crossover_fraction must lie in [0, 1]")
         if not 0.0 <= self.mutation_rate <= 1.0:
             raise ValueError("mutation_rate must lie in [0, 1]")
-        b = np.asarray(self.bounds, dtype=float)
-        if b.ndim != 2 or b.shape[1] != 2 or np.any(b[:, 1] <= b[:, 0]):
-            raise ValueError("bounds must be an (n, 2) array of proper intervals")
-        object.__setattr__(self, "bounds", b)
+        object.__setattr__(self, "bounds", _checked_bounds(self.bounds))
 
 
 def update_particle(p: Particle, gbest: np.ndarray, k: float, c1: float,
@@ -264,6 +265,13 @@ def ga_tune(fitness: Callable[[np.ndarray], float], params: GaParams,
 # ---------------------------------------------------------------------------
 # Detection-error fitness
 
+def _objective(error_rate: float, mean_delay: float) -> float:
+    """Error rate plus 1e-4 times the mean delay; a NaN delay (nothing
+    detected) counts as 0."""
+    delay = mean_delay if math.isfinite(mean_delay) else 0.0
+    return error_rate + 1e-4 * delay
+
+
 @dataclass(frozen=True)
 class FitnessReport:
     """Scenario-suite outcome for one parameter vector."""
@@ -274,8 +282,7 @@ class FitnessReport:
 
     def scalar(self) -> float:
         """Minimization objective: error rate, delay as a tiny tie-break."""
-        delay = self.mean_delay if math.isfinite(self.mean_delay) else 0.0
-        return self.error_rate + 1e-4 * delay
+        return _objective(self.error_rate, self.mean_delay)
 
 
 def fitness(x: np.ndarray, suite: Sequence[FaultScenario], plant: PlantParams,
@@ -313,8 +320,7 @@ def make_fitness(suite: Sequence[FaultScenario], plant: PlantParams,
 
     def objective(x: np.ndarray) -> float:
         cfg, _ = fuzzy.params_to_config(x, rulebase=rulebase)
-        reports, metrics = evaluate_bank(cfg, bank)
-        delay = metrics.mean_delay if math.isfinite(metrics.mean_delay) else 0.0
-        return (1.0 - metrics.proper_rate) + 1e-4 * delay
+        _, metrics = evaluate_bank(cfg, bank)
+        return _objective(1.0 - metrics.proper_rate, metrics.mean_delay)
 
     return objective

@@ -13,7 +13,7 @@ import pytest
 import tankfdi
 from tankfdi import fuzzy, harness, plant, residuals
 from tankfdi.harness import (ResidualBank, SuiteSpec, classify,
-                             compensation_pair, evaluate, generate_suite,
+                             compensation_pair, evaluate_bank, generate_suite,
                              isolable_combinations)
 from tankfdi.plant import FaultEvent, FaultScenario
 
@@ -150,7 +150,8 @@ class TestClassify:
 class TestEvaluate:
     def test_fault_free_suite_is_proper_without_flags(self, params, tuned_cfg):
         suite = [FaultScenario(seed=s, duration=8.0, dt=0.1) for s in range(3)]
-        metrics, reports = evaluate(tuned_cfg, suite, params, OPERATING_INPUTS)
+        reports, metrics = evaluate_bank(tuned_cfg, ResidualBank.from_suite(
+            suite, params, OPERATING_INPUTS))
         assert metrics.proper_rate == 1.0
         assert all(not r.flagged for r in reports)
         assert math.isnan(metrics.mean_delay)
@@ -159,7 +160,8 @@ class TestEvaluate:
         suite = [FaultScenario(seed=i, duration=12.0, dt=0.1,
                                events=(FaultEvent(v, 4.0, 3.0),))
                  for i, v in enumerate(plant.VARIABLES)]
-        metrics, reports = evaluate(tuned_cfg, suite, params, OPERATING_INPUTS)
+        reports, metrics = evaluate_bank(tuned_cfg, ResidualBank.from_suite(
+            suite, params, OPERATING_INPUTS))
         assert metrics.proper_rate == 1.0
         for rep in reports:
             (delay,) = rep.delays.values()
@@ -171,33 +173,31 @@ class TestEvaluate:
         suite = [FaultScenario(seed=i, duration=10.0, dt=0.1,
                                events=(FaultEvent(v, 5.0, 2.0),))
                  for i, v in enumerate(plant.VARIABLES)]
+        bank = ResidualBank.from_suite(suite, params, OPERATING_INPUTS)
         debounce = tuned_cfg.debounce
-
-        def oracle(scenario, times, resid):
+        for scenario, times in zip(bank.scenarios, bank.times):
             flags = np.zeros((len(times), 7), dtype=bool)
             for ev in scenario.events:
                 j = plant.VARIABLES.index(ev.target)
                 k = np.searchsorted(times, ev.start - 1e-9) + debounce - 1
                 flags[k:, j] = True
-            return np.zeros((len(times), 7)), flags
-
-        metrics, reports = evaluate(tuned_cfg, suite, params, OPERATING_INPUTS,
-                                    detector_fn=oracle)
-        assert metrics.proper_rate == 1.0
-        for rep in reports:
-            for delay in rep.delays.values():
+            classification, delays = classify(
+                scenario.events, harness._first_flag_times(times, flags))
+            assert classification == "proper"
+            for delay in delays.values():
                 assert delay == pytest.approx(debounce * 0.1 - 0.1, abs=1e-6)
 
     def test_counts_partition_suite(self, params):
         suite = generate_suite(12, seed=4)
-        metrics, reports = evaluate(fuzzy.detuned_config(), suite, params,
-                                    OPERATING_INPUTS)
+        bank = ResidualBank.from_suite(suite, params, OPERATING_INPUTS)
+        reports, metrics = evaluate_bank(fuzzy.detuned_config(), bank)
         assert sum(metrics.counts.values()) == len(suite) == len(reports)
         assert metrics.total == len(suite)
 
     def test_delay_lower_bound(self, params, tuned_cfg):
         suite = generate_suite(10, seed=6)
-        _, reports = evaluate(tuned_cfg, suite, params, OPERATING_INPUTS)
+        reports, _ = evaluate_bank(tuned_cfg, ResidualBank.from_suite(
+            suite, params, OPERATING_INPUTS))
         dt, debounce = 0.1, tuned_cfg.debounce
         for rep in reports:
             for delay in rep.delays.values():
@@ -205,21 +205,31 @@ class TestEvaluate:
 
     def test_end_to_end_determinism(self, params, tuned_cfg):
         suite = generate_suite(6, seed=8)
-        m1, r1 = evaluate(tuned_cfg, suite, params, OPERATING_INPUTS)
-        m2, r2 = evaluate(tuned_cfg, suite, params, OPERATING_INPUTS)
+        r1, m1 = evaluate_bank(tuned_cfg, ResidualBank.from_suite(
+            suite, params, OPERATING_INPUTS))
+        r2, m2 = evaluate_bank(tuned_cfg, ResidualBank.from_suite(
+            suite, params, OPERATING_INPUTS))
         assert m1 == m2
         assert r1 == r2
 
     def test_block_pass_matches_per_trace_detector(self, params, tuned_cfg):
-        # the one-pass first-flag extraction over the bank block must give
-        # what running and scanning every trace on its own gives
+        # the one-pass first flags and final degrees over the bank block
+        # must equal what running and scanning every trace on its own gives
         bank = ResidualBank.from_suite(generate_suite(8, seed=5), params,
                                        OPERATING_INPUTS)
         kernel = fuzzy.DetectorKernel(tuned_cfg)
-        per_trace = harness.evaluate_bank(
-            tuned_cfg, bank, detector_fn=lambda sc, times, resid: kernel.run(resid))
-        assert harness.evaluate_bank(tuned_cfg, bank) == per_trace
-        assert any(rep.flagged for rep in per_trace[0])
+        per_trace = []
+        for idx, scenario in enumerate(bank.scenarios):
+            degrees, flags = kernel.run(bank.residuals[idx])
+            flag_times = harness._first_flag_times(bank.times[idx], flags)
+            per_trace.append(harness.DetectionReport(
+                idx, scenario.injected, flag_times,
+                *classify(scenario.events, flag_times), tuple(degrees[-1].tolist())))
+        reports, metrics = evaluate_bank(tuned_cfg, bank)
+        assert reports == per_trace
+        assert metrics.counts == {c: sum(rep.classification == c for rep in per_trace)
+                                  for c in harness.CLASSIFICATIONS}
+        assert any(rep.flagged for rep in per_trace)
 
     def test_mean_delay_independent_of_hash_seed(self):
         # the mean delay sums per-variable delays; their order must not
@@ -369,7 +379,8 @@ class TestSuiteFiles:
 
     def test_reports_jsonl(self, params, tuned_cfg, tmp_path):
         suite = generate_suite(4, seed=3)
-        _, reports = evaluate(tuned_cfg, suite, params, OPERATING_INPUTS)
+        reports, _ = evaluate_bank(tuned_cfg, ResidualBank.from_suite(
+            suite, params, OPERATING_INPUTS))
         path = tmp_path / "reports.jsonl"
         harness.write_reports_jsonl(reports, str(path))
         lines = path.read_text().splitlines()

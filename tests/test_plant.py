@@ -40,17 +40,6 @@ class TestStep:
         nxt = plant.step(state, (0.0, 0.0), params, dt=0.5)
         assert (nxt.De1, nxt.De2, nxt.De3) == (0.0, 0.0, 0.0)
 
-    def test_euler_hand_values(self, unit_params):
-        # one explicit Euler step from (1,1,1) under unit inputs:
-        # coupling flows vanish, so De2 decays by dt while De1/De3 hold
-        state = PlantState(1.0, 1.0, 1.0, 0.0)
-        nxt = plant.step(state, (1.0, 1.0), unit_params, dt=0.1,
-                         integrator="euler")
-        assert nxt.De1 == pytest.approx(1.0, abs=1e-15)
-        assert nxt.De2 == pytest.approx(0.9, abs=1e-15)
-        assert nxt.De3 == pytest.approx(1.0, abs=1e-15)
-        assert nxt.t == pytest.approx(0.1)
-
     def test_nonlinear_zero_coupling_at_equal_pressures(self, params):
         df1, df2 = plant.coupling_flows(2.0, 0.5, 0.5, params, mode="nonlinear")
         assert df2 == 0.0
@@ -186,18 +175,6 @@ class TestRun:
             col = trace.column(name)
             assert col.max() <= max(0.0, getattr(ss, name)) + 1e-9
             assert col[-1] == pytest.approx(getattr(ss, name), rel=1e-6)
-
-    def test_callable_input_schedule(self, params):
-        def schedule(t):
-            return (1.0 + 0.5 * (t >= 2.0), 0.8)
-
-        sc = FaultScenario(seed=0, duration=6.0, dt=0.1)
-        trace = plant.run(sc, params, schedule)
-        msf1 = trace.column("Msf1")
-        assert msf1[0] == 1.0 and msf1[-1] == 1.5
-        # the pressure responds to the input step
-        de1 = trace.column("De1")
-        assert de1[-1] > de1[0] + 0.1
 
     def test_nonlinear_mode_runs_and_differs(self, params):
         sc = FaultScenario(seed=0, duration=5.0, dt=0.1)

@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 from tankfdi import plant, residuals
 from tankfdi.plant import FaultEvent, FaultScenario, MeasurementFrame, PlantState
 from tankfdi.residuals import (InsufficientHistory, ResidualEvaluator,
-                               derivative_estimate, evaluate_arrs,
-                               fault_direction, residual_trace,
+                               fault_direction, residual_batch, residual_trace,
                                signature_matrix)
 
 from conftest import OPERATING_INPUTS
@@ -21,31 +20,43 @@ def frame_at(t, msf1, msf2, de1, de2, de3, df1, df2):
     return MeasurementFrame(t, msf1, msf2, de1, de2, de3, df1, df2)
 
 
+def derivative_from_r1(xs, dt, params, tau=None):
+    """Conditioned derivative of De1 at the last sample of ``xs``, read off
+    r1 of a trace whose other r1 terms cancel: with unit C1 and R1,
+    Msf1 = De1 and Df1 = 0 leave r1 = -dDe1."""
+    signals = np.zeros((1, len(xs), 7))
+    signals[0, :, 0] = signals[0, :, 2] = xs
+    return -residual_batch(signals, dt, params, tau=tau)[0, -1, 0]
+
+
 class TestDerivativeEstimate:
-    def test_constant_signal(self):
-        assert derivative_estimate([2.0, 2.0, 2.0], dt=0.1) == 0.0
+    def test_constant_signal(self, unit_params):
+        assert derivative_from_r1([2.0, 2.0, 2.0], 0.1, unit_params) == 0.0
 
-    def test_affine_signal_exact(self):
+    def test_affine_signal_exact(self, unit_params):
         xs = [2 * t for t in (0.0, 0.1, 0.2, 0.3)]
-        assert derivative_estimate(xs, dt=0.1) == pytest.approx(2.0)
+        assert derivative_from_r1(xs, 0.1, unit_params) == pytest.approx(2.0)
 
-    def test_quadratic_backward_difference_bias(self):
+    def test_quadratic_backward_difference_bias(self, unit_params):
         xs = [t * t for t in (0.8, 0.9, 1.0)]
         # (1.0^2 - 0.9^2) / 0.1 = 1.9, biased 0.1 below the true slope 2.0
-        assert derivative_estimate(xs, dt=0.1) == pytest.approx(1.9)
+        assert derivative_from_r1(xs, 0.1, unit_params) == pytest.approx(1.9)
 
-    def test_insufficient_history(self):
+    def test_insufficient_history(self, unit_params):
+        # one frame gives no residual row in batch and raises when streamed
+        assert residual_batch(np.ones((1, 1, 7)), 0.1, unit_params).shape == (1, 0, 5)
         with pytest.raises(InsufficientHistory):
-            derivative_estimate([1.0], dt=0.1)
+            ResidualEvaluator(unit_params, dt=0.1).update(frame_at(0.0, *[1.0] * 7))
 
-    def test_smoothing_converges_to_constant_slope(self):
+    def test_smoothing_converges_to_constant_slope(self, unit_params):
         xs = [3 * t for t in np.arange(0, 5, 0.1)]
-        assert derivative_estimate(xs, dt=0.1, tau=0.3) == pytest.approx(3.0, rel=1e-6)
+        assert derivative_from_r1(xs, 0.1, unit_params, tau=0.3) == pytest.approx(
+            3.0, rel=1e-6)
 
-    def test_smoothing_lags_fresh_steps(self):
+    def test_smoothing_lags_fresh_steps(self, unit_params):
         xs = [0.0] * 10 + [1.0]
-        raw = derivative_estimate(xs, dt=0.1)
-        smooth = derivative_estimate(xs, dt=0.1, tau=0.3)
+        raw = derivative_from_r1(xs, 0.1, unit_params)
+        smooth = derivative_from_r1(xs, 0.1, unit_params, tau=0.3)
         assert raw == pytest.approx(10.0)
         assert 0 < smooth < raw
 
@@ -54,8 +65,10 @@ class TestEvaluateArrs:
     def test_all_zero_frames(self, params):
         z0 = frame_at(0.0, 0, 0, 0, 0, 0, 0, 0)
         z1 = frame_at(0.1, 0, 0, 0, 0, 0, 0, 0)
-        r = evaluate_arrs(z1, z0, params, dt=0.1)
-        assert r.as_array().tolist() == [0, 0, 0, 0, 0]
+        stream = ResidualEvaluator(params, dt=0.1)
+        with pytest.raises(InsufficientHistory):
+            stream.update(z0)
+        assert stream.update(z1).as_array().tolist() == [0, 0, 0, 0, 0]
 
     def test_fault_free_trace_self_consistency(self, params):
         sc = FaultScenario(seed=0, duration=30.0, dt=0.1)
@@ -101,9 +114,10 @@ class TestEvaluateArrs:
         np.testing.assert_allclose(np.array(rows), batch, rtol=0, atol=1e-14)
 
     def test_requires_previous_frame(self, params):
+        # derivative conditioning does not stand in for the missing history
         z = frame_at(0.0, 0, 0, 0, 0, 0, 0, 0)
         with pytest.raises(InsufficientHistory):
-            evaluate_arrs(z, None, params, dt=0.1)
+            ResidualEvaluator(params, dt=0.1, tau=0.3, spike_window=3).update(z)
 
     def test_nonlinear_mode_breaks_linear_consistency(self, params):
         # the square-root coupling law is a deliberate model mismatch: the
@@ -151,16 +165,18 @@ class TestResidualBatch:
             _, want = residuals.residual_trace(trace, params, tau=0.3, spike_window=3)
             assert rows.tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("spike_window", [1, 2, 3, 4])
-    def test_streaming_evaluator_equals_batch_exactly(self, params, spike_window):
+    @pytest.mark.parametrize("spike_window,tau",
+                             [pytest.param(w, 0.3, id=str(w)) for w in (1, 2, 3, 4)]
+                             + [pytest.param(w, None, id=f"{w}-raw") for w in (1, 2, 3, 4)])
+    def test_streaming_evaluator_equals_batch_exactly(self, params, spike_window, tau):
         # the operator's online loop must reproduce the bank rows bit for bit
         sc = FaultScenario(seed=8, duration=8.0, dt=0.1, noise_std_R=0.03,
                            noise_std_C=0.03,
                            events=(FaultEvent("De2", 2.0, 1.0),
                                    FaultEvent("Msf1", 3.0, 0.2, "ramp")))
         trace = plant.run(sc, params, OPERATING_INPUTS)
-        _, batch = residual_trace(trace, params, tau=0.3, spike_window=spike_window)
-        stream = ResidualEvaluator(params, dt=0.1, tau=0.3, spike_window=spike_window)
+        _, batch = residual_trace(trace, params, tau=tau, spike_window=spike_window)
+        stream = ResidualEvaluator(params, dt=0.1, tau=tau, spike_window=spike_window)
         frames = list(trace.frames())
         with pytest.raises(InsufficientHistory):
             stream.update(frames[0])
