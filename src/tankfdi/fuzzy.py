@@ -8,9 +8,11 @@ threshold for ``debounce`` consecutive samples raise the fault flag. Rule
 premises read Z, nonZ = max(NB, N, P, PB), or nothing (``any``).
 
 ``DetectorKernel`` runs this pipeline over whole residual blocks. It
-computes Z and nonZ in closed form on |r| and fires the rules from index
-lists into a (rules, T) array; ``fuzzify``/``infer``/``defuzzify`` are the
-scalar form of the same formulas and agree with it bit for bit.
+computes Z and nonZ in closed form on |r| and runs the rule base as a
+compiled program (``compile_rules``): binary min/max operations on rows,
+with the pairs that several rules or several variables share computed
+once. ``fuzzify``/``infer``/``defuzzify`` are the scalar form of the same
+formulas and agree with it bit for bit.
 
 The rule base is generated mechanically from the fault-signature matrix:
 one rule per candidate fault set, with residuals shared by several
@@ -27,8 +29,9 @@ from __future__ import annotations
 
 import itertools
 import json
+from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -179,38 +182,144 @@ class RuleBase:
             raise ValueError(f"rule base leaves variables without AL or OK rules: {missing}")
 
     @cached_property
-    def index(self) -> "RuleIndex":
-        """Index lists the detection kernel fires this rule base from."""
-        return RuleIndex.of(self)
+    def program(self) -> "RuleProgram":
+        """The min/max program the detection kernel runs for this rule base."""
+        return compile_rules(self.rules)
 
 
-#: Membership rows of the kernel table, one block of five residuals per
-#: constraint.
+#: Rows the compiled program addresses: AL of the seven variables (0-6),
+#: OK (7-13), then from ``_TABLE`` the membership table (Z of r1..r5, then
+#: nonZ of r1..r5) and temporaries.
+_TABLE = 14
 _COLUMN = {"Z": 0, "nonZ": 1}
 
 
-class RuleIndex(NamedTuple):
-    """A rule base as index lists into the kernel's membership table.
+class RuleProgram(NamedTuple):
+    """A rule base compiled to straight-line binary min/max operations.
 
-    ``reads[k]`` holds the table rows (``5 * column + residual``) that rule
-    k takes the minimum over; ``any`` premises read nothing. ``al_rows[j]``
-    and ``ok_rows[j]`` list the rules concluding AL / OK for variable j.
+    The kernel runs it over ``rows`` rows of length T laid out as
+    ``_TABLE`` says: the AL and OK outputs, then one work buffer. Each op
+    ``(ufunc, dst, a, b)`` computes ``ufunc(row[a], row[b],
+    out=row[dst])``. ``ones`` lists the output rows that are 1.0
+    everywhere: a rule with no premise reads fires at 1.0, and the max of
+    any firing with 1.0 is 1.0.
     """
 
-    reads: tuple[tuple[int, ...], ...]
-    al_rows: tuple[tuple[int, ...], ...]
-    ok_rows: tuple[tuple[int, ...], ...]
+    rows: int
+    ops: tuple[tuple[np.ufunc, int, int, int], ...]
+    ones: tuple[int, ...]
 
-    @classmethod
-    def of(cls, rb: RuleBase) -> "RuleIndex":
-        reads = tuple(
-            tuple(5 * _COLUMN[c] + i for i, c in enumerate(rule.premise) if c != "any")
-            for rule in rb.rules)
-        al_rows = tuple(tuple(k for k, r in enumerate(rb.rules) if v in r.al)
-                        for v in VARIABLES)
-        ok_rows = tuple(tuple(k for k, r in enumerate(rb.rules) if v in r.ok)
-                        for v in VARIABLES)
-        return cls(reads, al_rows, ok_rows)
+
+def _share_pairs(sets: list[set[int]], ufunc: np.ufunc,
+                 ops: list, next_node: int) -> tuple[list[int], int]:
+    """Reduce each operand set with ``ufunc``; returns its result node per set.
+
+    Greedy pair elimination: while some pair of operands occurs in two or
+    more sets, compute it once as a new node that replaces the pair in all
+    of them. What is left of each set is reduced as a chain. Exact for
+    min/max on NaN-free rows, whatever the bracketing.
+    """
+    sets = [set(s) for s in sets]
+    while True:
+        counts = Counter(pair for s in sets for pair in itertools.combinations(sorted(s), 2))
+        if not counts:
+            break
+        (a, b), n = counts.most_common(1)[0]
+        if n < 2:
+            break
+        ops.append((ufunc, next_node, a, b))
+        for s in sets:
+            if a in s and b in s:
+                s -= {a, b}
+                s.add(next_node)
+        next_node += 1
+    results = []
+    for s in sets:
+        acc, *rest = sorted(s)
+        for x in rest:
+            ops.append((ufunc, next_node, acc, x))
+            acc = next_node
+            next_node += 1
+        results.append(acc)
+    return results, next_node
+
+
+def _allocate(ops: list, outputs: dict[int, int]) -> tuple[int, list]:
+    """Order ``ops`` and map their nodes to work-buffer rows.
+
+    ``outputs`` maps output row -> node; nodes 0..9 are the table rows.
+    Of the ops whose operands are computed, the next is the one that frees
+    the most rows (operands at their last read) net of the row its result
+    needs. A result goes to its output row, else to the lowest free row.
+    Returns the number of rows and the ops on rows.
+    """
+    out_row: dict[int, int] = {}
+    copies = []
+    for row, node in sorted(outputs.items()):
+        if node in out_row or node < 10:
+            copies.append((row, node))
+        else:
+            out_row[node] = row
+    unread = Counter(x for op in ops for x in op[2:])
+    unread.update(node for _, node in copies)
+    where = {node: _TABLE + node for node in range(10)}
+    free: list[int] = []
+    rows = _TABLE + 10
+    program = []
+
+    def gain(op):
+        last = sum(unread[x] == n and x not in out_row for x, n in Counter(op[2:]).items())
+        return last - (op[1] not in out_row)
+
+    pending = list(ops)
+    while pending:
+        op = max((op for op in pending if op[2] in where and op[3] in where), key=gain)
+        pending.remove(op)
+        ufunc, dst, a, b = op
+        operands = where[a], where[b]
+        for x in (a, b):
+            unread[x] -= 1
+            if not unread[x] and x not in out_row:
+                free.append(where[x])
+        if dst in out_row:
+            where[dst] = out_row[dst]
+        elif free:
+            where[dst] = min(free)
+            free.remove(where[dst])
+        else:
+            where[dst] = rows
+            rows += 1
+        program.append((ufunc, where[dst], *operands))
+    # an output that is a table row or another output's node: max(x, x) == x
+    program += [(np.maximum, row, where[node], where[node]) for row, node in copies]
+    return rows, program
+
+
+@lru_cache(maxsize=8)
+def compile_rules(rules: tuple[Rule, ...]) -> RuleProgram:
+    """Compile MIN-MAX inference over ``rules`` to a ``RuleProgram``.
+
+    Rule firing is the min over the rule's premise reads and each
+    variable's AL/OK the max over the firings of the rules concluding it.
+    Pairs shared between rules' read lists, and then between variables'
+    rule lists, are computed once. Cached per rule structure, since
+    configs loaded from JSON each build their own ``RuleBase``.
+    """
+    ones_node = -1
+    reads = [frozenset(5 * _COLUMN[c] + i for i, c in enumerate(rule.premise) if c != "any")
+             for rule in rules]
+    ops: list = []
+    distinct = sorted({r for r in reads if r}, key=sorted)
+    fired, next_node = _share_pairs(distinct, np.minimum, ops, 10)
+    node_of = dict(zip(distinct, fired))
+    firing = [node_of[r] if r else ones_node for r in reads]
+    concluded = [{firing[k] for k, rule in enumerate(rules) if v in getattr(rule, side)}
+                 for side in ("al", "ok") for v in VARIABLES]
+    ones = tuple(row for row, s in enumerate(concluded) if ones_node in s)
+    rest = [row for row, s in enumerate(concluded) if ones_node not in s]
+    results, _ = _share_pairs([concluded[row] for row in rest], np.maximum, ops, next_node)
+    rows, program = _allocate(ops, dict(zip(rest, results)))
+    return RuleProgram(rows, tuple(program), ones)
 
 
 def build_rulebase(sig: SignatureMatrix | None = None,
@@ -481,18 +590,20 @@ class DetectorKernel:
 
     (nonZ = max(NB, N, P, PB) is the P/PB envelope, and clipping x at beta
     changes neither). Both equal what ``_trapezoid`` gives, bit for bit; a
-    NaN residual reads 0 in every set, as it does there. The table is laid
-    out (2 sets * 5 residuals, T). Rule firing is a running minimum over
-    each rule's index list (``RuleBase.index``), laid out (rules, T), and
-    AL/OK a running maximum over each variable's rule rows, laid out
-    (7, T). The streaming Detector runs single rows through this
+    NaN residual reads 0 in every set, as it does there. The table fills
+    rows of a work buffer, and the rule base's compiled program
+    (``RuleBase.program``) turns it into AL/OK rows (7, T) each: rule
+    firing is the min over a rule's premise reads and AL/OK the max over
+    the firings concluding them, as binary ops on rows whose shared pairs
+    are computed once. Min and max are exact, so the order of the ops does
+    not change a bit. The streaming Detector runs single rows through this
     kernel, so both paths agree with the scalar ``fuzzify``/``infer``/
     ``defuzzify`` path bit for bit.
     """
 
     def __init__(self, cfg: DetectorConfig):
         self.cfg = cfg
-        self.index = cfg.rulebase.index
+        self.program = cfg.rulebase.program
         parts = cfg.input_partitions
         self._a = [np.array([getattr(p, f) for p in parts])[:, None]
                    for f in ("a1", "a2", "a3", "a4")]
@@ -500,11 +611,14 @@ class DetectorKernel:
         self.core = np.array([p.core for p in cfg.output_partitions])
         self._span = (self.support - self.core)[:, None]
 
-    def _memberships(self, r: np.ndarray) -> np.ndarray:
-        """Membership table (2 * 5, T) of residual rows ``r`` (T, 5): Z, then nonZ."""
+    def _memberships(self, r: np.ndarray, table: np.ndarray,
+                     x: np.ndarray, edge: np.ndarray) -> None:
+        """Write the membership table of residual rows ``r`` (T, 5) into
+        ``table`` (2 * 5, T): Z of r1..r5, then nonZ. ``x`` and ``edge``
+        are (5, T) scratch."""
         a1, a2, a3, a4 = self._a
-        table = np.empty((2, 5, r.shape[0]))
-        x = np.abs(r.T, order="C")
+        table = table.reshape(2, 5, r.shape[0])
+        np.abs(r.T, out=x)
         rise, fall = a2 - a1, a4 - a3
         z, nonz = table[0], table[1]
         np.subtract(a2, x, out=z)
@@ -512,7 +626,7 @@ class DetectorKernel:
         np.clip(z, 0.0, 1.0, out=z)
         np.subtract(x, a1, out=nonz)
         nonz /= rise
-        edge = a4 - x
+        np.subtract(a4, x, out=edge)
         edge /= fall
         np.minimum(nonz, edge, out=nonz)
         np.subtract(x, a3, out=edge)
@@ -522,28 +636,22 @@ class DetectorKernel:
         missing = np.isnan(x)
         if missing.any():
             table[:, missing] = 0.0
-        return table.reshape(10, -1)
 
     def activations(self, residuals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per-variable (AL, OK) activations for residual rows (T, 5)."""
-        # row views are taken once: on single rows (streaming) the cost is
-        # the per-call overhead of the few hundred ufunc calls below
-        table = list(self._memberships(np.asarray(residuals, dtype=float)))
-        t_len = len(table[0])
-        firing = list(np.empty((len(self.index.reads), t_len)))
-        for row, reads in zip(firing, self.index.reads):
-            if not reads:
-                row.fill(1.0)
-                continue
-            np.copyto(row, table[reads[0]])
-            for i in reads[1:]:
-                np.minimum(row, table[i], out=row)
-        al = np.zeros((7, t_len))
-        ok = np.zeros((7, t_len))
-        for out, rows_per_var in ((al, self.index.al_rows), (ok, self.index.ok_rows)):
-            for row, rules in zip(out, rows_per_var):
-                for k in rules:
-                    np.maximum(row, firing[k], out=row)
+        r = np.asarray(residuals, dtype=float)
+        t_len = r.shape[0]
+        # degrees are computed in place in ``al`` and returned as views of
+        # it, so it gets its own buffer rather than rows of ``work``
+        al, ok = np.empty((7, t_len)), np.empty((7, t_len))
+        work = np.empty((self.program.rows - _TABLE, t_len))
+        # the program has not written al and ok yet, so they serve as scratch
+        self._memberships(r, work[:10], al[:5], ok[:5])
+        rows = [*al, *ok, *work]
+        for ufunc, dst, a, b in self.program.ops:
+            ufunc(rows[a], rows[b], out=rows[dst])
+        for row in self.program.ones:
+            rows[row].fill(1.0)
         return al.T, ok.T
 
     def _decide(self, residuals: np.ndarray, held0: np.ndarray | None,

@@ -157,7 +157,7 @@ def residual_batch(signals: np.ndarray, dt: float, params: PlantParams,
     if tau:
         alpha = dt / (tau + dt)
         d = np.empty_like(raw)
-        d[:, 0] = raw[:, 0]
+        d[:, :1] = raw[:, :1]
         for k in range(1, raw.shape[1]):
             d[:, k] = d[:, k - 1] + alpha * (raw[:, k] - d[:, k - 1])
     else:

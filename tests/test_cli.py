@@ -2,11 +2,12 @@
 
 import json
 import os
+import re
 
 import numpy as np
 import pytest
 
-from tankfdi import fuzzy, harness
+from tankfdi import fuzzy, harness, plant, render
 from tankfdi.cli import main
 
 from conftest import OPERATING_INPUTS
@@ -212,6 +213,20 @@ class TestEvaluate:
         assert code == 0
         assert sorted(os.listdir(out_dir)) == [
             f"scenario_{i:03d}.dot" for i in range(5)]
+
+    def test_rendered_colors_are_final_degrees(self, tmp_path, config_file,
+                                               suite_file):
+        out_dir = tmp_path / "dots"
+        assert main(["evaluate", "--config", config_file, "--suite", suite_file,
+                     "--out", str(tmp_path / "m.csv"), "--render", str(out_dir)]) == 0
+        suite, inputs = harness.load_suite(suite_file)
+        bank = harness.ResidualBank.from_suite(suite, plant.PlantParams(), inputs)
+        kernel = fuzzy.DetectorKernel(fuzzy.load_config(config_file))
+        for i, rows in enumerate(bank.residuals):
+            final = kernel.degrees(rows)[-1]
+            dot = (out_dir / f"scenario_{i:03d}.dot").read_text()
+            colors = dict(re.findall(r'"(\w+)" \[fillcolor="(#[0-9A-F]{6})"', dot))
+            assert colors == {v: render.color_index(d) for v, d in zip(plant.VARIABLES, final)}
 
 
 class TestCompare:

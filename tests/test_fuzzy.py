@@ -56,6 +56,16 @@ def brute_force_activations(table, rb):
     return out
 
 
+#: Outputs the compiled program must copy or fill: AL of Msf1 and Msf2 is
+#: one table row, AL of the other five variables one shared rule, and OK
+#: comes from a rule with no premise reads (1.0 everywhere).
+HAND_BUILT_RULEBASE = fuzzy.RuleBase((
+    Rule(("nonZ", "any", "any", "any", "any"), VARIABLES[:2], ()),
+    Rule(("Z", "Z", "nonZ", "any", "nonZ"), VARIABLES[2:], ()),
+    Rule(("any",) * 5, (), VARIABLES),
+), max_fault_order=1)
+
+
 @st.composite
 def input_partitions(draw):
     """Valid partitions, including a2 == a3 and beta == a4."""
@@ -226,7 +236,9 @@ class TestInfer:
             assert got[v]["AL"] == pytest.approx(expected[v]["AL"])
             assert got[v]["OK"] == pytest.approx(expected[v]["OK"])
 
-    @pytest.mark.parametrize("rb", [build_rulebase(max_fault_order=2)], ids=["generated"])
+    @pytest.mark.parametrize("rb", [build_rulebase(max_fault_order=k) for k in (1, 2, 3, 7)]
+                             + [HAND_BUILT_RULEBASE],
+                             ids=["order1", "generated", "order3", "order7", "hand_built"])
     @given(data=st.data())
     @settings(max_examples=60, deadline=None)
     def test_kernel_matches_brute_force(self, rb, data):
@@ -242,6 +254,16 @@ class TestInfer:
             for j, v in enumerate(VARIABLES):
                 assert al[t, j] == expected[v]["AL"] == got[v]["AL"]
                 assert ok[t, j] == expected[v]["OK"] == got[v]["OK"]
+
+    def test_compiled_program_shares_pairs(self):
+        # the order-2 rule base as a plain loop is 130 min and 197 max
+        # calls over 53 rows (table, rule firings, AL/OK)
+        program = build_rulebase(max_fault_order=2).program
+        assert len(program.ops) == 127
+        assert program.rows == 44
+        assert program.ones == ()
+        # the [order7] and [hand_built] kernel cases reach the constant rows
+        assert build_rulebase(max_fault_order=7).program.ones == tuple(range(7, 14))
 
     @given(bump=st.floats(0.0, 0.5))
     @settings(max_examples=30, deadline=None)

@@ -165,6 +165,14 @@ class TestResidualBatch:
             _, want = residuals.residual_trace(trace, params, tau=0.3, spike_window=3)
             assert rows.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("spike_window", [1, 3])
+    @pytest.mark.parametrize("tau", [None, 0.3])
+    def test_one_frame_trace_gives_no_rows(self, params, tau, spike_window):
+        trace = plant.Trace(np.array([0.0]), np.ones((1, 7)), 0.1)
+        times, rows = residual_trace(trace, params, tau=tau, spike_window=spike_window)
+        assert times.shape == (0,)
+        assert rows.shape == (0, 5)
+
     @pytest.mark.parametrize("spike_window,tau",
                              [pytest.param(w, 0.3, id=str(w)) for w in (1, 2, 3, 4)]
                              + [pytest.param(w, None, id=f"{w}-raw") for w in (1, 2, 3, 4)])
