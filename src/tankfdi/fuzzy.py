@@ -579,6 +579,35 @@ def load_config(path: str) -> DetectorConfig:
 # ---------------------------------------------------------------------------
 # Vectorized detection kernel and streaming detector
 
+def _hold(values: np.ndarray, defined: np.ndarray, held0: np.ndarray | None = None,
+          starts: np.ndarray | None = None) -> np.ndarray:
+    """Forward-fill ``values`` (V, T) in place over its undefined samples.
+
+    An undefined sample takes the value of the last defined one in its
+    row; before column 0 a row reads ``held0`` (V,). Undefined samples must
+    read 0 (False), the default ``held0``, and each column listed in
+    ``starts`` starts a fresh trace from that value.
+    """
+    if starts is not None:
+        defined[:, starts] = True
+    if defined.all():
+        return values
+    if held0 is not None:
+        np.copyto(values[:, 0], held0, where=~defined[:, 0])
+    defined[:, 0] = True
+    rows = (~defined.all(axis=1)).nonzero()[0]
+    if not rows.size:
+        return values
+    t_len = values.shape[1]
+    dtype = np.int32 if values.size < 2**31 else np.intp
+    # last defined column of every sample, then its index in the flat array
+    idx = np.where(defined[rows], np.arange(t_len, dtype=dtype), dtype(0))
+    np.maximum.accumulate(idx, axis=1, out=idx)
+    idx += (rows * t_len).astype(dtype)[:, None]
+    values[rows] = values.take(idx)
+    return values
+
+
 class DetectorKernel:
     """Batch evaluation of the full pipeline over residual arrays.
 
@@ -654,13 +683,11 @@ class DetectorKernel:
             rows[row].fill(1.0)
         return al.T, ok.T
 
-    def _decide(self, residuals: np.ndarray, held0: np.ndarray | None,
-                starts: np.ndarray | None) -> np.ndarray:
-        """Defuzzify and hold -> alarm degrees (T, 7).
+    def _defuzzify(self, residuals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Unheld alarm degrees ``raw`` (7, T) and where they are ``defined``.
 
-        A row with neither set activated holds the previous degree; the
-        first row holds ``held0`` (zeros by default), and with ``starts``
-        every listed row starts a fresh trace holding 0.
+        A sample with neither set activated is undefined and reads 0 in
+        ``raw``.
         """
         al, ok = self.activations(residuals)
         al, ok = al.T, ok.T
@@ -678,26 +705,22 @@ class DetectorKernel:
         total = np.add(al_mass, ok_mass, out=sq)
         defined = total > 0.0
         # both masses are non-negative, so al_mass is 0 wherever total is
-        raw = np.divide(al_mass, total, out=al_mass, where=defined)
-        if starts is not None:
-            defined[:, starts] = True
-        if defined.all():
-            return raw.T
-        t_len = raw.shape[1]
-        idx = np.where(defined, np.arange(t_len), -1)
-        np.maximum.accumulate(idx, axis=1, out=idx)
-        filled = np.take_along_axis(raw, np.maximum(idx, 0), axis=1)
-        held0 = np.zeros(7) if held0 is None else np.asarray(held0)
-        return np.where(idx >= 0, filled, held0[:, None]).T
+        return np.divide(al_mass, total, out=al_mass, where=defined), defined
 
     def degrees(self, residuals: np.ndarray,
                 held0: np.ndarray | None = None) -> np.ndarray:
-        """Alarm degrees (T, 7); undefined samples hold the previous degree."""
-        return self._decide(residuals, held0, None)
+        """Alarm degrees (T, 7); undefined samples hold the previous degree,
+        and before the first row that is ``held0`` (zeros by default)."""
+        raw, defined = self._defuzzify(residuals)
+        return _hold(raw, defined, held0).T
 
     def flags(self, degrees: np.ndarray) -> np.ndarray:
         """Debounced flags: degree above threshold for ``debounce`` consecutive rows."""
-        out = degrees > self.cfg.alarm_threshold
+        return self._debounce(degrees > self.cfg.alarm_threshold)
+
+    def _debounce(self, out: np.ndarray, starts: np.ndarray | None = None) -> np.ndarray:
+        """Debounce "above threshold" rows (T, 7) in place; with ``starts``
+        every listed row starts a fresh window."""
         d = self.cfg.debounce
         # out[t] holds "above on rows t - width + 1 .. t"; AND-ing in a
         # copy shifted by at most ``width`` rows widens that window
@@ -707,6 +730,9 @@ class DetectorKernel:
             out[step:] &= out[:-step]
             width += step
         out[:d - 1] = False
+        if starts is not None and d > 1:
+            for s in starts:
+                out[s: s + d - 1] = False
         return out
 
     def run(self, residuals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -721,12 +747,20 @@ class DetectorKernel:
         debounce windows are reset at trace boundaries, so the result equals
         running each trace separately.
         """
-        degrees = self._decide(residuals, None, starts)
-        flags = self.flags(degrees)
-        d = self.cfg.debounce
-        for s in starts:
-            flags[s: s + d - 1] = False
-        return degrees, flags
+        raw, defined = self._defuzzify(residuals)
+        degrees = _hold(raw, defined, None, starts).T
+        return degrees, self._debounce(degrees > self.cfg.alarm_threshold, starts)
+
+    def block_flags(self, residuals: np.ndarray, starts: np.ndarray) -> np.ndarray:
+        """The flags of ``run_block`` without its degrees.
+
+        Holds the boolean "above threshold" rather than the degree: the
+        threshold test of a held degree is the held threshold test, and the
+        initial hold 0 is below any threshold in (0, 1).
+        """
+        raw, defined = self._defuzzify(residuals)
+        above = _hold(raw > self.cfg.alarm_threshold, defined, None, starts)
+        return self._debounce(above.T, starts)
 
 
 class Detector:

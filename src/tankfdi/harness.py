@@ -1,13 +1,19 @@
 """Scenario suites, detector evaluation and comparison metrics.
 
 A suite is a list of fault scenarios sharing one operating point. Evaluation
-simulates each scenario, streams the residuals through the detector, and
-classifies the outcome per scenario:
+simulates the suite once into a ``ResidualBank``, runs the detector over the
+bank's residual block in one pass, and classifies the outcome per scenario:
 
     proper       flagged set equals injected set, every flag after its fault
     missed       some but not all injected faults flagged, no extras
     bad          faults injected but nothing flagged at all
     false_alarm  an un-faulted variable flagged, or a flag before its fault
+
+``classify_rows`` applies these rules to all scenarios at once, on (n, 7)
+arrays of first flag times, injected variables and fault starts; ``classify``
+is its one-scenario form. ``evaluate_bank`` builds per-scenario reports from
+it, and ``score_bank`` returns only the proper rate and mean delay, the two
+numbers a tuning objective reads.
 
 Suite generation samples fault combinations from the catalog that the
 detector's rule structure can isolate in principle (sign-blind reasoning on
@@ -302,6 +308,8 @@ class ResidualBank:
     block so a detector can be evaluated in a single vectorized pass;
     ``offsets`` holds each scenario's start row (plus one trailing
     sentinel), and ``residuals[i]`` is scenario i's slice of the block.
+    ``row_times`` is the time of every block row, and ``injected`` and
+    ``fault_starts`` are the ``fault_arrays`` of the scenarios.
     """
 
     scenarios: tuple[FaultScenario, ...]
@@ -309,6 +317,9 @@ class ResidualBank:
     residuals: tuple[np.ndarray, ...]
     block: np.ndarray
     offsets: np.ndarray
+    row_times: np.ndarray
+    injected: np.ndarray
+    fault_starts: np.ndarray
 
     @classmethod
     def from_suite(cls, suite: Sequence[FaultScenario], params: PlantParams,
@@ -329,32 +340,68 @@ class ResidualBank:
         block.setflags(write=False)
         offsets = np.cumsum([0] + [len(r) for r in resid])
         views = tuple(block[lo:hi] for lo, hi in zip(offsets[:-1], offsets[1:]))
-        return cls(tuple(suite), tuple(times), views, block, offsets)
+        row_times = np.concatenate(times)
+        injected, fault_starts = fault_arrays([sc.events for sc in suite])
+        for arr in (row_times, injected, fault_starts):
+            arr.setflags(write=False)
+        return cls(tuple(suite), tuple(times), views, block, offsets,
+                   row_times, injected, fault_starts)
+
+
+def fault_arrays(event_lists: Sequence[Sequence[FaultEvent]],
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Injected mask and earliest event start per scenario and variable.
+
+    Both are (n, 7) in VARIABLES order; a variable without events starts
+    at +inf.
+    """
+    injected = np.zeros((len(event_lists), len(VARIABLES)), dtype=bool)
+    starts = np.full(injected.shape, math.inf)
+    for i, events in enumerate(event_lists):
+        for ev in events:
+            j = VARIABLES.index(ev.target)
+            injected[i, j] = True
+            starts[i, j] = min(starts[i, j], ev.start)
+    return injected, starts
+
+
+def classify_rows(flag_times: np.ndarray, injected: np.ndarray,
+                  starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Classify scenario outcomes and compute per-fault delays.
+
+    ``flag_times`` (n, 7) holds each variable's first flag time, NaN where
+    it never flagged; ``injected`` and ``starts`` are ``fault_arrays``.
+    Returns the labels (n,) as indices into CLASSIFICATIONS and the delays
+    (n, 7), NaN where a variable has none: it was not both injected and
+    flagged, or it flagged before its fault started.
+    """
+    flagged = ~np.isnan(flag_times)
+    found = flagged & injected
+    on_time = found & (flag_times >= starts - 1e-9)
+    delays = np.subtract(flag_times, starts, out=np.full(flag_times.shape, math.nan),
+                         where=on_time)
+    false_alarm = (flagged & ~injected).any(axis=1) | (found & ~on_time).any(axis=1)
+    bad = injected.any(axis=1) & ~flagged.any(axis=1)
+    missed = (injected & ~flagged).any(axis=1)
+    # first match wins: false_alarm, bad, missed, else proper
+    labels = np.select([false_alarm, bad, missed], [3, 2, 1], 0)
+    return labels, delays
 
 
 def classify(injected_events: Sequence[FaultEvent],
              flag_times: dict[str, float]) -> tuple[str, dict[str, float]]:
     """Classify one scenario outcome and compute per-fault delays."""
-    injected = {ev.target for ev in injected_events}
-    starts = {}
-    for ev in injected_events:
-        starts[ev.target] = min(starts.get(ev.target, math.inf), ev.start)
+    unknown = set(flag_times) - set(VARIABLES)
+    if unknown:
+        raise ValueError(f"flag times for unknown variables {sorted(unknown)}")
+    times = np.array([[flag_times.get(v, math.nan) for v in VARIABLES]])
+    labels, delays = classify_rows(times, *fault_arrays([injected_events]))
+    return CLASSIFICATIONS[labels[0]], _named(delays[0].tolist())
 
-    extras = set(flag_times) - injected
-    # VARIABLES order, not set order: the delays feed a floating-point mean
-    # whose last bit would otherwise follow the per-process string hash
-    found = [v for v in VARIABLES if v in flag_times and v in injected]
-    premature = any(flag_times[v] < starts[v] - 1e-9 for v in found)
-    delays = {v: flag_times[v] - starts[v]
-              for v in found if flag_times[v] >= starts[v] - 1e-9}
 
-    if extras or premature:
-        return "false_alarm", delays
-    if injected and not flag_times:
-        return "bad", delays
-    if set(flag_times) < injected:
-        return "missed", delays
-    return "proper", delays
+def _named(row: list[float]) -> dict[str, float]:
+    """{variable: value} of a VARIABLES-ordered row, skipping NaN."""
+    return {name: value for name, value in zip(VARIABLES, row) if not math.isnan(value)}
 
 
 def _first_flag_rows(flags: np.ndarray, offsets: np.ndarray) -> np.ndarray:
@@ -371,39 +418,57 @@ def _first_flag_rows(flags: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     return np.where(first < offsets[1:, None], first - offsets[:-1, None], -1)
 
 
-def _flag_times(times: np.ndarray, first_rows: np.ndarray) -> dict[str, float]:
-    return {name: float(times[row])
-            for name, row in zip(VARIABLES, first_rows.tolist()) if row >= 0}
-
-
 def _first_flag_times(times: np.ndarray, flags: np.ndarray) -> dict[str, float]:
-    first = _first_flag_rows(flags, np.array([0, len(flags)]))
-    return _flag_times(times, first[0])
+    first = _first_flag_rows(flags, np.array([0, len(flags)]))[0]
+    return {name: float(times[row])
+            for name, row in zip(VARIABLES, first.tolist()) if row >= 0}
+
+
+def _outcomes(bank: ResidualBank, flags: np.ndarray,
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """First flag times (n, 7), labels and delays of the bank's scenarios
+    from the flags of its block."""
+    first = _first_flag_rows(flags, bank.offsets)
+    flagged = first >= 0
+    rows = np.where(flagged, first + bank.offsets[:-1, None], 0)
+    flag_times = np.where(flagged, bank.row_times[rows], math.nan)
+    return (flag_times, *classify_rows(flag_times, bank.injected, bank.fault_starts))
+
+
+def _rates(labels: np.ndarray, delays: np.ndarray) -> tuple[float, float]:
+    """Proper rate and mean delay. The delays are averaged row-major,
+    scenario order and then VARIABLES order: the order of the sum sets the
+    last bit of the mean."""
+    proper_rate = int(np.count_nonzero(labels == 0)) / len(labels)
+    found = delays[~np.isnan(delays)]
+    return proper_rate, float(np.mean(found)) if found.size else math.nan
+
+
+def score_bank(cfg: DetectorConfig, bank: ResidualBank) -> tuple[float, float]:
+    """The (proper_rate, mean_delay) of ``evaluate_bank``, without reports
+    or degrees."""
+    flags = DetectorKernel(cfg).block_flags(bank.block, bank.offsets[:-1])
+    _, labels, delays = _outcomes(bank, flags)
+    return _rates(labels, delays)
 
 
 def evaluate_bank(cfg: DetectorConfig, bank: ResidualBank,
                   ) -> tuple[list[DetectionReport], SuiteMetrics]:
     """Run the detector over precomputed residual traces and aggregate."""
-    degrees, block_flags = DetectorKernel(cfg).run_block(bank.block, bank.offsets[:-1])
-    first_rows = _first_flag_rows(block_flags, bank.offsets)
+    degrees, flags = DetectorKernel(cfg).run_block(bank.block, bank.offsets[:-1])
+    flag_times, labels, delays = _outcomes(bank, flags)
     final_degrees = degrees[bank.offsets[1:] - 1].tolist()
-    reports = []
-    counts = {c: 0 for c in CLASSIFICATIONS}
-    all_delays: list[float] = []
-    for idx, scenario in enumerate(bank.scenarios):
-        flag_times = _flag_times(bank.times[idx], first_rows[idx])
-        classification, delays = classify(scenario.events, flag_times)
-        counts[classification] += 1
-        all_delays.extend(delays.values())
-        reports.append(DetectionReport(idx, scenario.injected, flag_times,
-                                       classification, delays,
-                                       tuple(final_degrees[idx])))
-    metrics = SuiteMetrics(
-        proper_rate=counts["proper"] / len(bank.scenarios),
-        mean_delay=float(np.mean(all_delays)) if all_delays else math.nan,
-        counts=counts,
-    )
-    return reports, metrics
+    reports = [
+        DetectionReport(idx, scenario.injected, _named(times), CLASSIFICATIONS[label],
+                        _named(delay), tuple(final))
+        for idx, (scenario, times, label, delay, final) in enumerate(zip(
+            bank.scenarios, flag_times.tolist(), labels.tolist(), delays.tolist(),
+            final_degrees))
+    ]
+    counts = np.bincount(labels, minlength=len(CLASSIFICATIONS)).tolist()
+    proper_rate, mean_delay = _rates(labels, delays)
+    return reports, SuiteMetrics(proper_rate, mean_delay,
+                                 dict(zip(CLASSIFICATIONS, counts)))
 
 
 def compare(configs: Sequence[tuple[str, DetectorConfig]],

@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import fuzzy
-from .harness import DetectionReport, ResidualBank, evaluate_bank
+from .harness import DetectionReport, ResidualBank, evaluate_bank, score_bank
 from .plant import FaultScenario, PlantParams
 
 
@@ -312,7 +312,9 @@ def make_fitness(suite: Sequence[FaultScenario], plant: PlantParams,
                  ) -> Callable[[np.ndarray], float]:
     """Bind a suite into a scalar evaluator for the optimizers.
 
-    Precomputes the residual bank once; the returned callable is
+    Precomputes the residual bank once. Each call scores the detector with
+    ``harness.score_bank``, which builds no per-scenario reports, and
+    returns exactly ``fitness(x, ...).scalar()``. The returned callable is
     deterministic and evaluation-order independent.
     """
     bank = ResidualBank.from_suite(suite, plant, inputs)
@@ -320,7 +322,7 @@ def make_fitness(suite: Sequence[FaultScenario], plant: PlantParams,
 
     def objective(x: np.ndarray) -> float:
         cfg, _ = fuzzy.params_to_config(x, rulebase=rulebase)
-        _, metrics = evaluate_bank(cfg, bank)
-        return _objective(1.0 - metrics.proper_rate, metrics.mean_delay)
+        proper_rate, mean_delay = score_bank(cfg, bank)
+        return _objective(1.0 - proper_rate, mean_delay)
 
     return objective

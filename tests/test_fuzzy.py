@@ -13,6 +13,10 @@ from tankfdi.fuzzy import (DetectorConfig, Detector, DetectorKernel,
 from tankfdi.plant import VARIABLES
 
 
+#: numpy 2.0 renamed np.trapz to np.trapezoid; CI also runs numpy 1.24
+trapezoid = getattr(np, "trapezoid", None) or np.trapz
+
+
 def ok_al(act):
     return act["OK"], act["AL"]
 
@@ -29,8 +33,8 @@ def quadrature_degree(ok_act, al_act, p: OutputPartition, n=200_001):
     ok_mf = np.minimum(left, right)
     al_mf = 1.0 - ok_mf
     dx = (p.d - p.a) / (n - 1)
-    ok_mass = np.trapezoid(np.minimum(ok_mf, ok_act), dx=dx)
-    al_mass = np.trapezoid(np.minimum(al_mf, al_act), dx=dx)
+    ok_mass = trapezoid(np.minimum(ok_mf, ok_act), dx=dx)
+    al_mass = trapezoid(np.minimum(al_mf, al_act), dx=dx)
     if ok_mass + al_mass == 0:
         return None
     return al_mass / (ok_mass + al_mass)

@@ -9,9 +9,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tankfdi
-from tankfdi import fuzzy, harness, plant, residuals
+from tankfdi import fuzzy, harness, plant, residuals, tuner
 from tankfdi.harness import (ResidualBank, SuiteSpec, classify,
                              compensation_pair, evaluate_bank, generate_suite,
                              isolable_combinations)
@@ -147,6 +149,87 @@ class TestClassify:
         assert delays["De1"] == pytest.approx(0.6)
 
 
+def oracle_classify(injected_events, flag_times):
+    """Scalar reference for the array classifier: one scenario, set logic."""
+    injected = {ev.target for ev in injected_events}
+    starts = {}
+    for ev in injected_events:
+        starts[ev.target] = min(starts.get(ev.target, math.inf), ev.start)
+
+    extras = set(flag_times) - injected
+    found = [v for v in plant.VARIABLES if v in flag_times and v in injected]
+    premature = any(flag_times[v] < starts[v] - 1e-9 for v in found)
+    delays = {v: flag_times[v] - starts[v]
+              for v in found if flag_times[v] >= starts[v] - 1e-9}
+
+    if extras or premature:
+        return "false_alarm", delays
+    if injected and not flag_times:
+        return "bad", delays
+    if set(flag_times) < injected:
+        return "missed", delays
+    return "proper", delays
+
+
+#: Event starts on the 0.1 s grid; flag times sit on, just inside and just
+#: outside the 1e-9 tolerance of them, or anywhere.
+_starts = st.integers(0, 60).map(lambda k: k * 0.1)
+
+
+@st.composite
+def outcomes(draw):
+    events = draw(st.lists(st.builds(FaultEvent, st.sampled_from(plant.VARIABLES),
+                                     _starts, st.just(1.0)), max_size=4))
+    anchors = [ev.start for ev in events] + [draw(_starts)]
+    flag_times = {}
+    for v in plant.VARIABLES:
+        kind = draw(st.sampled_from(["none", "none", "at", "tolerance", "early",
+                                     "late", "any"]))
+        anchor = draw(st.sampled_from(anchors))
+        if kind == "at":
+            flag_times[v] = anchor
+        elif kind == "tolerance":
+            flag_times[v] = anchor - 1e-9
+        elif kind == "early":
+            flag_times[v] = anchor - 2e-9
+        elif kind == "late":
+            flag_times[v] = anchor + draw(st.floats(0.0, 5.0))
+        elif kind == "any":
+            flag_times[v] = draw(st.floats(0.0, 20.0))
+    return events, flag_times
+
+
+class TestClassifyRows:
+    @given(cases=st.lists(outcomes(), min_size=1, max_size=6))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_scalar_oracle(self, cases):
+        times = np.array([[ft.get(v, np.nan) for v in plant.VARIABLES]
+                          for _, ft in cases])
+        labels, delays = harness.classify_rows(
+            times, *harness.fault_arrays([events for events, _ in cases]))
+        for (events, flag_times), label, row in zip(cases, labels, delays):
+            want_label, want_delays = oracle_classify(events, flag_times)
+            assert harness.CLASSIFICATIONS[label] == want_label
+            got = {v: d for v, d in zip(plant.VARIABLES, row.tolist()) if not math.isnan(d)}
+            assert list(got.items()) == list(want_delays.items())
+            got_label, got_delays = classify(events, flag_times)
+            assert got_label == want_label
+            assert list(got_delays.items()) == list(want_delays.items())
+
+    def test_edge_cases_are_reached(self):
+        # the property above draws each of these; pin them once by hand
+        assert oracle_classify([], {})[0] == classify([], {})[0] == "proper"
+        events = [FaultEvent("De1", 5.0, 1.0), FaultEvent("De1", 3.0, 1.0)]
+        for flag, label in ((3.0, "proper"), (3.0 - 1e-9, "proper"),
+                            (3.0 - 2e-9, "false_alarm")):
+            assert classify(events, {"De1": flag})[0] == label
+            assert oracle_classify(events, {"De1": flag})[0] == label
+
+    def test_unknown_variable_rejected(self):
+        with pytest.raises(ValueError):
+            classify([], {"r1": 1.0})
+
+
 class TestEvaluate:
     def test_fault_free_suite_is_proper_without_flags(self, params, tuned_cfg):
         suite = [FaultScenario(seed=s, duration=8.0, dt=0.1) for s in range(3)]
@@ -259,6 +342,47 @@ class TestEvaluate:
             np.testing.assert_array_equal(a, b)
 
 
+@pytest.fixture(scope="module")
+def pinned_bank():
+    return ResidualBank.from_suite(generate_suite(50, seed=42), plant.PlantParams(),
+                                   OPERATING_INPUTS)
+
+
+class TestScoreBank:
+    @pytest.mark.parametrize("debounce", [1, fuzzy.DEFAULT_DEBOUNCE, 201])
+    def test_block_flags_match_run_block(self, pinned_bank, debounce):
+        # 201 rows is longer than any pinned trace, so nothing may flag.
+        # Besides random vectors, two where noise reads nonZ. On r1..r3,
+        # most traces start with no rule firing, after a trace that ended
+        # above threshold: the hold must restart at trace starts. On all
+        # residuals, some traces start above threshold: so must the
+        # debounce windows.
+        rng = np.random.default_rng(7)
+        lo, hi = tuner.default_bounds().T
+        vectors = [fuzzy.EXAMPLE_SWARM_TUNED, fuzzy.EXAMPLE_GENETIC_TUNED,
+                   *(lo + rng.random(len(lo)) * (hi - lo) for _ in range(8))]
+        for noisy in (3, 5):
+            x = fuzzy.EXAMPLE_SWARM_TUNED.copy()
+            x[0:4 * noisy:4], x[1:4 * noisy:4] = 1e-4, 1e-3
+            vectors.append(x)
+        starts, offsets = pinned_bank.offsets[:-1], pinned_bank.offsets
+        all_defined = set()
+        for x in vectors:
+            cfg, _ = fuzzy.params_to_config(x, debounce=debounce)
+            kernel = fuzzy.DetectorKernel(cfg)
+            all_defined.add(bool(kernel._defuzzify(pinned_bank.block)[1].all()))
+            _, want = kernel.run_block(pinned_bank.block, starts)
+            got = kernel.block_flags(pinned_bank.block, starts)
+            np.testing.assert_array_equal(harness._first_flag_rows(got, offsets),
+                                          harness._first_flag_rows(want, offsets))
+            np.testing.assert_array_equal(got, want)
+            _, metrics = evaluate_bank(cfg, pinned_bank)
+            np.testing.assert_array_equal(harness.score_bank(cfg, pinned_bank),
+                                          (metrics.proper_rate, metrics.mean_delay))
+        # configs with and without rows where no rule fires
+        assert all_defined == {True, False}
+
+
 def _mixed_suite(params):
     """Every case the batched bank must reproduce, two (dt, duration)
     groups interleaved in suite order."""
@@ -303,6 +427,9 @@ class TestResidualBank:
             bank.residuals[0][0, 0] = 1.0
         with pytest.raises(ValueError):
             bank.times[0][0] = 1.0
+        for arr in (bank.row_times, bank.injected, bank.fault_starts):
+            with pytest.raises(ValueError):
+                arr[0] = 1
 
     @pytest.mark.parametrize("jobs,block", [(1, 1), (1, harness.BANK_BLOCK), (2, 1)])
     @pytest.mark.parametrize("unstable", [(1, 3), (3,)])

@@ -219,6 +219,25 @@ class TestDefaultBounds:
         assert np.all(x >= b[:, 0]) and np.all(x <= b[:, 1])
 
 
+def _objective_vectors():
+    """The shipped vectors and 20 seeded random in-box vectors."""
+    rng = np.random.default_rng(2024)
+    lo, hi = default_bounds().T
+    return {"swarm": fuzzy.EXAMPLE_SWARM_TUNED, "genetic": fuzzy.EXAMPLE_GENETIC_TUNED,
+            **{f"random{i}": lo + rng.random(len(lo)) * (hi - lo) for i in range(20)}}
+
+
+OBJECTIVE_VECTORS = _objective_vectors()
+
+
+@pytest.fixture(scope="module")
+def scoring():
+    suite = harness.generate_suite(20, seed=11)
+    params = plant.PlantParams()
+    bank = harness.ResidualBank.from_suite(suite, params, OPERATING_INPUTS)
+    return suite, bank, tuner.make_fitness(suite, params, OPERATING_INPUTS)
+
+
 class TestFitness:
     def suite(self, n=6, noise=True):
         spec = harness.SuiteSpec() if noise else harness.SuiteSpec(
@@ -254,12 +273,22 @@ class TestFitness:
         assert (a.mean_delay == b.mean_delay or
                 (math.isnan(a.mean_delay) and math.isnan(b.mean_delay)))
 
-    def test_make_fitness_matches_fitness_report(self, params):
-        suite = self.suite(5)
-        objective = tuner.make_fitness(suite, params, OPERATING_INPUTS)
-        report = tuner.fitness(fuzzy.EXAMPLE_SWARM_TUNED, suite, params,
-                               OPERATING_INPUTS)
-        assert objective(fuzzy.EXAMPLE_SWARM_TUNED) == pytest.approx(report.scalar())
+    @pytest.mark.parametrize("name", list(OBJECTIVE_VECTORS))
+    def test_make_fitness_matches_fitness_report(self, name, scoring):
+        # the lean objective must reproduce the report path bit for bit
+        suite, bank, objective = scoring
+        x = OBJECTIVE_VECTORS[name]
+        report = tuner.fitness(x, suite, plant.PlantParams(), OPERATING_INPUTS, bank=bank)
+        assert objective(x) == report.scalar()
+
+    def test_objective_vectors_exercise_the_hold(self, scoring):
+        # some vector must leave bank rows where no rule fires, or the
+        # comparison above never reaches the held path
+        _, bank, _ = scoring
+        held = [name for name, x in OBJECTIVE_VECTORS.items()
+                if not fuzzy.DetectorKernel(fuzzy.params_to_config(x)[0])
+                ._defuzzify(bank.block)[1].all()]
+        assert held
 
     def test_delay_breaks_error_ties(self):
         fast = tuner.FitnessReport(0.2, 0.5, ())
