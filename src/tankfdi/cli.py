@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -119,11 +120,8 @@ def cmd_detect(args) -> int:
     params = _load_plant(args.plant)
     cfg = fuzzy.load_config(args.config)
     scenario, inputs = plant.load_scenario(args.scenario)
-    trace = plant.run(scenario, params, inputs)
-    times, resid = residuals.residual_trace(
-        trace, params, tau=harness.DERIVATIVE_TAU_FACTOR * scenario.dt,
-        spike_window=harness.DERIVATIVE_SPIKE_WINDOW)
-    degrees, flags = fuzzy.detect_trace(resid, cfg)
+    times, resid = harness._simulate_residuals(scenario, params, inputs)
+    degrees, flags = fuzzy.DetectorKernel(cfg).run(resid)
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         header = (["t"] + [f"deg_{v}" for v in plant.VARIABLES]
                   + [f"flag_{v}" for v in plant.VARIABLES])
@@ -186,13 +184,10 @@ def cmd_compare(args) -> int:
         name, path = spec.split("=", 1)
         configs.append((name, fuzzy.load_config(path)))
     suite, inputs = _resolve_suite(args)
-    bank = harness.ResidualBank.from_suite(suite, params, inputs, jobs=args.jobs)
-    rows = []
-    for name, cfg in configs:
-        reports, metrics = harness.evaluate_bank(cfg, bank)
-        rows.append(harness.metrics_row(name, metrics))
-        if args.render:
-            _render_reports(os.path.join(args.render, name), reports)
+    rows, reports = harness.compare(configs, suite, params, inputs, jobs=args.jobs)
+    if args.render:
+        for (name, _), config_reports in zip(configs, reports):
+            _render_reports(os.path.join(args.render, name), config_reports)
     harness.write_metrics_csv(rows, args.out)
     _write_run_config(args.out, "compare", {
         "configs": list(args.config), "suite": args.suite,
@@ -208,6 +203,9 @@ def cmd_render(args) -> int:
     values = [float(x) for x in args.degrees.split(",")]
     if len(values) != 7:
         raise plant.SchemaError("--degrees needs exactly 7 comma-separated values")
+    for i, (name, x) in enumerate(zip(plant.VARIABLES, values), 1):
+        if not math.isfinite(x):
+            raise plant.SchemaError(f"--degrees value {i} ({name}) is {x!r}, not a finite number")
     no_color = args.no_color or bool(os.environ.get("NO_COLOR"))
     if args.ansi:
         sys.stdout.write(render.emit_ansi(values, no_color=no_color))
@@ -289,9 +287,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also write per-scenario DOT files")
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("compare", help="side-by-side metrics for several configs")
+    p = sub.add_parser("compare", help="side-by-side metrics for two or more configs")
     p.add_argument("--config", action="append", required=True, metavar="NAME=PATH",
-                   help="repeatable; e.g. --config tuned=cfg.json")
+                   help="give it twice or more; e.g. --config tuned=cfg.json "
+                        "(score a single config with evaluate)")
     _add_suite_options(p)
     p.add_argument("--plant")
     p.add_argument("--jobs", type=int, default=1)

@@ -7,12 +7,13 @@ an alarm degree in [0, 1] per supervised variable. Degrees above the alarm
 threshold for ``debounce`` consecutive samples raise the fault flag. Rule
 premises read Z, nonZ = max(NB, N, P, PB), or nothing (``any``).
 
-``DetectorKernel`` runs this pipeline over whole residual blocks. It
-computes Z and nonZ in closed form on |r| and runs the rule base as a
-compiled program (``compile_rules``): binary min/max operations on rows,
-with the pairs that several rules or several variables share computed
-once. ``fuzzify``/``infer``/``defuzzify`` are the scalar form of the same
-formulas and agree with it bit for bit.
+``DetectorKernel`` is the one implementation of this pipeline. It computes
+Z and nonZ in closed form on |r| over rows of residuals and runs the rule
+base as a compiled program (``compile_rules``, ``RuleProgram.run``):
+binary min/max operations on rows, with the pairs that several rules or
+several variables share computed once. Batch evaluation runs it over whole
+suites; the streaming ``Detector`` runs it one row at a time on the hold
+and debounce state it carries.
 
 The rule base is generated mechanically from the fault-signature matrix:
 one rule per candidate fault set, with residuals shared by several
@@ -46,20 +47,6 @@ DEFAULT_BETA = 25.0
 DEFAULT_ALARM_THRESHOLD = 0.5
 DEFAULT_DEBOUNCE = 3
 DEFAULT_MAX_FAULT_ORDER = 2
-
-
-class Memberships(NamedTuple):
-    """Degrees of one residual value in the five input sets."""
-
-    nb: float
-    n: float
-    z: float
-    p: float
-    pb: float
-
-    @property
-    def non_zero(self) -> float:
-        return max(self.nb, self.n, self.p, self.pb)
 
 
 @dataclass(frozen=True)
@@ -101,40 +88,6 @@ class OutputPartition:
     @property
     def core(self) -> float:
         return self.c - self.b
-
-
-def _trapezoid(x: np.ndarray, a: float, b: float, c: float, d: float) -> np.ndarray:
-    """Trapezoid membership with support [a, d] and core [b, c].
-
-    Degenerate (vertical) edges are allowed: a == b or c == d.
-    """
-    out = np.zeros_like(x, dtype=float)
-    out[(x >= b) & (x <= c)] = 1.0
-    if b > a:
-        rise = (x > a) & (x < b)
-        out[rise] = (x[rise] - a) / (b - a)
-    if d > c:
-        fall = (x > c) & (x < d)
-        out[fall] = (d - x[fall]) / (d - c)
-    return out
-
-
-def _membership_table(r: np.ndarray, p: InputPartition) -> np.ndarray:
-    """Memberships of residual samples ``r`` -> array (..., 5) in set order."""
-    x = np.clip(np.asarray(r, dtype=float), -p.beta, p.beta)
-    return np.stack([
-        _trapezoid(x, -p.beta, -p.beta, -p.a4, -p.a3),
-        _trapezoid(x, -p.a4, -p.a3, -p.a2, -p.a1),
-        _trapezoid(x, -p.a2, -p.a1, p.a1, p.a2),
-        _trapezoid(x, p.a1, p.a2, p.a3, p.a4),
-        _trapezoid(x, p.a3, p.a4, p.beta, p.beta),
-    ], axis=-1)
-
-
-def fuzzify(r: float, p: InputPartition) -> Memberships:
-    """Crisp residual value -> five membership degrees (NB, N, Z, P, PB)."""
-    table = _membership_table(np.array([r]), p)[0]
-    return Memberships(*(float(v) for v in table))
 
 
 # ---------------------------------------------------------------------------
@@ -197,17 +150,34 @@ _COLUMN = {"Z": 0, "nonZ": 1}
 class RuleProgram(NamedTuple):
     """A rule base compiled to straight-line binary min/max operations.
 
-    The kernel runs it over ``rows`` rows of length T laid out as
-    ``_TABLE`` says: the AL and OK outputs, then one work buffer. Each op
-    ``(ufunc, dst, a, b)`` computes ``ufunc(row[a], row[b],
-    out=row[dst])``. ``ones`` lists the output rows that are 1.0
-    everywhere: a rule with no premise reads fires at 1.0, and the max of
-    any firing with 1.0 is 1.0.
+    ``run`` executes it over ``rows`` rows of length T laid out as
+    ``_TABLE`` says. Each op ``(ufunc, dst, a, b)`` computes
+    ``ufunc(row[a], row[b], out=row[dst])``. ``ones`` lists the output rows
+    that are 1.0 everywhere: a rule with no premise reads fires at 1.0, and
+    the max of any firing with 1.0 is 1.0.
     """
 
     rows: int
     ops: tuple[tuple[np.ufunc, int, int, int], ...]
     ones: tuple[int, ...]
+
+    def work(self, t_len: int) -> np.ndarray:
+        """An empty work buffer for ``run`` over ``t_len`` samples."""
+        return np.empty((self.rows - _TABLE, t_len))
+
+    def run(self, work: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """AL and OK rows (7, T) of the membership table in ``work[:10]``
+        (Z of r1..r5, then nonZ; one column per sample). The rest of
+        ``work`` is scratch, and so is the table once the program read it.
+        """
+        t_len = work.shape[1]
+        al, ok = np.empty((7, t_len)), np.empty((7, t_len))
+        rows = [*al, *ok, *work]
+        for ufunc, dst, a, b in self.ops:
+            ufunc(rows[a], rows[b], out=rows[dst])
+        for row in self.ones:
+            rows[row].fill(1.0)
+        return al, ok
 
 
 def _share_pairs(sets: list[set[int]], ufunc: np.ufunc,
@@ -372,61 +342,6 @@ def build_rulebase(sig: SignatureMatrix | None = None,
             rules.append(Rule(tuple(premise), tuple(al), ok, fault_set))
     rules.append(Rule(("Z",) * 5, (), VARIABLES, ()))
     return RuleBase(tuple(rules), max_fault_order)
-
-
-def _constraint_degree(constraint: str, m: Memberships) -> float:
-    if constraint == "Z":
-        return m.z
-    if constraint == "nonZ":
-        return m.non_zero
-    return 1.0
-
-
-def infer(memberships: Sequence[Memberships], rb: RuleBase) -> dict[str, dict[str, float]]:
-    """MIN-MAX inference: rule firing = min over premise reads, conclusions
-    aggregated per variable with max. Returns {variable: {"OK": x, "AL": y}}.
-    """
-    if len(memberships) != 5:
-        raise ValueError("inference needs memberships for exactly 5 residuals")
-    activations = {v: {"OK": 0.0, "AL": 0.0} for v in VARIABLES}
-    for rule in rb.rules:
-        firing = min(_constraint_degree(c, m) for c, m in zip(rule.premise, memberships))
-        for v in rule.al:
-            activations[v]["AL"] = max(activations[v]["AL"], firing)
-        for v in rule.ok:
-            activations[v]["OK"] = max(activations[v]["OK"], firing)
-    return activations
-
-
-# ---------------------------------------------------------------------------
-# Defuzzification
-
-def clipped_ok_area(activation: float, p: OutputPartition) -> float:
-    """Area of the OK trapezoid clipped at ``activation``."""
-    s, c = p.support, p.core
-    return activation * s - activation * activation * (s - c) / 2.0
-
-
-def clipped_al_area(activation: float, p: OutputPartition) -> float:
-    """Area of the complement-shaped AL flanks clipped at ``activation``."""
-    s, c = p.support, p.core
-    return (s - c) * (activation - activation * activation / 2.0)
-
-
-def defuzzify(activation: dict[str, float], p: OutputPartition,
-              fallback: float = 0.0) -> float:
-    """Alarm degree = AL-side mass fraction of the clipped output sets.
-
-    When neither set is activated there is no information; the caller's
-    ``fallback`` (the previously held degree, 0 at the start of a stream)
-    is returned instead of forcing a decision.
-    """
-    ok_mass = clipped_ok_area(activation["OK"], p)
-    al_mass = clipped_al_area(activation["AL"], p)
-    total = ok_mass + al_mass
-    if total <= 0.0:
-        return fallback
-    return al_mass / total
 
 
 # ---------------------------------------------------------------------------
@@ -609,7 +524,7 @@ def _hold(values: np.ndarray, defined: np.ndarray, held0: np.ndarray | None = No
 
 
 class DetectorKernel:
-    """Batch evaluation of the full pipeline over residual arrays.
+    """The detector: the whole pipeline over residual rows (T, 5).
 
     Memberships are closed forms on ``x = |r|``. The partition is symmetric
     and ``beta >= a4``, so with ``w12 = a2 - a1`` and ``w34 = a4 - a3``
@@ -617,17 +532,14 @@ class DetectorKernel:
         Z    = clip((a2 - x)/w12, 0, 1)
         nonZ = clip(max(min((x - a1)/w12, (a4 - x)/w34), (x - a3)/w34), 0, 1)
 
-    (nonZ = max(NB, N, P, PB) is the P/PB envelope, and clipping x at beta
-    changes neither). Both equal what ``_trapezoid`` gives, bit for bit; a
-    NaN residual reads 0 in every set, as it does there. The table fills
-    rows of a work buffer, and the rule base's compiled program
-    (``RuleBase.program``) turns it into AL/OK rows (7, T) each: rule
-    firing is the min over a rule's premise reads and AL/OK the max over
-    the firings concluding them, as binary ops on rows whose shared pairs
-    are computed once. Min and max are exact, so the order of the ops does
-    not change a bit. The streaming Detector runs single rows through this
-    kernel, so both paths agree with the scalar ``fuzzify``/``infer``/
-    ``defuzzify`` path bit for bit.
+    (nonZ = max(NB, N, P, PB) is the P/PB envelope of the five trapezoids,
+    and clipping x at beta changes neither); a NaN residual reads 0 in
+    every set. ``RuleProgram.run`` turns the table into AL/OK rows, and the
+    AL share of the clipped output areas is the alarm degree.
+
+    ``run`` takes one trace, whole or chunk by chunk on carried state (the
+    streaming ``Detector`` runs it one row at a time); ``run_block`` and
+    ``block_flags`` take many traces concatenated.
     """
 
     def __init__(self, cfg: DetectorConfig):
@@ -637,19 +549,16 @@ class DetectorKernel:
         self._a = [np.array([getattr(p, f) for p in parts])[:, None]
                    for f in ("a1", "a2", "a3", "a4")]
         self.support = np.array([p.support for p in cfg.output_partitions])
-        self.core = np.array([p.core for p in cfg.output_partitions])
-        self._span = (self.support - self.core)[:, None]
+        self._span = np.array([p.support - p.core for p in cfg.output_partitions])[:, None]
 
-    def _memberships(self, r: np.ndarray, table: np.ndarray,
-                     x: np.ndarray, edge: np.ndarray) -> None:
+    def _memberships(self, r: np.ndarray, table: np.ndarray) -> None:
         """Write the membership table of residual rows ``r`` (T, 5) into
-        ``table`` (2 * 5, T): Z of r1..r5, then nonZ. ``x`` and ``edge``
-        are (5, T) scratch."""
+        ``table`` (2 * 5, T): Z of r1..r5, then nonZ."""
         a1, a2, a3, a4 = self._a
-        table = table.reshape(2, 5, r.shape[0])
+        x, edge = np.empty((2, 5, r.shape[0]))
         np.abs(r.T, out=x)
         rise, fall = a2 - a1, a4 - a3
-        z, nonz = table[0], table[1]
+        z, nonz = table[:5], table[5:]
         np.subtract(a2, x, out=z)
         z /= rise
         np.clip(z, 0.0, 1.0, out=z)
@@ -664,34 +573,25 @@ class DetectorKernel:
         np.clip(nonz, 0.0, 1.0, out=nonz)
         missing = np.isnan(x)
         if missing.any():
-            table[:, missing] = 0.0
+            table.reshape(2, 5, -1)[:, missing] = 0.0
 
     def activations(self, residuals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per-variable (AL, OK) activations for residual rows (T, 5)."""
         r = np.asarray(residuals, dtype=float)
-        t_len = r.shape[0]
-        # degrees are computed in place in ``al`` and returned as views of
-        # it, so it gets its own buffer rather than rows of ``work``
-        al, ok = np.empty((7, t_len)), np.empty((7, t_len))
-        work = np.empty((self.program.rows - _TABLE, t_len))
-        # the program has not written al and ok yet, so they serve as scratch
-        self._memberships(r, work[:10], al[:5], ok[:5])
-        rows = [*al, *ok, *work]
-        for ufunc, dst, a, b in self.program.ops:
-            ufunc(rows[a], rows[b], out=rows[dst])
-        for row in self.program.ones:
-            rows[row].fill(1.0)
+        work = self.program.work(r.shape[0])
+        self._memberships(r, work[:10])
+        al, ok = self.program.run(work)
         return al.T, ok.T
 
     def _defuzzify(self, residuals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Unheld alarm degrees ``raw`` (7, T) and where they are ``defined``.
 
-        A sample with neither set activated is undefined and reads 0 in
-        ``raw``.
+        The degree is the AL share of the clipped output areas. A sample
+        with neither set activated is undefined and reads 0 in ``raw``.
         """
         al, ok = self.activations(residuals)
         al, ok = al.T, ok.T
-        # the clipped areas of defuzzify, evaluated in place:
+        # the clipped areas, evaluated in place:
         # al_mass = span * (al - al*al/2), ok_mass = ok*support - ok*ok*span/2
         sq = al * al
         sq /= 2.0
@@ -714,30 +614,48 @@ class DetectorKernel:
         raw, defined = self._defuzzify(residuals)
         return _hold(raw, defined, held0).T
 
-    def flags(self, degrees: np.ndarray) -> np.ndarray:
-        """Debounced flags: degree above threshold for ``debounce`` consecutive rows."""
-        return self._debounce(degrees > self.cfg.alarm_threshold)
+    def flags(self, degrees: np.ndarray, recent: np.ndarray | None = None) -> np.ndarray:
+        """Debounced flags: degree above threshold for ``debounce`` consecutive
+        rows. See ``_debounce`` for ``recent``."""
+        return self._debounce(degrees > self.cfg.alarm_threshold, None, recent)
 
-    def _debounce(self, out: np.ndarray, starts: np.ndarray | None = None) -> np.ndarray:
-        """Debounce "above threshold" rows (T, 7) in place; with ``starts``
-        every listed row starts a fresh window."""
+    def _debounce(self, above: np.ndarray, starts: np.ndarray | None = None,
+                  recent: np.ndarray | None = None) -> np.ndarray:
+        """Debounce "above threshold" rows (T, 7). The first windows reach
+        back into ``recent`` (debounce - 1, 7), the above rows before row 0
+        (none by default), which is updated in place to the last ones. With
+        ``starts`` every listed row starts a fresh window."""
         d = self.cfg.debounce
-        # out[t] holds "above on rows t - width + 1 .. t"; AND-ing in a
-        # copy shifted by at most ``width`` rows widens that window
+        before = np.zeros((d - 1, 7), dtype=bool) if recent is None else recent
+        # one row per variable, the layout the callers' (T, 7) arrays have
+        window = np.concatenate([before.T, above.T], axis=1)
+        if recent is not None:
+            recent[:] = window[:, len(above):].T
+        # window[:, t] holds "above on rows t .. t + width - 1" of the
+        # prefixed rows; AND-ing it with itself shifted by at most ``width``
+        # widens that, and after debounce - 1 shifts it has T columns
         width = 1
         while width < d:
             step = min(width, d - width)
-            out[step:] &= out[:-step]
+            window = window[:, step:] & window[:, :-step]
             width += step
-        out[:d - 1] = False
+        out = window.T
         if starts is not None and d > 1:
             for s in starts:
                 out[s: s + d - 1] = False
         return out
 
-    def run(self, residuals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        degrees = self.degrees(residuals)
-        return degrees, self.flags(degrees)
+    def run(self, residuals: np.ndarray, held: np.ndarray | None = None,
+            recent: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """Degrees and debounced flags (T, 7) of one trace, or of its next
+        chunk: ``held`` (7,), the last degrees, and ``recent`` (debounce - 1,
+        7), the last above-threshold rows, carry the trace's state. Both are
+        read as the state before the first row and updated in place to the
+        state after the last, so chunked runs equal the whole run."""
+        degrees = self.degrees(residuals, held)
+        if held is not None and len(degrees):
+            held[:] = degrees[-1]
+        return degrees, self.flags(degrees, recent)
 
     def run_block(self, residuals: np.ndarray,
                   starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -764,7 +682,8 @@ class DetectorKernel:
 
 
 class Detector:
-    """Streaming detector with per-variable debounce state and held degrees."""
+    """Streaming detector: the kernel run one row at a time on the state it
+    carries between rows."""
 
     def __init__(self, cfg: DetectorConfig):
         self.cfg = cfg
@@ -773,21 +692,13 @@ class Detector:
 
     def reset(self) -> None:
         self._held = np.zeros(7)
-        self._counts = np.zeros(7, dtype=int)
+        self._recent = np.zeros((self.cfg.debounce - 1, 7), dtype=bool)
 
     def detect(self, residuals) -> tuple[np.ndarray, np.ndarray]:
         """One step: residual values (5,) -> (degrees (7,), flags (7,) bool)."""
         r = residuals.as_array() if hasattr(residuals, "as_array") else np.asarray(residuals)
-        degrees = self.kernel.degrees(r.reshape(1, 5), self._held)[0]
-        self._held = degrees
-        above = degrees > self.cfg.alarm_threshold
-        self._counts = np.where(above, self._counts + 1, 0)
-        return degrees, self._counts >= self.cfg.debounce
-
-
-def detect_trace(residuals: np.ndarray, cfg: DetectorConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Batch detection over a residual trace (T, 5) -> (degrees, flags)."""
-    return DetectorKernel(cfg).run(residuals)
+        degrees, flags = self.kernel.run(r.reshape(1, 5), self._held, self._recent)
+        return degrees[0], flags[0]
 
 
 # ---------------------------------------------------------------------------

@@ -30,12 +30,12 @@ import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import fuzzy, plant, residuals
-from .fuzzy import DetectorConfig, DetectorKernel, Memberships, RuleBase
+from .fuzzy import DetectorConfig, DetectorKernel, RuleBase
 from .plant import FaultEvent, FaultScenario, PlantParams, SchemaError, VARIABLES
 
 CLASSIFICATIONS = ("proper", "missed", "bad", "false_alarm")
@@ -110,47 +110,30 @@ class SuiteSpec:
 # ---------------------------------------------------------------------------
 # Isolability analysis of the rule structure
 
-def ideal_flag_set(support: Iterable[int], rulebase: RuleBase) -> frozenset[str]:
-    """Variables a detector would flag for an idealized residual pattern.
-
-    The pattern has saturated non-zero membership on the residuals in
-    ``support`` (1-based indices) and perfect zero membership elsewhere;
-    a variable is flagged when its alarm activation is full and no rule
-    upholds its normal state.
-    """
-    support = set(support)
-    table = [
-        Memberships(0.0, 0.0, 0.0, 1.0, 0.0) if arr in support
-        else Memberships(0.0, 0.0, 1.0, 0.0, 0.0)
-        for arr in range(1, 6)
-    ]
-    act = fuzzy.infer(table, rulebase)
-    return frozenset(v for v in VARIABLES
-                     if act[v]["AL"] >= 1.0 - 1e-12 and act[v]["OK"] <= 1e-12)
-
-
 def isolable_combinations(rulebase: RuleBase | None = None,
                           max_multiplicity: int = 2,
                           ) -> dict[int, list[tuple[str, ...]]]:
     """Fault sets whose generic residual pattern is flagged exactly.
 
-    Combinations whose combined signatures collide with other candidate
-    sets are excluded; no tuning can separate them under sign-blind
-    support reasoning.
+    A candidate set's idealized pattern has full non-zero membership on
+    the residuals of its combined signature and full zero membership
+    elsewhere; it is isolable when the rule base then raises AL fully and
+    OK nowhere on exactly its variables. Combinations whose combined
+    signatures collide with other candidate sets fail this; no tuning can
+    separate them under sign-blind support reasoning.
     """
     if rulebase is None:
         rulebase = fuzzy.build_rulebase()
-    sig = residuals.signature_matrix()
-    rows = {v: sig.row(v) for v in VARIABLES}
-    catalog: dict[int, list[tuple[str, ...]]] = {}
-    for m in range(1, max_multiplicity + 1):
-        good = []
-        for combo in itertools.combinations(VARIABLES, m):
-            support = set().union(*(rows[v] for v in combo))
-            if ideal_flag_set(support, rulebase) == frozenset(combo):
-                good.append(combo)
-        catalog[m] = good
-    return catalog
+    combos = [c for m in range(1, max_multiplicity + 1)
+              for c in itertools.combinations(VARIABLES, m)]
+    chosen = np.array([[v in c for v in VARIABLES] for c in combos]).reshape(-1, 7).T
+    support = residuals.signature_matrix().matrix.T @ chosen
+    work = rulebase.program.work(len(combos))
+    work[:5], work[5:10] = ~support, support
+    al, ok = rulebase.program.run(work)
+    exact = (((al == 1.0) & (ok == 0.0)) == chosen).all(axis=0)
+    return {m: [c for c, good in zip(combos, exact) if good and len(c) == m]
+            for m in range(1, max_multiplicity + 1)}
 
 
 def compensation_pair(magnitude: float, params: PlantParams,
@@ -474,16 +457,18 @@ def evaluate_bank(cfg: DetectorConfig, bank: ResidualBank,
 def compare(configs: Sequence[tuple[str, DetectorConfig]],
             suite: Sequence[FaultScenario], params: PlantParams,
             inputs: tuple[float, float] = (1.0, 0.8), jobs: int = 1,
-            ) -> list[dict]:
-    """Side-by-side metrics of several configurations on one suite."""
+            ) -> tuple[list[dict], list[list[DetectionReport]]]:
+    """Side-by-side metrics rows of several configurations on one suite,
+    and each configuration's per-scenario reports."""
     if len(configs) < 2:
         raise ValueError("compare needs at least two configurations")
     bank = ResidualBank.from_suite(suite, params, inputs, jobs=jobs)
-    rows = []
+    rows, reports = [], []
     for name, cfg in configs:
-        _, metrics = evaluate_bank(cfg, bank)
+        config_reports, metrics = evaluate_bank(cfg, bank)
         rows.append(metrics_row(name, metrics))
-    return rows
+        reports.append(config_reports)
+    return rows, reports
 
 
 def metrics_row(name: str, metrics: SuiteMetrics) -> dict:

@@ -17,10 +17,10 @@ linear-mode traces by construction.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .plant import VARIABLES, MeasurementFrame, PlantParams, Trace
 
@@ -93,7 +93,7 @@ class ResidualEvaluator:
         self._alpha = dt / (tau + dt) if tau else None
         self._prev: MeasurementFrame | None = None
         self._filtered: np.ndarray | None = None
-        self._recent: list[np.ndarray] = []
+        self._recent: deque[np.ndarray] = deque(maxlen=spike_window)
 
     def update(self, frame: MeasurementFrame) -> ResidualVector:
         prev = self._prev
@@ -107,14 +107,11 @@ class ResidualEvaluator:
         ])
         if self.spike_window > 1:
             self._recent.append(raw)
-            if len(self._recent) > self.spike_window:
-                self._recent.pop(0)
-            raw = (_median3(*self._recent) if len(self._recent) == 3
-                   else np.median(self._recent, axis=0))
+            raw = _window_median(self._recent)
         if self._filtered is None or self._alpha is None:
             self._filtered = raw
         else:
-            self._filtered = self._filtered + self._alpha * (raw - self._filtered)
+            self._filtered = _low_pass(self._filtered, raw, self._alpha)
         return ResidualVector(frame.t, *arr_residuals(_frame_signals(frame),
                                                       self._filtered, self.params))
 
@@ -125,21 +122,27 @@ def _median3(a, b, c):
     return np.maximum(np.minimum(a, b), np.minimum(np.maximum(a, b), c))
 
 
-def _rolling_median(raw: np.ndarray, window: int) -> np.ndarray:
-    """Median of each row along axis 1 and the ``window - 1`` rows before it.
+def _window_median(rows):
+    """Median of a window of equal-shaped derivative rows: ``_median3`` for
+    three rows, ``np.median`` over the window otherwise."""
+    return _median3(*rows) if len(rows) == 3 else np.median(rows, axis=0)
 
-    The first rows take the median of the history they have. A window of
-    three uses ``_median3``; other windows use ``np.median`` over a sliding
-    view.
-    """
+
+def _low_pass(filtered, raw, alpha: float):
+    """One single-pole low-pass step from ``filtered`` towards ``raw``."""
+    return filtered + alpha * (raw - filtered)
+
+
+def _rolling_median(raw: np.ndarray, window: int) -> np.ndarray:
+    """``_window_median`` of each row along axis 1 and the ``window - 1``
+    rows before it; the first rows take the history they have."""
     out = np.empty_like(raw)
     n = raw.shape[1]
     for k in range(min(window - 1, n)):
-        out[:, k] = np.median(raw[:, :k + 1], axis=1)
-    if window == 3 and n >= 3:
-        out[:, 2:] = _median3(raw[:, :-2], raw[:, 1:-1], raw[:, 2:])
-    elif n >= window:
-        out[:, window - 1:] = np.median(sliding_window_view(raw, window, axis=1), axis=-1)
+        out[:, k] = _window_median([raw[:, j] for j in range(k + 1)])
+    if n >= window:
+        out[:, window - 1:] = _window_median(
+            [raw[:, j:n - window + 1 + j] for j in range(window)])
     return out
 
 
@@ -159,7 +162,7 @@ def residual_batch(signals: np.ndarray, dt: float, params: PlantParams,
         d = np.empty_like(raw)
         d[:, :1] = raw[:, :1]
         for k in range(1, raw.shape[1]):
-            d[:, k] = d[:, k - 1] + alpha * (raw[:, k] - d[:, k - 1])
+            d[:, k] = _low_pass(d[:, k - 1], raw[:, k], alpha)
     else:
         d = raw
     out = arr_residuals(np.moveaxis(signals[:, 1:], -1, 0), np.moveaxis(d, -1, 0), params)

@@ -1,0 +1,135 @@
+"""Scalar reference form of the fuzzy detector, for tests to compare against.
+
+One residual value at a time, written from the paper's definitions: five
+trapezoid memberships per residual, MIN-MAX inference rule by rule, and
+defuzzification as the AL share of the clipped output areas. The
+vectorized ``tankfdi.fuzzy.DetectorKernel`` must agree with it bit for bit.
+"""
+
+from __future__ import annotations
+
+from typing import Iterable, NamedTuple, Sequence
+
+import numpy as np
+
+from tankfdi.fuzzy import InputPartition, OutputPartition, RuleBase
+from tankfdi.plant import VARIABLES
+
+
+class Memberships(NamedTuple):
+    """Degrees of one residual value in the five input sets."""
+
+    nb: float
+    n: float
+    z: float
+    p: float
+    pb: float
+
+    @property
+    def non_zero(self) -> float:
+        return max(self.nb, self.n, self.p, self.pb)
+
+
+def _trapezoid(x: np.ndarray, a: float, b: float, c: float, d: float) -> np.ndarray:
+    """Trapezoid membership with support [a, d] and core [b, c].
+
+    Degenerate (vertical) edges are allowed: a == b or c == d.
+    """
+    out = np.zeros_like(x, dtype=float)
+    out[(x >= b) & (x <= c)] = 1.0
+    if b > a:
+        rise = (x > a) & (x < b)
+        out[rise] = (x[rise] - a) / (b - a)
+    if d > c:
+        fall = (x > c) & (x < d)
+        out[fall] = (d - x[fall]) / (d - c)
+    return out
+
+
+def _membership_table(r: np.ndarray, p: InputPartition) -> np.ndarray:
+    """Memberships of residual samples ``r`` -> array (..., 5) in set order."""
+    x = np.clip(np.asarray(r, dtype=float), -p.beta, p.beta)
+    return np.stack([
+        _trapezoid(x, -p.beta, -p.beta, -p.a4, -p.a3),
+        _trapezoid(x, -p.a4, -p.a3, -p.a2, -p.a1),
+        _trapezoid(x, -p.a2, -p.a1, p.a1, p.a2),
+        _trapezoid(x, p.a1, p.a2, p.a3, p.a4),
+        _trapezoid(x, p.a3, p.a4, p.beta, p.beta),
+    ], axis=-1)
+
+
+def fuzzify(r: float, p: InputPartition) -> Memberships:
+    """Crisp residual value -> five membership degrees (NB, N, Z, P, PB)."""
+    table = _membership_table(np.array([r]), p)[0]
+    return Memberships(*(float(v) for v in table))
+
+
+def _constraint_degree(constraint: str, m: Memberships) -> float:
+    if constraint == "Z":
+        return m.z
+    if constraint == "nonZ":
+        return m.non_zero
+    return 1.0
+
+
+def infer(memberships: Sequence[Memberships], rb: RuleBase) -> dict[str, dict[str, float]]:
+    """MIN-MAX inference: rule firing = min over premise reads, conclusions
+    aggregated per variable with max. Returns {variable: {"OK": x, "AL": y}}.
+    """
+    if len(memberships) != 5:
+        raise ValueError("inference needs memberships for exactly 5 residuals")
+    activations = {v: {"OK": 0.0, "AL": 0.0} for v in VARIABLES}
+    for rule in rb.rules:
+        firing = min(_constraint_degree(c, m) for c, m in zip(rule.premise, memberships))
+        for v in rule.al:
+            activations[v]["AL"] = max(activations[v]["AL"], firing)
+        for v in rule.ok:
+            activations[v]["OK"] = max(activations[v]["OK"], firing)
+    return activations
+
+
+def clipped_ok_area(activation: float, p: OutputPartition) -> float:
+    """Area of the OK trapezoid clipped at ``activation``."""
+    s, c = p.support, p.core
+    return activation * s - activation * activation * (s - c) / 2.0
+
+
+def clipped_al_area(activation: float, p: OutputPartition) -> float:
+    """Area of the complement-shaped AL flanks clipped at ``activation``."""
+    s, c = p.support, p.core
+    return (s - c) * (activation - activation * activation / 2.0)
+
+
+def defuzzify(activation: dict[str, float], p: OutputPartition,
+              fallback: float = 0.0) -> float:
+    """Alarm degree = AL-side mass fraction of the clipped output sets.
+
+    When neither set is activated there is no information; the caller's
+    ``fallback`` (the previously held degree, 0 at the start of a stream)
+    is returned instead of forcing a decision.
+    """
+    ok_mass = clipped_ok_area(activation["OK"], p)
+    al_mass = clipped_al_area(activation["AL"], p)
+    total = ok_mass + al_mass
+    if total <= 0.0:
+        return fallback
+    return al_mass / total
+
+
+def ideal_flag_set(support: Iterable[int], rulebase: RuleBase) -> frozenset[str]:
+    """Variables a detector would flag for an idealized residual pattern.
+
+    The pattern has saturated non-zero membership on the residuals in
+    ``support`` (1-based indices) and perfect zero membership elsewhere;
+    a variable is flagged when its alarm activation is full and no rule
+    upholds its normal state.
+    """
+    support = set(support)
+    table = [
+        Memberships(0.0, 0.0, 0.0, 1.0, 0.0) if arr in support
+        else Memberships(0.0, 0.0, 1.0, 0.0, 0.0)
+        for arr in range(1, 6)
+    ]
+    act = infer(table, rulebase)
+    return frozenset(v for v in VARIABLES
+                     if act[v]["AL"] >= 1.0 - 1e-12 and act[v]["OK"] <= 1e-12)

@@ -249,6 +249,15 @@ class TestCompare:
         assert code == 2
         assert "NAME=PATH" in capsys.readouterr().err
 
+    def test_single_config_exits_2(self, tmp_path, config_file, suite_file, capsys):
+        # one config is scored with `evaluate`; compare needs two to compare
+        out = tmp_path / "cmp.csv"
+        code = main(["compare", "--config", f"tuned={config_file}",
+                     "--suite", suite_file, "--out", str(out)])
+        assert code == 2
+        assert "at least two configurations" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_render_flag_writes_per_config_dirs(self, tmp_path, config_file,
                                                 suite_file):
         detuned = tmp_path / "detuned.json"
@@ -291,6 +300,14 @@ class TestRender:
     def test_wrong_degree_count_exits_2(self, capsys):
         code = main(["render", "--degrees", "0,1"])
         assert code == 2
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_degree_exits_2_naming_position(self, bad, capsys):
+        code = main(["render", "--degrees", f"0,0,{bad},0,0,0,0"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "value 3 (De1)" in captured.err
 
 
 class TestDeterminism:

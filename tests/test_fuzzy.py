@@ -7,10 +7,11 @@ from hypothesis import strategies as st
 
 from tankfdi import fuzzy, residuals
 from tankfdi.fuzzy import (DetectorConfig, Detector, DetectorKernel,
-                           InputPartition, Memberships, OutputPartition, Rule,
-                           build_rulebase, config_to_params, defuzzify,
-                           fuzzify, infer, params_to_config)
+                           InputPartition, OutputPartition, Rule,
+                           build_rulebase, config_to_params, params_to_config)
 from tankfdi.plant import VARIABLES
+
+from oracle import Memberships, defuzzify, fuzzify, infer
 
 
 #: numpy 2.0 renamed np.trapz to np.trapezoid; CI also runs numpy 1.24
@@ -80,6 +81,15 @@ def input_partitions(draw):
     a4 = a3 + draw(gap)
     beta = a4 + draw(st.one_of(st.just(0.0), st.floats(0.01, 20.0)))
     return InputPartition(a1, a2, a3, a4, beta)
+
+
+@st.composite
+def output_partitions(draw):
+    """Valid partitions, including b == 0 == c."""
+    gap = st.floats(0.01, 2.0)
+    b = -draw(st.one_of(st.just(0.0), gap))
+    c = draw(st.one_of(st.just(0.0), gap))
+    return OutputPartition(b - draw(gap), b, c, c + draw(gap))
 
 
 def residual_rows(parts):
@@ -247,10 +257,12 @@ class TestInfer:
     @settings(max_examples=60, deadline=None)
     def test_kernel_matches_brute_force(self, rb, data):
         parts = tuple(data.draw(input_partitions()) for _ in range(5))
+        outputs = tuple(data.draw(output_partitions()) for _ in range(7))
         rows = data.draw(residual_rows(parts))
-        kernel = DetectorKernel(DetectorConfig(
-            parts, (OutputPartition(-1, -0.3, 0.3, 1),) * 7, rb))
+        kernel = DetectorKernel(DetectorConfig(parts, outputs, rb))
         al, ok = kernel.activations(rows)
+        degrees = kernel.degrees(rows)
+        held = [0.0] * 7
         for t, row in enumerate(rows):
             table = [fuzzify(r, p) for r, p in zip(row, parts)]
             expected = brute_force_activations(table, rb)
@@ -258,6 +270,9 @@ class TestInfer:
             for j, v in enumerate(VARIABLES):
                 assert al[t, j] == expected[v]["AL"] == got[v]["AL"]
                 assert ok[t, j] == expected[v]["OK"] == got[v]["OK"]
+            held = [defuzzify(got[v], p, fallback=h)
+                    for v, p, h in zip(VARIABLES, outputs, held)]
+            assert degrees[t].tolist() == held
 
     def test_compiled_program_shares_pairs(self):
         # the order-2 rule base as a plain loop is 130 min and 197 max
@@ -423,6 +438,42 @@ class TestDetector:
             deg, fl = det.detect(row)
             np.testing.assert_array_equal(deg, batch_deg[i])
             np.testing.assert_array_equal(fl, batch_flags[i])
+
+    @given(data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_chunked_and_streamed_runs_equal_whole_run(self, data):
+        # the streaming detector is the kernel on carried hold and debounce
+        # state, so any chunking of a trace, down to single rows, changes
+        # no degree and no flag
+        debounce = data.draw(st.integers(1, 5))
+        cfg, _ = params_to_config(fuzzy.EXAMPLE_SWARM_TUNED, debounce=debounce)
+        patterns = st.sampled_from([
+            [0.0] * 5,
+            [3.0, 0, 0, 0, 0],                   # Msf1 fault pattern
+            [2.0, 0, 0, 0, 2.0],                 # De1 fault pattern
+            [10.0, 10.0, 10.0, 0, 0],            # no rule fires
+            [np.nan, 0, 0, 0, 3.0],              # a dropped-out residual
+            [np.nan] * 5,                        # every residual drops out
+        ])
+        noisy = st.lists(st.floats(-4, 4), min_size=5, max_size=5)
+        segments = data.draw(st.lists(
+            st.tuples(st.one_of(patterns, noisy), st.integers(1, 6)),
+            min_size=1, max_size=10))
+        rows = np.array([row for row, n in segments for _ in range(n)], dtype=float)
+        cuts = data.draw(st.lists(st.integers(1, len(rows) - 1), unique=True)
+                         if len(rows) > 1 else st.just([]))
+        kernel = DetectorKernel(cfg)
+        degrees, flags = kernel.run(rows)
+
+        held, recent = np.zeros(7), np.zeros((debounce - 1, 7), dtype=bool)
+        chunks = [kernel.run(chunk, held, recent) for chunk in np.split(rows, sorted(cuts))]
+        np.testing.assert_array_equal(np.vstack([d for d, _ in chunks]), degrees)
+        np.testing.assert_array_equal(np.vstack([f for _, f in chunks]), flags)
+
+        det = Detector(cfg)
+        streamed = [det.detect(row) for row in rows]
+        np.testing.assert_array_equal([d for d, _ in streamed], degrees)
+        np.testing.assert_array_equal([f for _, f in streamed], flags)
 
     def test_block_evaluation_matches_per_trace(self, tuned_cfg, rng):
         lengths = [30, 17, 44]

@@ -1,5 +1,6 @@
 """Suite generation, outcome classification, metrics and comparison."""
 
+import itertools
 import json
 import math
 import os
@@ -19,6 +20,7 @@ from tankfdi.harness import (ResidualBank, SuiteSpec, classify,
                              isolable_combinations)
 from tankfdi.plant import FaultEvent, FaultScenario
 
+import oracle
 from conftest import OPERATING_INPUTS
 
 
@@ -39,9 +41,21 @@ class TestIsolability:
         catalog = isolable_combinations(fuzzy.build_rulebase(), 2)
         assert ("De1", "De3") not in catalog[2]
 
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    @pytest.mark.parametrize("multiplicity", [1, 2, 3])
+    def test_catalog_matches_scalar_oracle(self, order, multiplicity):
+        rb = fuzzy.build_rulebase(max_fault_order=order)
+        sig = residuals.signature_matrix()
+        expected = {
+            m: [combo for combo in itertools.combinations(plant.VARIABLES, m)
+                if oracle.ideal_flag_set(set().union(*(sig.row(v) for v in combo)), rb)
+                == frozenset(combo)]
+            for m in range(1, multiplicity + 1)}
+        assert isolable_combinations(rb, multiplicity) == expected
+
     def test_compensated_pair_pattern_is_isolable(self):
         rb = fuzzy.build_rulebase()
-        flags = harness.ideal_flag_set({3, 4, 5}, rb)
+        flags = oracle.ideal_flag_set({3, 4, 5}, rb)
         assert flags == {"De2", "Df2"}
 
 
@@ -457,7 +471,7 @@ class TestResidualBank:
 class TestCompare:
     def test_identical_configs_identical_rows(self, params, tuned_cfg):
         suite = generate_suite(6, seed=3)
-        rows = harness.compare([("a", tuned_cfg), ("b", tuned_cfg)], suite,
+        rows, _ = harness.compare([("a", tuned_cfg), ("b", tuned_cfg)], suite,
                                params, OPERATING_INPUTS)
         assert rows[0]["proper_rate"] == rows[1]["proper_rate"]
         assert rows[0]["config"] == "a" and rows[1]["config"] == "b"
@@ -468,7 +482,7 @@ class TestCompare:
 
     def test_metrics_csv_schema(self, params, tuned_cfg, tmp_path):
         suite = generate_suite(4, seed=3)
-        rows = harness.compare([("a", tuned_cfg), ("b", fuzzy.detuned_config())],
+        rows, _ = harness.compare([("a", tuned_cfg), ("b", fuzzy.detuned_config())],
                                suite, params, OPERATING_INPUTS)
         path = tmp_path / "metrics.csv"
         harness.write_metrics_csv(rows, str(path))
@@ -480,7 +494,7 @@ class TestCompare:
 
     def test_format_table_renders_all_rows(self, params, tuned_cfg):
         suite = generate_suite(4, seed=3)
-        rows = harness.compare([("tuned", tuned_cfg),
+        rows, _ = harness.compare([("tuned", tuned_cfg),
                                 ("untuned", fuzzy.detuned_config())],
                                suite, params, OPERATING_INPUTS)
         table = harness.format_table(rows)

@@ -105,7 +105,7 @@ class TestEmitDot:
                   plant.FaultEvent("Msf2", 5.0, 2.5))
         sc = plant.FaultScenario(seed=2, duration=15.0, dt=0.1, events=events)
         _, resid = harness._simulate_residuals(sc, params, OPERATING_INPUTS)
-        degrees, _ = fuzzy.detect_trace(resid, tuned_cfg)
+        degrees, _ = fuzzy.DetectorKernel(tuned_cfg).run(resid)
         dot = emit_dot(CausalGraph(), degrees[-1])
         assert self.node_red_channel(dot, "De2") == 0xFF
         assert self.node_red_channel(dot, "Msf2") > 0x40
@@ -118,7 +118,7 @@ class TestEmitDot:
                   plant.FaultEvent("Msf2", 5.0, 2.5))
         sc = plant.FaultScenario(seed=2, duration=15.0, dt=0.1, events=events)
         _, resid = harness._simulate_residuals(sc, params, OPERATING_INPUTS)
-        degrees, _ = fuzzy.detect_trace(resid, tuned_cfg)
+        degrees, _ = fuzzy.DetectorKernel(tuned_cfg).run(resid)
         dot = emit_dot(CausalGraph(), degrees[-1])
         assert self.node_red_channel(dot, "De1") == 0xFF
         assert self.node_red_channel(dot, "Msf2") == 0xFF
