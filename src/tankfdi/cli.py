@@ -182,6 +182,10 @@ def cmd_compare(args) -> int:
             raise plant.SchemaError(
                 f"--config expects NAME=PATH, got {spec!r}")
         name, path = spec.split("=", 1)
+        if not name:
+            raise plant.SchemaError(f"--config NAME is empty in {spec!r}")
+        if any(name == seen for seen, _ in configs):
+            raise plant.SchemaError(f"--config NAME {name!r} is given twice")
         configs.append((name, fuzzy.load_config(path)))
     suite, inputs = _resolve_suite(args)
     rows, reports = harness.compare(configs, suite, params, inputs, jobs=args.jobs)

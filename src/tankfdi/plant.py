@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
-from types import SimpleNamespace
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -223,8 +222,15 @@ def coupling_flows(De1: float, De2: float, De3: float, params: PlantParams,
     Nonlinear mode uses the sign-preserving square-root valve law
     ``az * S * sgn(hi - hj) * sqrt(2 g |hi - hj|)`` with ``h = De / (rho g)``.
     """
+    return _flows(De1, De2, De3, params.R12, params.R23, params, mode)
+
+
+def _flows(de1: float, de2: float, de3: float, r12: float, r23: float,
+           params: PlantParams, mode: str) -> tuple[float, float]:
+    """``coupling_flows`` with the step's (possibly noisy) coupling
+    resistances passed apart from the valve constants in ``params``."""
     if mode == "linear":
-        return (De1 - De2) / params.R12, (De3 - De2) / params.R23
+        return (de1 - de2) / r12, (de3 - de2) / r23
     if mode == "nonlinear":
         k = params.az * params.S_conn
 
@@ -232,38 +238,54 @@ def coupling_flows(De1: float, De2: float, De3: float, params: PlantParams,
             d = (hi - hj) / (params.rho * params.g)
             return k * math.copysign(math.sqrt(2.0 * params.g * abs(d)), d) if d else 0.0
 
-        return q(De1, De2), q(De3, De2)
+        return q(de1, de2), q(de3, de2)
     raise ValueError(f"unknown plant mode {mode!r}")
 
 
+#: The parameters that noise perturbs: the columns of a ``noise_table``.
+NOISY_PARAMS = ("R1", "R2", "R3", "R12", "R23", "C1", "C2", "C3")
+
+
 def _derivatives(de: tuple[float, float, float], inputs: tuple[float, float],
-                 params: PlantParams, mode: str) -> tuple[float, float, float]:
+                 rc: Sequence[float], params: PlantParams,
+                 mode: str) -> tuple[float, float, float]:
     de1, de2, de3 = de
     msf1, msf2 = inputs
-    df1, df2 = coupling_flows(de1, de2, de3, params, mode)
+    r1, r2, r3, r12, r23, c1, c2, c3 = rc
+    df1, df2 = _flows(de1, de2, de3, r12, r23, params, mode)
     return (
-        (msf1 - de1 / params.R1 - df1) / params.C1,
-        (df1 - de2 / params.R2 - df2) / params.C2,
-        (msf2 - df2 - de3 / params.R3) / params.C3,
+        (msf1 - de1 / r1 - df1) / c1,
+        (df1 - de2 / r2 - df2) / c2,
+        (msf2 - df2 - de3 / r3) / c3,
     )
 
 
-def _rk4(de: tuple, inputs: tuple[float, float], params, dt: float,
-         mode: str) -> tuple:
-    """One classical RK4 step of the three pressures.
+def _rk4(de: tuple, inputs: tuple[float, float], rc: Sequence[float],
+         params: PlantParams, dt: float, mode: str) -> tuple:
+    """One classical RK4 step of the three pressures, on Python floats.
 
-    The same arithmetic serves Python floats (``step``) and (S,) arrays of
-    a batch (``simulate_suite``); ``params`` supplies R and C as floats or
-    as arrays alike.
+    ``rc`` holds the step's R and C in NOISY_PARAMS order; ``params``
+    supplies the valve constants of nonlinear mode.
     """
-    k1 = _derivatives(de, inputs, params, mode)
-    k2 = _derivatives(tuple(x + 0.5 * dt * k for x, k in zip(de, k1)), inputs, params, mode)
-    k3 = _derivatives(tuple(x + 0.5 * dt * k for x, k in zip(de, k2)), inputs, params, mode)
-    k4 = _derivatives(tuple(x + dt * k for x, k in zip(de, k3)), inputs, params, mode)
+    k1 = _derivatives(de, inputs, rc, params, mode)
+    k2 = _derivatives(tuple(x + 0.5 * dt * k for x, k in zip(de, k1)), inputs, rc, params, mode)
+    k3 = _derivatives(tuple(x + 0.5 * dt * k for x, k in zip(de, k2)), inputs, rc, params, mode)
+    k4 = _derivatives(tuple(x + dt * k for x, k in zip(de, k3)), inputs, rc, params, mode)
     return tuple(
         x + dt / 6.0 * (a + 2 * b + 2 * c + d)
         for x, a, b, c, d in zip(de, k1, k2, k3, k4)
     )
+
+
+def _advance(de: tuple, inputs: tuple[float, float], rc: Sequence[float],
+             params: PlantParams, dt: float, mode: str, t: float) -> tuple:
+    """``_rk4`` from time t; raises SimulationDiverged at t + dt for the
+    first pressure that is no longer finite."""
+    new = _rk4(de, inputs, rc, params, dt, mode)
+    for name, value in zip(("De1", "De2", "De3"), new):
+        if not math.isfinite(value):
+            raise SimulationDiverged(name, t + dt)
+    return new
 
 
 def step(state: PlantState, inputs: tuple[float, float], params: PlantParams,
@@ -271,43 +293,36 @@ def step(state: PlantState, inputs: tuple[float, float], params: PlantParams,
     """Advance the plant one fixed RK4 step."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    new = _rk4((state.De1, state.De2, state.De3), inputs, params, dt, mode)
-    t_next = state.t + dt
-    for name, value in zip(("De1", "De2", "De3"), new):
-        if not math.isfinite(value):
-            raise SimulationDiverged(name, t_next)
-    return PlantState(new[0], new[1], new[2], t_next)
+    rc = tuple(getattr(params, name) for name in NOISY_PARAMS)
+    new = _advance((state.De1, state.De2, state.De3), inputs, rc, params, dt, mode, state.t)
+    return PlantState(new[0], new[1], new[2], state.t + dt)
 
 
-def measure(state: PlantState, inputs: tuple[float, float], params: PlantParams,
-            events: Sequence[FaultEvent] = (), t: float | None = None,
-            mode: str = "linear") -> MeasurementFrame:
-    """Sensor frame at time t: true signals plus any active additive offsets."""
-    if t is None:
-        t = state.t
-    df1, df2 = coupling_flows(state.De1, state.De2, state.De3, params, mode)
-    values = [inputs[0], inputs[1], state.De1, state.De2, state.De3, df1, df2]
+def noise_table(scenario: FaultScenario, params: PlantParams, n_rows: int) -> np.ndarray:
+    """Per-step R and C of a scenario, (n_rows, 8) in NOISY_PARAMS order.
+
+    Each value is its nominal times (1 + N(0, sigma)), floored at 1% of
+    nominal, with sigma the scenario's ``noise_std_R`` or ``noise_std_C``.
+    The normals are one ``default_rng(scenario.seed)`` draw of shape
+    (n_rows, 8). A noise-free scenario draws nothing: every row is nominal,
+    in a read-only broadcast view.
+    """
+    nominal = np.array([getattr(params, name) for name in NOISY_PARAMS])
+    if scenario.noise_std_R == 0 and scenario.noise_std_C == 0:
+        return np.broadcast_to(nominal, (n_rows, len(NOISY_PARAMS)))
+    sigma = np.array([scenario.noise_std_R if name.startswith("R") else scenario.noise_std_C
+                      for name in NOISY_PARAMS])
+    z = np.random.default_rng(scenario.seed).standard_normal((n_rows, len(NOISY_PARAMS)))
+    return np.maximum(nominal * (1.0 + sigma * z), 0.01 * nominal)
+
+
+def _add_faults(signals: np.ndarray, times: np.ndarray,
+                events: Sequence[FaultEvent]) -> None:
+    """Add each event's ``offset_at`` to its channel of one scenario's
+    (T, 7) signals, in place."""
     for ev in events:
-        values[VARIABLE_INDEX[ev.target]] += ev.offset_at(t)
-    return MeasurementFrame(t, *values)
-
-
-#: The parameters that noise perturbs, in the order their draws are taken.
-NOISY_PARAMS = ("R1", "R2", "R3", "R12", "R23", "C1", "C2", "C3")
-
-
-def perturb_params(params: PlantParams, noise_std_R: float, noise_std_C: float,
-                   rng: np.random.Generator) -> PlantParams:
-    """Multiply each R and C by (1 + N(0, sigma)), floored at 1% of nominal."""
-    if noise_std_R < 0 or noise_std_C < 0:
-        raise ValueError("noise standard deviations must be non-negative")
-    updates = {}
-    for name in NOISY_PARAMS:
-        nominal = getattr(params, name)
-        sigma = noise_std_R if name.startswith("R") else noise_std_C
-        updates[name] = max(nominal * (1.0 + sigma * rng.standard_normal()),
-                            0.01 * nominal)
-    return replace(params, **updates)
+        offset = ev.magnitude if ev.profile == "step" else ev.magnitude * (times - ev.start)
+        signals[:, VARIABLE_INDEX[ev.target]] += np.where(times < ev.start, 0.0, offset)
 
 
 def steady_state(inputs: tuple[float, float], params: PlantParams) -> PlantState:
@@ -332,30 +347,25 @@ def run(scenario: FaultScenario, params: PlantParams, inputs: tuple[float, float
 
     ``inputs`` is the constant operating point (Msf1, Msf2). The initial
     state defaults to its linear steady state, so fault-free runs sit at the
-    operating point from the first frame. Deterministic given the scenario
-    seed.
+    operating point from the first frame. Each step's R and C are a row of
+    the scenario's ``noise_table``, so the run is deterministic given the
+    scenario seed.
     """
     u = (float(inputs[0]), float(inputs[1]))
     if x0 is None:
         x0 = steady_state(u, params)
-    n_steps = math.ceil(scenario.duration / scenario.dt - 1e-9)
-    rng = np.random.default_rng(scenario.seed)
-    noisy = scenario.noise_std_R > 0 or scenario.noise_std_C > 0
-
-    times = np.empty(n_steps + 1)
-    signals = np.empty((n_steps + 1, 7))
-    state = x0
-    for k in range(n_steps + 1):
-        t = k * scenario.dt
-        step_params = (perturb_params(params, scenario.noise_std_R, scenario.noise_std_C, rng)
-                       if noisy else params)
-        frame = measure(state, u, step_params, scenario.events, t, mode)
-        times[k] = t
-        signals[k] = frame.as_vector()
+    dt = scenario.dt
+    n_steps = math.ceil(scenario.duration / dt - 1e-9)
+    de = (x0.De1, x0.De2, x0.De3)
+    rows = []
+    for k, rc in enumerate(noise_table(scenario, params, n_steps + 1).tolist()):
+        rows.append((*u, *de, *_flows(*de, rc[3], rc[4], params, mode)))
         if k < n_steps:
-            state = step(PlantState(state.De1, state.De2, state.De3, t), u,
-                         step_params, scenario.dt, mode)
-    return Trace(times, signals, scenario.dt)
+            de = _advance(de, u, rc, params, dt, mode, k * dt)
+    times = np.arange(n_steps + 1) * dt
+    signals = np.array(rows, dtype=float)
+    _add_faults(signals, times, scenario.events)
+    return Trace(times, signals, dt)
 
 
 def simulate_suite(suite: Sequence[FaultScenario], params: PlantParams,
@@ -364,9 +374,10 @@ def simulate_suite(suite: Sequence[FaultScenario], params: PlantParams,
 
     Returns (times (T,), signals (S, T, 7)); ``signals[i]`` equals
     ``run(suite[i], params, inputs).signals`` bit for bit (linear mode,
-    constant inputs). The integration is one loop over time on (S,) state
-    arrays. Each scenario's R/C noise is drawn up front, in the order ``run``
-    draws it step by step, and the fault offsets are added after
+    constant inputs). The pressures of all scenarios are one (T, 3, S)
+    array and their R/C one (T, 8, S) stack of ``noise_table``s, so each
+    RK4 stage is a few whole-array operations on (3, S) buffers, written in
+    ``_derivatives``' operation order. The fault offsets are added after
     integration. If any scenario diverges, raises the SimulationDiverged
     that simulating the suite one scenario at a time would raise first.
     """
@@ -376,49 +387,67 @@ def simulate_suite(suite: Sequence[FaultScenario], params: PlantParams,
     if any(sc.dt != dt or sc.duration != duration for sc in suite):
         raise ValueError("simulate_suite needs scenarios sharing dt and duration")
     n_steps = math.ceil(duration / dt - 1e-9)
-    n_rows = n_steps + 1
+    n_rows, n_scen = n_steps + 1, len(suite)
     u = (float(inputs[0]), float(inputs[1]))
     x0 = steady_state(u, params)
 
-    # Per-step R and C of every scenario, (8, T, S) in NOISY_PARAMS order.
-    nominal = np.array([getattr(params, name) for name in NOISY_PARAMS])
-    rc = np.empty((len(NOISY_PARAMS), n_rows, len(suite)))
-    rc[:] = nominal[:, None, None]
+    rc = np.empty((n_rows, len(NOISY_PARAMS), n_scen))
     for i, sc in enumerate(suite):
-        if sc.noise_std_R > 0 or sc.noise_std_C > 0:
-            sigma = np.array([sc.noise_std_R if name.startswith("R") else sc.noise_std_C
-                              for name in NOISY_PARAMS])
-            z = np.random.default_rng(sc.seed).standard_normal((n_rows, len(NOISY_PARAMS)))
-            rc[:, :, i] = np.maximum(nominal * (1.0 + sigma * z), 0.01 * nominal).T
+        rc[:, :, i] = noise_table(sc, params, n_rows)
+    de = np.empty((n_rows, 3, n_scen))
+    de[0] = np.array([x0.De1, x0.De2, x0.De3])[:, None]
 
-    de = np.empty((3, n_rows, len(suite)))
-    de[:, 0] = np.array([x0.De1, x0.De2, x0.De3])[:, None]
-    state = tuple(de[:, 0])
+    k1, k2, k3, k4, stage, q = (np.empty((3, n_scen)) for _ in range(6))
+    # terms = [Msf1, Df1, Msf2 - Df2, Df2, -, 0]: rows 0:3 are each tank's
+    # inflow term and rows 1, 3, 5 the flows it sheds, so each derivative
+    # row is ((inflow - De/R) - shed) / C as in _derivatives; the shed 0.0
+    # of tank 3 leaves its row's bits (and -0.0, NaN) unchanged.
+    terms = np.zeros((6, n_scen))
+    terms[0] = u[0]
+    inflow, shed = terms[0:3], terms[1::2]
+    flows, tank3_in, df2 = terms[1:4:2], terms[2], terms[3]
+
+    def derivatives(x, r_de, r_df, cap, out):
+        # ufuncs take ``out`` positionally: the keyword costs a third more per call
+        np.subtract(x[::2], x[1], flows)
+        np.divide(flows, r_df, flows)
+        np.subtract(u[1], df2, tank3_in)
+        np.divide(x, r_de, q)
+        np.subtract(inflow, q, out)
+        np.subtract(out, shed, out)
+        np.divide(out, cap, out)
+
+    half, sixth = 0.5 * dt, dt / 6.0
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(n_steps):
-            state = _rk4(state, u, SimpleNamespace(**dict(zip(NOISY_PARAMS, rc[:, k]))),
-                         dt, "linear")
-            for j in range(3):
-                de[j, k + 1] = state[j]
-        finite = np.isfinite(de[:, 1:])
+        for x, new, r_de, r_df, cap in zip(de[:-1], de[1:], rc[:, 0:3], rc[:, 3:5], rc[:, 5:8]):
+            derivatives(x, r_de, r_df, cap, k1)
+            np.add(x, np.multiply(k1, half, stage), stage)
+            derivatives(stage, r_de, r_df, cap, k2)
+            np.add(x, np.multiply(k2, half, stage), stage)
+            derivatives(stage, r_de, r_df, cap, k3)
+            np.add(x, np.multiply(k3, dt, stage), stage)
+            derivatives(stage, r_de, r_df, cap, k4)
+            # x + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4), left to right
+            np.add(k1, np.multiply(k2, 2, k2), k1)
+            np.add(k1, np.multiply(k3, 2, k3), k1)
+            np.add(k1, k4, k1)
+            np.add(x, np.multiply(k1, sixth, k1), new)
+        finite = np.isfinite(de[1:])
         if not finite.all():
-            bad = ~finite.all(axis=0)                       # (steps, S)
+            bad = ~finite.all(axis=1)                       # (steps, S)
             i = int(np.argmax(bad.any(axis=0)))
             k = int(np.argmax(bad[:, i]))
-            j = int(np.argmin(finite[:, k, i]))
+            j = int(np.argmin(finite[k, :, i]))
             raise SimulationDiverged(("De1", "De2", "De3")[j], k * dt + dt, scenario=i)
-        df1, df2 = coupling_flows(de[0], de[1], de[2],
-                                  SimpleNamespace(R12=rc[3], R23=rc[4]))
+        coupling = (de[:, ::2] - de[:, 1:2]) / rc[:, 3:5]  # (T, 2, S)
 
     times = np.arange(n_rows) * dt
-    signals = np.empty((len(suite), n_rows, 7))
+    signals = np.empty((n_scen, n_rows, 7))
     signals[:, :, 0], signals[:, :, 1] = u
-    for j, column in enumerate((de[0], de[1], de[2], df1, df2), start=2):
-        signals[:, :, j] = column.T
-    for i, sc in enumerate(suite):
-        for ev in sc.events:
-            offset = ev.magnitude if ev.profile == "step" else ev.magnitude * (times - ev.start)
-            signals[i, :, VARIABLE_INDEX[ev.target]] += np.where(times < ev.start, 0.0, offset)
+    signals[:, :, 2:5] = de.transpose(2, 0, 1)
+    signals[:, :, 5:7] = coupling.transpose(2, 0, 1)
+    for rows, sc in zip(signals, suite):
+        _add_faults(rows, times, sc.events)
     return times, signals
 
 

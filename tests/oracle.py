@@ -1,19 +1,24 @@
-"""Scalar reference form of the fuzzy detector, for tests to compare against.
+"""Scalar reference forms, for tests to compare the array code against.
 
-One residual value at a time, written from the paper's definitions: five
-trapezoid memberships per residual, MIN-MAX inference rule by rule, and
-defuzzification as the AL share of the clipped output areas. The
-vectorized ``tankfdi.fuzzy.DetectorKernel`` must agree with it bit for bit.
+The fuzzy detector one residual value at a time, written from the paper's
+definitions: five trapezoid memberships per residual, MIN-MAX inference
+rule by rule, and defuzzification as the AL share of the clipped output
+areas. The vectorized ``tankfdi.fuzzy.DetectorKernel`` must agree with it
+bit for bit. Likewise the plant one frame at a time: R/C noise drawn
+step by step and sensor frames with their fault offsets, which
+``tankfdi.plant.run`` must reproduce row for row.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from tankfdi.fuzzy import InputPartition, OutputPartition, RuleBase
-from tankfdi.plant import VARIABLES
+from tankfdi.plant import (NOISY_PARAMS, VARIABLE_INDEX, VARIABLES, FaultEvent,
+                           MeasurementFrame, PlantParams, PlantState, coupling_flows)
 
 
 class Memberships(NamedTuple):
@@ -133,3 +138,30 @@ def ideal_flag_set(support: Iterable[int], rulebase: RuleBase) -> frozenset[str]
     act = infer(table, rulebase)
     return frozenset(v for v in VARIABLES
                      if act[v]["AL"] >= 1.0 - 1e-12 and act[v]["OK"] <= 1e-12)
+
+
+def perturb_params(params: PlantParams, noise_std_R: float, noise_std_C: float,
+                   rng: np.random.Generator) -> PlantParams:
+    """Multiply each R and C by (1 + N(0, sigma)), floored at 1% of nominal."""
+    if noise_std_R < 0 or noise_std_C < 0:
+        raise ValueError("noise standard deviations must be non-negative")
+    updates = {}
+    for name in NOISY_PARAMS:
+        nominal = getattr(params, name)
+        sigma = noise_std_R if name.startswith("R") else noise_std_C
+        updates[name] = max(nominal * (1.0 + sigma * rng.standard_normal()),
+                            0.01 * nominal)
+    return replace(params, **updates)
+
+
+def measure(state: PlantState, inputs: tuple[float, float], params: PlantParams,
+            events: Sequence[FaultEvent] = (), t: float | None = None,
+            mode: str = "linear") -> MeasurementFrame:
+    """Sensor frame at time t: true signals plus any active additive offsets."""
+    if t is None:
+        t = state.t
+    df1, df2 = coupling_flows(state.De1, state.De2, state.De3, params, mode)
+    values = [inputs[0], inputs[1], state.De1, state.De2, state.De3, df1, df2]
+    for ev in events:
+        values[VARIABLE_INDEX[ev.target]] += ev.offset_at(t)
+    return MeasurementFrame(t, *values)

@@ -258,6 +258,27 @@ class TestCompare:
         assert "at least two configurations" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_duplicate_name_exits_2_naming_it(self, tmp_path, config_file,
+                                              suite_file, capsys):
+        # two rows labelled x, and the second config's DOTs in the first's dir
+        out = tmp_path / "cmp.csv"
+        code = main(["compare", "--config", f"x={config_file}",
+                     "--config", f"x={config_file}", "--suite", suite_file,
+                     "--out", str(out), "--render", str(tmp_path / "dots")])
+        assert code == 2
+        assert "'x' is given twice" in capsys.readouterr().err
+        assert not out.exists()
+        assert not (tmp_path / "dots").exists()
+
+    def test_empty_name_exits_2(self, tmp_path, config_file, suite_file, capsys):
+        out = tmp_path / "cmp.csv"
+        code = main(["compare", "--config", f"={config_file}",
+                     "--config", f"tuned={config_file}", "--suite", suite_file,
+                     "--out", str(out)])
+        assert code == 2
+        assert "NAME is empty" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_render_flag_writes_per_config_dirs(self, tmp_path, config_file,
                                                 suite_file):
         detuned = tmp_path / "detuned.json"

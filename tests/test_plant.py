@@ -8,11 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tankfdi import plant
+from tankfdi import harness, plant
 from tankfdi.plant import (FaultEvent, FaultScenario, PlantParams,
                            PlantState, SimulationDiverged)
 
 from conftest import OPERATING_INPUTS
+from oracle import measure, perturb_params
 
 
 class TestParams:
@@ -68,7 +69,7 @@ class TestStep:
 class TestMeasure:
     def test_no_events_passthrough(self, params):
         state = PlantState(1.0, 0.5, 0.8, 3.0)
-        frame = plant.measure(state, (1.0, 0.8), params)
+        frame = measure(state, (1.0, 0.8), params)
         assert frame.De1 == 1.0 and frame.De2 == 0.5 and frame.De3 == 0.8
         assert frame.Msf1 == 1.0 and frame.Msf2 == 0.8
         assert frame.Df1 == pytest.approx((1.0 - 0.5) / params.R12)
@@ -77,22 +78,22 @@ class TestMeasure:
     def test_step_event_boundary(self, params):
         state = PlantState(1.0, 0.5, 0.8, 0.0)
         ev = FaultEvent("De1", start=30.0, magnitude=0.5)
-        before = plant.measure(state, (1, 1), params, [ev], t=29.9)
-        at = plant.measure(state, (1, 1), params, [ev], t=30.0)
+        before = measure(state, (1, 1), params, [ev], t=29.9)
+        at = measure(state, (1, 1), params, [ev], t=30.0)
         assert before.De1 == 1.0
         assert at.De1 == 1.5
 
     def test_opposite_steps_cancel(self, params):
         state = PlantState(1.0, 0.5, 0.8, 0.0)
         events = [FaultEvent("De1", 0.0, 0.5), FaultEvent("De1", 0.0, -0.5)]
-        frame = plant.measure(state, (1, 1), params, events, t=5.0)
+        frame = measure(state, (1, 1), params, events, t=5.0)
         assert frame.De1 == 1.0
 
     def test_ramp_profile_grows_linearly(self, params):
         state = PlantState(0, 0, 0, 0)
         ev = FaultEvent("Msf2", start=2.0, magnitude=0.25, profile="ramp")
-        assert plant.measure(state, (0, 0), params, [ev], t=1.9).Msf2 == 0.0
-        assert plant.measure(state, (0, 0), params, [ev], t=6.0).Msf2 == pytest.approx(1.0)
+        assert measure(state, (0, 0), params, [ev], t=1.9).Msf2 == 0.0
+        assert measure(state, (0, 0), params, [ev], t=6.0).Msf2 == pytest.approx(1.0)
 
     def test_fault_touches_only_target_channel(self, params):
         # sensor/actuator reading faults never feed back into the state
@@ -114,11 +115,11 @@ class TestMeasure:
 
 class TestPerturbParams:
     def test_zero_noise_is_identity(self, params, rng):
-        assert plant.perturb_params(params, 0.0, 0.0, rng) == params
+        assert perturb_params(params, 0.0, 0.0, rng) == params
 
     def test_fixed_seed_regression(self, params):
         rng = np.random.default_rng(77)
-        got = plant.perturb_params(params, 0.05, 0.05, rng)
+        got = perturb_params(params, 0.05, 0.05, rng)
         # pinned from a recorded run; guards the draw order and formula
         expected = np.random.default_rng(77).standard_normal(8)
         assert got.R1 == pytest.approx(params.R1 * (1 + 0.05 * expected[0]))
@@ -127,16 +128,31 @@ class TestPerturbParams:
 
     def test_sample_mean_near_nominal(self, params):
         rng = np.random.default_rng(5)
-        draws = [plant.perturb_params(params, 0.05, 0.0, rng).R1
+        draws = [perturb_params(params, 0.05, 0.0, rng).R1
                  for _ in range(10_000)]
         assert np.mean(draws) == pytest.approx(params.R1, rel=0.005)
 
     def test_floor_keeps_values_positive(self, params):
         rng = np.random.default_rng(0)
         for _ in range(200):
-            p = plant.perturb_params(params, 5.0, 5.0, rng)
+            p = perturb_params(params, 5.0, 5.0, rng)
             assert p.R1 >= 0.01 * params.R1
             assert p.C1 >= 0.01 * params.C1
+
+    @pytest.mark.parametrize("noise", [(0.05, 0.05), (0.05, 0.0), (0.0, 0.05),
+                                       (0.0, 0.0), (5.0, 5.0)])
+    def test_noise_table_rows_equal_per_step_draws(self, noise):
+        params = PlantParams(R1=3.0, R23=0.5, C2=2.0)
+        sc = FaultScenario(seed=31, duration=3.0, dt=0.1,
+                           noise_std_R=noise[0], noise_std_C=noise[1])
+        table = plant.noise_table(sc, params, 31)
+        assert table.shape == (31, len(plant.NOISY_PARAMS))
+        rng = np.random.default_rng(sc.seed)
+        for row in table:
+            step = (perturb_params(params, *noise, rng)
+                    if noise != (0.0, 0.0) else params)
+            expected = [getattr(step, name) for name in plant.NOISY_PARAMS]
+            assert row.tobytes() == np.array(expected).tobytes()
 
 
 class TestRun:
@@ -183,6 +199,29 @@ class TestRun:
         assert not np.array_equal(lin.signals, nonlin.signals)
         assert np.isfinite(nonlin.signals).all()
 
+    @pytest.mark.parametrize("mode", ["linear", "nonlinear"])
+    def test_equals_per_frame_loop(self, mode):
+        # the loop run replaces: per-step perturbed params, a measured frame
+        # with the active offsets, then one RK4 step from that frame's time
+        params = PlantParams(R2=3.0, C3=0.7)
+        sc = FaultScenario(seed=12, duration=4.0, dt=0.1,
+                           noise_std_R=0.03, noise_std_C=0.04,
+                           events=(FaultEvent("De2", 1.0, 0.5),
+                                   FaultEvent("Df1", 2.0, -0.3, "ramp"),
+                                   FaultEvent("De2", 3.0, -0.5)))
+        x0 = PlantState(0.2, -0.0, 1.1, 0.0)
+        trace = plant.run(sc, params, OPERATING_INPUTS, x0=x0, mode=mode)
+        rng = np.random.default_rng(sc.seed)
+        state = x0
+        for k in range(len(trace)):
+            t = k * sc.dt
+            p = perturb_params(params, sc.noise_std_R, sc.noise_std_C, rng)
+            frame = measure(state, OPERATING_INPUTS, p, sc.events, t, mode)
+            assert trace.times[k] == t
+            assert trace.signals[k].tobytes() == frame.as_vector().tobytes()
+            state = plant.step(PlantState(state.De1, state.De2, state.De3, t),
+                               OPERATING_INPUTS, p, sc.dt, mode)
+
     def test_scenario_validation(self):
         with pytest.raises(ValueError):
             FaultScenario(duration=1.0, dt=0.0)
@@ -206,6 +245,18 @@ class TestSimulateSuite:
             trace = plant.run(sc, params, OPERATING_INPUTS)
             assert times.tobytes() == trace.times.tobytes()
             assert rows.tobytes() == trace.signals.tobytes()
+        # a generated suite mixes steps, ramps, compensation pairs and R/C
+        # noise on every scenario; one call stacks all 60 along the last axis
+        suite = harness.generate_suite(60, 7)
+        profiles = {ev.profile for sc in suite for ev in sc.events}
+        assert profiles == {"step", "ramp"}
+        assert all(sc.noise_std_R > 0 and sc.noise_std_C > 0 for sc in suite)
+        times, signals = plant.simulate_suite(suite, params, OPERATING_INPUTS)
+        assert signals.shape == (60, len(times), 7)
+        for sc, rows in zip(suite, signals):
+            trace = plant.run(sc, params, OPERATING_INPUTS)
+            assert times.tobytes() == trace.times.tobytes()
+            assert rows.tobytes() == trace.signals.tobytes()
 
     def test_rejects_mixed_steps(self, params):
         suite = [FaultScenario(duration=2.0, dt=0.1), FaultScenario(duration=2.0, dt=0.2)]
@@ -222,6 +273,26 @@ class TestSimulateSuite:
         assert batch.value.scenario == 0
         assert (batch.value.variable, batch.value.t) == (scalar.value.variable,
                                                          scalar.value.t)
+
+    def test_divergence_of_a_later_scenario_on_another_variable(self, params):
+        # R/C noise alone makes these diverge: floored capacities are stiff at
+        # dt = 0.5. Scenario 1 diverges on De2 at t = 46; scenario 2 earlier,
+        # on De3 at t = 34.5. A scenario-by-scenario loop raises scenario 1's.
+        base = dict(duration=50.0, dt=0.5)
+        suite = [FaultScenario(seed=0, **base),
+                 FaultScenario(seed=13, noise_std_C=2.0, **base),
+                 FaultScenario(seed=0, noise_std_C=5.0, **base)]
+        plant.run(suite[0], params, OPERATING_INPUTS)
+        with pytest.raises(SimulationDiverged) as scalar:
+            plant.run(suite[1], params, OPERATING_INPUTS)
+        assert (scalar.value.variable, scalar.value.t) == ("De2", 46.0)
+        with pytest.raises(SimulationDiverged) as later:
+            plant.run(suite[2], params, OPERATING_INPUTS)
+        assert (later.value.variable, later.value.t) == ("De3", 34.5)
+        with pytest.raises(SimulationDiverged) as batch:
+            plant.simulate_suite(suite, params, OPERATING_INPUTS)
+        assert ((batch.value.scenario, batch.value.variable, batch.value.t)
+                == (1, scalar.value.variable, scalar.value.t))
 
     def test_divergence_survives_pickling(self):
         exc = pickle.loads(pickle.dumps(SimulationDiverged("De2", 1.5, scenario=4)))
