@@ -155,6 +155,11 @@ class RuleProgram(NamedTuple):
     ``ufunc(row[a], row[b], out=row[dst])``. ``ones`` lists the output rows
     that are 1.0 everywhere: a rule with no premise reads fires at 1.0, and
     the max of any firing with 1.0 is 1.0.
+
+    Rules absorbed by a concluding rule with a subset of their premise
+    reads are left out (see ``compile_rules``). AL/OK are therefore those
+    of the full rule base bit for bit only on a table that holds no NaN
+    and no -0.0; ``DetectorKernel`` writes neither.
     """
 
     rows: int
@@ -271,23 +276,32 @@ def compile_rules(rules: tuple[Rule, ...]) -> RuleProgram:
 
     Rule firing is the min over the rule's premise reads and each
     variable's AL/OK the max over the firings of the rules concluding it.
-    Pairs shared between rules' read lists, and then between variables'
-    rule lists, are computed once. Cached per rule structure, since
-    configs loaded from JSON each build their own ``RuleBase``.
+    By absorption, a concluding rule whose read set contains another
+    concluding rule's read set fires no higher than that rule, so each
+    output keeps only the rules with minimal read sets (one per set), and
+    only the firings some output keeps are computed. Pairs shared between
+    rules' read lists, and then between outputs' rule lists, are computed
+    once. Both steps are exact because min and max return one of their
+    operands, provided the table holds no NaN and no -0.0 (max(-0.0, 0.0)
+    may return either). Cached per rule structure, since configs loaded
+    from JSON each build their own ``RuleBase``.
     """
-    ones_node = -1
     reads = [frozenset(5 * _COLUMN[c] + i for i, c in enumerate(rule.premise) if c != "any")
              for rule in rules]
+    concluded = []
+    for side in ("al", "ok"):
+        for v in VARIABLES:
+            sets = {reads[k] for k, rule in enumerate(rules) if v in getattr(rule, side)}
+            concluded.append({s for s in sets if not any(t < s for t in sets)})
+    # a rule with no premise reads fires at 1.0 and absorbs every other
+    ones = tuple(row for row, s in enumerate(concluded) if frozenset() in s)
+    rest = [row for row, s in enumerate(concluded) if frozenset() not in s]
     ops: list = []
-    distinct = sorted({r for r in reads if r}, key=sorted)
+    distinct = sorted(set().union(*(concluded[row] for row in rest)), key=sorted)
     fired, next_node = _share_pairs(distinct, np.minimum, ops, 10)
     node_of = dict(zip(distinct, fired))
-    firing = [node_of[r] if r else ones_node for r in reads]
-    concluded = [{firing[k] for k, rule in enumerate(rules) if v in getattr(rule, side)}
-                 for side in ("al", "ok") for v in VARIABLES]
-    ones = tuple(row for row, s in enumerate(concluded) if ones_node in s)
-    rest = [row for row, s in enumerate(concluded) if ones_node not in s]
-    results, _ = _share_pairs([concluded[row] for row in rest], np.maximum, ops, next_node)
+    results, _ = _share_pairs([{node_of[s] for s in concluded[row]} for row in rest],
+                              np.maximum, ops, next_node)
     rows, program = _allocate(ops, dict(zip(rest, results)))
     return RuleProgram(rows, tuple(program), ones)
 
@@ -494,6 +508,14 @@ def load_config(path: str) -> DetectorConfig:
 # ---------------------------------------------------------------------------
 # Vectorized detection kernel and streaming detector
 
+#: Extra entries in ``_hold``'s gap-sized temporaries. NumPy keeps freed
+#: buffers under 1 KiB for reuse, a few per byte size; gap counts vary from
+#: call to call, and temporaries of every small size left that way scattered
+#: over the heap push the kernel's large buffers onto fresh pages (minor
+#: faults over repeated objective calls). Padded, none is under 1 KiB.
+_GAP_PAD = 1024
+
+
 def _hold(values: np.ndarray, defined: np.ndarray, held0: np.ndarray | None = None,
           starts: np.ndarray | None = None) -> np.ndarray:
     """Forward-fill ``values`` (V, T) in place over its undefined samples.
@@ -510,16 +532,20 @@ def _hold(values: np.ndarray, defined: np.ndarray, held0: np.ndarray | None = No
     if held0 is not None:
         np.copyto(values[:, 0], held0, where=~defined[:, 0])
     defined[:, 0] = True
-    rows = (~defined.all(axis=1)).nonzero()[0]
-    if not rows.size:
+    if defined.all():
         return values
-    t_len = values.shape[1]
-    dtype = np.int32 if values.size < 2**31 else np.intp
-    # last defined column of every sample, then its index in the flat array
-    idx = np.where(defined[rows], np.arange(t_len, dtype=dtype), dtype(0))
-    np.maximum.accumulate(idx, axis=1, out=idx)
-    idx += (rows * t_len).astype(dtype)[:, None]
-    values[rows] = values.take(idx)
+    # flat (C order) indices of the gaps, then _GAP_PAD indices past the
+    # end. With column 0 defined, the last defined sample before a gap lies
+    # in the gap's row; before a pad index it is the last defined sample.
+    size = defined.size
+    undefined = np.ones(size + _GAP_PAD, dtype=bool)
+    np.logical_not(defined, out=undefined[:size].reshape(defined.shape))
+    gaps = np.flatnonzero(undefined)
+    n = gaps.size - _GAP_PAD
+    sources = np.flatnonzero(defined)
+    held = values.take(sources[sources.searchsorted(gaps) - 1])
+    # take and put index a non-contiguous array in C order too, in place
+    values.put(gaps[:n], held[:n])
     return values
 
 
@@ -594,12 +620,12 @@ class DetectorKernel:
         # the clipped areas, evaluated in place:
         # al_mass = span * (al - al*al/2), ok_mass = ok*support - ok*ok*span/2
         sq = al * al
-        sq /= 2.0
+        sq *= 0.5
         al_mass = np.subtract(al, sq, out=al)
         al_mass *= self._span
         np.multiply(ok, ok, out=sq)
         sq *= self._span
-        sq /= 2.0
+        sq *= 0.5
         ok_mass = np.multiply(ok, self.support[:, None], out=ok)
         ok_mass -= sq
         total = np.add(al_mass, ok_mass, out=sq)

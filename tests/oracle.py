@@ -4,9 +4,11 @@ The fuzzy detector one residual value at a time, written from the paper's
 definitions: five trapezoid memberships per residual, MIN-MAX inference
 rule by rule, and defuzzification as the AL share of the clipped output
 areas. The vectorized ``tankfdi.fuzzy.DetectorKernel`` must agree with it
-bit for bit. Likewise the plant one frame at a time: R/C noise drawn
-step by step and sensor frames with their fault offsets, which
-``tankfdi.plant.run`` must reproduce row for row.
+bit for bit; its hold, which fills each gap from its source sample, must
+equal ``hold`` here, a running maximum over whole rows. Likewise the plant
+one frame at a time: R/C noise drawn step by step and sensor frames with
+their fault offsets, which ``tankfdi.plant.run`` must reproduce row for
+row.
 """
 
 from __future__ import annotations
@@ -138,6 +140,31 @@ def ideal_flag_set(support: Iterable[int], rulebase: RuleBase) -> frozenset[str]
     act = infer(table, rulebase)
     return frozenset(v for v in VARIABLES
                      if act[v]["AL"] >= 1.0 - 1e-12 and act[v]["OK"] <= 1e-12)
+
+
+def hold(values: np.ndarray, defined: np.ndarray, held0: np.ndarray | None = None,
+         starts: np.ndarray | None = None) -> np.ndarray:
+    """Forward-fill ``values`` (V, T) in place over its undefined samples,
+    with the contract of ``tankfdi.fuzzy._hold``: a running maximum of the
+    last defined column over every row that has a gap."""
+    if starts is not None:
+        defined[:, starts] = True
+    if defined.all():
+        return values
+    if held0 is not None:
+        np.copyto(values[:, 0], held0, where=~defined[:, 0])
+    defined[:, 0] = True
+    rows = (~defined.all(axis=1)).nonzero()[0]
+    if not rows.size:
+        return values
+    t_len = values.shape[1]
+    dtype = np.int32 if values.size < 2**31 else np.intp
+    # last defined column of every sample, then its index in the flat array
+    idx = np.where(defined[rows], np.arange(t_len, dtype=dtype), dtype(0))
+    np.maximum.accumulate(idx, axis=1, out=idx)
+    idx += (rows * t_len).astype(dtype)[:, None]
+    values[rows] = values.take(idx)
+    return values
 
 
 def perturb_params(params: PlantParams, noise_std_R: float, noise_std_C: float,

@@ -3,6 +3,7 @@
 import json
 import os
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -339,7 +340,7 @@ class TestDeterminism:
             sub.mkdir()
             argv, files = argv_builder(sub)
             assert main(argv) == 0
-            outputs.append([open(f, "rb").read() for f in files])
+            outputs.append([Path(f).read_bytes() for f in files])
         return outputs
 
     def test_simulate_byte_identical(self, tmp_path, scenario_file):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from tankfdi import fuzzy, residuals
 from tankfdi.fuzzy import (DetectorConfig, Detector, DetectorKernel,
@@ -11,6 +12,7 @@ from tankfdi.fuzzy import (DetectorConfig, Detector, DetectorKernel,
                            build_rulebase, config_to_params, params_to_config)
 from tankfdi.plant import VARIABLES
 
+import oracle
 from oracle import Memberships, defuzzify, fuzzify, infer
 
 
@@ -71,15 +73,22 @@ HAND_BUILT_RULEBASE = fuzzy.RuleBase((
 ), max_fault_order=1)
 
 
+every_rulebase = pytest.mark.parametrize(
+    "rb", [build_rulebase(max_fault_order=k) for k in (1, 2, 3, 7)] + [HAND_BUILT_RULEBASE],
+    ids=["order1", "generated", "order3", "order7", "hand_built"])
+
+
 @st.composite
-def input_partitions(draw):
-    """Valid partitions, including a2 == a3 and beta == a4."""
-    gap = st.floats(0.01, 2.0)
+def input_partitions(draw, scale=st.just(1.0)):
+    """Valid partitions, including a2 == a3 and beta == a4, with every
+    boundary gap scaled by a draw of ``scale``."""
+    s = draw(scale)
+    gap = st.floats(0.01, 2.0).map(lambda g: g * s)
     a1 = draw(gap)
     a2 = a1 + draw(gap)
     a3 = a2 + draw(st.one_of(st.just(0.0), gap))
     a4 = a3 + draw(gap)
-    beta = a4 + draw(st.one_of(st.just(0.0), st.floats(0.01, 20.0)))
+    beta = a4 + draw(st.one_of(st.just(0.0), st.floats(0.01, 20.0).map(lambda g: g * s)))
     return InputPartition(a1, a2, a3, a4, beta)
 
 
@@ -94,11 +103,11 @@ def output_partitions(draw):
 
 def residual_rows(parts):
     """Rows (T, 5) mixing random values, every partition boundary of its
-    residual (+-a1..a4, +-beta), values beyond beta, infinities and NaN."""
+    residual (+-a1..a4, +-beta), values beyond beta, infinities, +-0 and NaN."""
     def column(p):
         edges = [p.a1, p.a2, p.a3, p.a4, p.beta, 2 * p.beta + 1, np.inf]
         special = st.sampled_from([s * e for e in edges for s in (1, -1)]
-                                  + [0.0, np.nan])
+                                  + [0.0, -0.0, np.nan])
         return st.one_of(special, st.floats(-1.5 * p.beta, 1.5 * p.beta))
     row = st.tuples(*(column(p) for p in parts))
     return st.lists(row, min_size=1, max_size=12).map(
@@ -250,9 +259,7 @@ class TestInfer:
             assert got[v]["AL"] == pytest.approx(expected[v]["AL"])
             assert got[v]["OK"] == pytest.approx(expected[v]["OK"])
 
-    @pytest.mark.parametrize("rb", [build_rulebase(max_fault_order=k) for k in (1, 2, 3, 7)]
-                             + [HAND_BUILT_RULEBASE],
-                             ids=["order1", "generated", "order3", "order7", "hand_built"])
+    @every_rulebase
     @given(data=st.data())
     @settings(max_examples=60, deadline=None)
     def test_kernel_matches_brute_force(self, rb, data):
@@ -274,13 +281,47 @@ class TestInfer:
                     for v, p, h in zip(VARIABLES, outputs, held)]
             assert degrees[t].tolist() == held
 
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_memberships_hold_no_nan_and_no_negative_zero(self, data):
+        # the precondition under which the compiled program, with its
+        # absorbed rules left out, equals the full rule base bit for bit
+        scale = st.one_of(st.sampled_from([1.0, 1e-150, 1e-300]), st.floats(1e-300, 1.0))
+        parts = tuple(data.draw(input_partitions(scale)) for _ in range(5))
+        rows = data.draw(residual_rows(parts))
+        outputs = (OutputPartition(-1, -0.3, 0.3, 1),) * 7
+        kernel = DetectorKernel(DetectorConfig(parts, outputs, build_rulebase()))
+        table = np.empty((10, len(rows)))
+        kernel._memberships(rows, table)
+        assert not np.isnan(table).any()
+        assert not np.signbit(table).any()
+
+    @every_rulebase
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_program_matches_brute_force_bytes(self, rb, data):
+        # ties and zeros decide which operand min/max return, so draw many
+        rows = data.draw(st.integers(1, 12))
+        degree = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0))
+        table = data.draw(hnp.arrays(np.float64, (10, rows), elements=degree))
+        work = rb.program.work(rows)
+        work[:10] = table
+        al, ok = rb.program.run(work)
+        for t in range(rows):
+            memberships = [Memberships(0.0, 0.0, table[i, t], table[5 + i, t], 0.0)
+                           for i in range(5)]
+            expected = brute_force_activations(memberships, rb)
+            assert al[:, t].tobytes() == np.array([expected[v]["AL"] for v in VARIABLES]).tobytes()
+            assert ok[:, t].tobytes() == np.array([expected[v]["OK"] for v in VARIABLES]).tobytes()
+
     def test_compiled_program_shares_pairs(self):
         # the order-2 rule base as a plain loop is 130 min and 197 max
-        # calls over 53 rows (table, rule firings, AL/OK)
-        program = build_rulebase(max_fault_order=2).program
-        assert len(program.ops) == 127
-        assert program.rows == 44
-        assert program.ones == ()
+        # calls over 53 rows (table, rule firings, AL/OK); absorption
+        # leaves 126 of the 197 (output, rule) terms
+        sizes = {k: (len(p.ops), p.rows) for k in (1, 2, 3, 7)
+                 for p in [build_rulebase(max_fault_order=k).program]}
+        assert sizes == {1: (35, 25), 2: (101, 40), 3: (128, 48), 7: (53, 31)}
+        assert build_rulebase(max_fault_order=2).program.ones == ()
         # the [order7] and [hand_built] kernel cases reach the constant rows
         assert build_rulebase(max_fault_order=7).program.ones == tuple(range(7, 14))
 
@@ -497,6 +538,26 @@ class TestDetector:
         kernel = DetectorKernel(cfg)
         np.testing.assert_allclose(kernel.degrees(rows),
                                    kernel.degrees(-rows), atol=1e-12)
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_hold_matches_oracle(self, data):
+        v_len, t_len = data.draw(st.integers(1, 7)), data.draw(st.integers(1, 30))
+        dtype = data.draw(st.sampled_from([np.float64, np.bool_]))
+        values = data.draw(hnp.arrays(dtype, (v_len, t_len)))
+        defined = data.draw(hnp.arrays(np.bool_, (v_len, t_len)))
+        defined[data.draw(st.lists(st.integers(0, v_len - 1), max_size=v_len))] = False
+        if data.draw(st.booleans()):
+            defined[:, 0] = False
+        values[~defined] = 0
+        held0 = data.draw(st.none() | hnp.arrays(dtype, v_len))
+        starts = data.draw(st.none() | st.lists(st.integers(0, t_len - 1), unique=True)
+                           .map(lambda s: np.array(sorted(s), dtype=int)))
+        if data.draw(st.booleans()):
+            values = np.asfortranarray(values)
+        expected = oracle.hold(values.copy(), defined.copy(), held0, starts)
+        assert fuzzy._hold(values, defined, held0, starts) is values
+        assert values.tobytes() == expected.tobytes()
 
     def test_hold_keeps_previous_degree_between_rule_supports(self, tuned_cfg):
         # drive Msf1's degree up, then move to a pattern no rule covers
