@@ -10,7 +10,6 @@ divergence.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -25,29 +24,21 @@ EXIT_DIVERGED = 3
 def _load_plant(path: str | None) -> plant.PlantParams:
     if path is None:
         return plant.PlantParams()
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise plant.SchemaError(f"plant config is not valid JSON: {exc}") from exc
-    return plant.PlantParams.from_dict(obj)
+    return plant.PlantParams.from_dict(plant.read_json(path, "plant config"))
 
 
 def _write_run_config(path: str, command: str, options: dict) -> None:
-    payload = {"schema": 1, "command": command, "options": options}
-    with open(path + ".run.json", "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    plant.write_json({"schema": 1, "command": command, "options": options},
+                     path + ".run.json")
 
 
-def _resolve_suite(args) -> tuple[list[plant.FaultScenario], tuple[float, float]]:
-    if getattr(args, "suite", None):
+def _resolve_suite(args, params: plant.PlantParams,
+                   ) -> tuple[list[plant.FaultScenario], tuple[float, float]]:
+    if args.suite:
         return harness.load_suite(args.suite)
-    n = getattr(args, "generate", None)
-    if not n:
+    if args.generate is None:
         raise plant.SchemaError("either --suite FILE or --generate N is required")
-    suite = harness.generate_suite(n, args.suite_seed)
-    return suite, (1.0, 0.8)
+    return harness.generate_suite(args.generate, args.suite_seed, params=params), (1.0, 0.8)
 
 
 # ---------------------------------------------------------------------------
@@ -74,7 +65,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_tune(args) -> int:
     params = _load_plant(args.plant)
-    suite, inputs = _resolve_suite(args)
+    suite, inputs = _resolve_suite(args, params)
     objective = tuner.make_fitness(suite, params, inputs,
                                    max_fault_order=args.max_fault_order)
     if args.method == "pso":
@@ -101,10 +92,8 @@ def cmd_tune(args) -> int:
 
     cfg, _ = fuzzy.params_to_config(best, max_fault_order=args.max_fault_order)
     fuzzy.save_config(cfg, args.out_config)
-    with open(args.out_history, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("iteration,best_fitness,mean_fitness\n")
-        for i, (b, m) in enumerate(zip(history, mean_history)):
-            fh.write(f"{i},{b!r},{m!r}\n")
+    plant.write_csv(("iteration", "best_fitness", "mean_fitness"),
+                    zip(range(len(history)), history, mean_history), args.out_history)
     _write_run_config(args.out_config, "tune", {
         **hyper, "seed": args.seed, "suite": args.suite,
         "generate": args.generate, "suite_seed": args.suite_seed,
@@ -122,15 +111,10 @@ def cmd_detect(args) -> int:
     scenario, inputs = plant.load_scenario(args.scenario)
     times, resid = harness._simulate_residuals(scenario, params, inputs)
     degrees, flags = fuzzy.DetectorKernel(cfg).run(resid)
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        header = (["t"] + [f"deg_{v}" for v in plant.VARIABLES]
-                  + [f"flag_{v}" for v in plant.VARIABLES])
-        fh.write(",".join(header) + "\n")
-        for i, t in enumerate(times):
-            cells = [repr(float(t))]
-            cells += [repr(float(x)) for x in degrees[i]]
-            cells += [str(int(x)) for x in flags[i]]
-            fh.write(",".join(cells) + "\n")
+    header = (["t"] + [f"deg_{v}" for v in plant.VARIABLES]
+              + [f"flag_{v}" for v in plant.VARIABLES])
+    plant.write_csv(header, ([t, *d, *f] for t, d, f in zip(
+        times.tolist(), degrees.tolist(), flags.tolist())), args.out)
     if args.dot:
         graph = render.CausalGraph()
         with open(args.dot, "w", encoding="utf-8", newline="\n") as fh:
@@ -155,7 +139,7 @@ def _render_reports(out_dir: str, reports: list[harness.DetectionReport]) -> Non
 def cmd_evaluate(args) -> int:
     params = _load_plant(args.plant)
     cfg = fuzzy.load_config(args.config)
-    suite, inputs = _resolve_suite(args)
+    suite, inputs = _resolve_suite(args, params)
     bank = harness.ResidualBank.from_suite(suite, params, inputs, jobs=args.jobs)
     reports, metrics = harness.evaluate_bank(cfg, bank)
     name = args.name or os.path.splitext(os.path.basename(args.config))[0]
@@ -187,7 +171,7 @@ def cmd_compare(args) -> int:
         if any(name == seen for seen, _ in configs):
             raise plant.SchemaError(f"--config NAME {name!r} is given twice")
         configs.append((name, fuzzy.load_config(path)))
-    suite, inputs = _resolve_suite(args)
+    suite, inputs = _resolve_suite(args, params)
     rows, reports = harness.compare(configs, suite, params, inputs, jobs=args.jobs)
     if args.render:
         for (name, _), config_reports in zip(configs, reports):
@@ -325,7 +309,7 @@ def main(argv=None) -> int:
     except plant.SimulationDiverged as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -29,7 +29,6 @@ implicate.
 from __future__ import annotations
 
 import itertools
-import json
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -37,7 +36,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .plant import VARIABLES, SchemaError
+from .plant import VARIABLES, SchemaError, check_fields, read_json, write_json
 from .residuals import SignatureMatrix, signature_matrix
 
 #: Premise constraints a rule may place on one residual.
@@ -465,11 +464,21 @@ def config_to_dict(cfg: DetectorConfig) -> dict:
     }
 
 
+_CONFIG_FIELDS = ("input_partitions", "output_partitions", "max_fault_order",
+                  "alarm_threshold", "debounce")
+_INPUT_FIELDS = ("a1", "a2", "a3", "a4", "beta")
+_OUTPUT_FIELDS = ("a", "b", "c", "d")
+
+
 def config_from_dict(obj: dict) -> DetectorConfig:
-    if not isinstance(obj, dict):
-        raise SchemaError("detector config must be a JSON object")
-    if obj.get("schema", 1) != 1:
-        raise SchemaError(f"unsupported detector config schema {obj.get('schema')!r}")
+    check_fields(obj, "detector config", _CONFIG_FIELDS, required=_CONFIG_FIELDS[:2],
+                 lists=_CONFIG_FIELDS[:2])
+    for i, p in enumerate(obj["input_partitions"]):
+        check_fields(p, f"detector config input_partitions[{i}]", _INPUT_FIELDS,
+                     required=_INPUT_FIELDS[:4])
+    for i, p in enumerate(obj["output_partitions"]):
+        check_fields(p, f"detector config output_partitions[{i}]", _OUTPUT_FIELDS,
+                     required=_OUTPUT_FIELDS)
     try:
         inputs = tuple(
             InputPartition(p["a1"], p["a2"], p["a3"], p["a4"], p.get("beta", DEFAULT_BETA))
@@ -484,25 +493,16 @@ def config_from_dict(obj: dict) -> DetectorConfig:
         return DetectorConfig(inputs, outputs, rb,
                               float(obj.get("alarm_threshold", DEFAULT_ALARM_THRESHOLD)),
                               int(obj.get("debounce", DEFAULT_DEBOUNCE)))
-    except KeyError as exc:
-        raise SchemaError(f"detector config is missing field {exc.args[0]!r}") from exc
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"invalid detector config: {exc}") from exc
 
 
 def save_config(cfg: DetectorConfig, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(config_to_dict(cfg), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(config_to_dict(cfg), path)
 
 
 def load_config(path: str) -> DetectorConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"detector config is not valid JSON: {exc}") from exc
-    return config_from_dict(obj)
+    return config_from_dict(read_json(path, "detector config"))
 
 
 # ---------------------------------------------------------------------------
@@ -775,13 +775,6 @@ def example_tuned_config(kind: str = "swarm") -> DetectorConfig:
     vec = {"swarm": EXAMPLE_SWARM_TUNED, "genetic": EXAMPLE_GENETIC_TUNED}[kind]
     cfg, repaired = params_to_config(vec)
     assert not repaired
-    return cfg
-
-
-def default_config() -> DetectorConfig:
-    """Neutral hand-set partitions; a reasonable starting detector."""
-    cfg, _ = params_to_config(_flatten([(0.2, 0.6, 2.0, 3.0)] * 5,
-                                       [(-1.0, -0.3, 0.3, 1.0)] * 7))
     return cfg
 
 

@@ -308,6 +308,8 @@ class ResidualBank:
     def from_suite(cls, suite: Sequence[FaultScenario], params: PlantParams,
                    inputs: tuple[float, float] = (1.0, 0.8),
                    jobs: int = 1) -> "ResidualBank":
+        if jobs < 1:
+            raise ValueError(f"jobs must be at least 1, got {jobs}")
         if jobs > 1 and len(suite) > 1:
             size = -(-len(suite) // jobs)
             starts = range(0, len(suite), size)
@@ -489,14 +491,7 @@ METRICS_COLUMNS = ("config", "scenarios", "proper", "missed", "bad",
 
 
 def write_metrics_csv(rows: Sequence[dict], path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(METRICS_COLUMNS) + "\n")
-        for row in rows:
-            cells = []
-            for col in METRICS_COLUMNS:
-                value = row[col]
-                cells.append(repr(float(value)) if isinstance(value, float) else str(value))
-            fh.write(",".join(cells) + "\n")
+    plant.write_csv(METRICS_COLUMNS, ([row[c] for c in METRICS_COLUMNS] for row in rows), path)
 
 
 def format_table(rows: Sequence[dict]) -> str:
@@ -544,27 +539,19 @@ def suite_to_dict(suite: Sequence[FaultScenario],
 
 
 def suite_from_dict(obj: dict) -> tuple[list[FaultScenario], tuple[float, float]]:
-    if not isinstance(obj, dict):
-        raise SchemaError("suite must be a JSON object")
-    if obj.get("schema", 1) != 1:
-        raise SchemaError(f"unsupported suite schema {obj.get('schema')!r}")
-    if "scenarios" not in obj or not isinstance(obj["scenarios"], list):
-        raise SchemaError("suite is missing its 'scenarios' list")
-    scenarios = [plant.scenario_from_dict(sc) for sc in obj["scenarios"]]
+    plant.check_fields(obj, "suite", ("inputs", "scenarios"), required=("scenarios",),
+                       lists=("scenarios",))
+    if not obj["scenarios"]:
+        raise SchemaError("suite has no scenarios")
+    scenarios = [plant.scenario_from_dict(sc, f"suite scenarios[{i}]")
+                 for i, sc in enumerate(obj["scenarios"])]
     return scenarios, plant.parse_inputs(obj, "suite")
 
 
 def save_suite(suite: Sequence[FaultScenario], path: str,
                inputs: tuple[float, float] = (1.0, 0.8)) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(suite_to_dict(suite, inputs), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    plant.write_json(suite_to_dict(suite, inputs), path)
 
 
 def load_suite(path: str) -> tuple[list[FaultScenario], tuple[float, float]]:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"suite file is not valid JSON: {exc}") from exc
-    return suite_from_dict(obj)
+    return suite_from_dict(plant.read_json(path, "suite"))

@@ -5,6 +5,9 @@ exposes seven supervised signals per timestep: the two source flows, the
 three pressures, and the two coupling flows. Faults are additive offsets on
 the *measured* channels (sensor/actuator reading faults); parameter noise
 perturbs the physical R and C values each step.
+
+Every module's file handling is also here: ``check_fields`` (the rule of
+every JSON input object), ``read_json``, ``write_json`` and ``write_csv``.
 """
 
 from __future__ import annotations
@@ -46,6 +49,56 @@ class SchemaError(ValueError):
     """Raised when a JSON artifact does not match its documented schema."""
 
 
+def check_fields(obj, owner: str, fields, required=(), lists=()) -> None:
+    """The rule of every JSON input object: a dict whose ``schema`` (if any)
+    is 1, with every ``required`` field, no field outside ``fields`` and
+    ``schema``, and a list in each ``lists`` field present. Errors name
+    ``owner`` and the field."""
+    if not isinstance(obj, dict):
+        raise SchemaError(f"{owner} must be a JSON object")
+    if obj.get("schema", 1) != 1:
+        raise SchemaError(f"unsupported {owner} schema {obj['schema']!r}")
+    unknown = [key for key in obj if key not in fields and key != "schema"]
+    if unknown:
+        raise SchemaError(f"unknown field(s) in {owner}: {sorted(unknown)}")
+    for key in required:
+        if key not in obj:
+            raise SchemaError(f"{owner} is missing required field {key!r}")
+    for key in lists:
+        if not isinstance(obj.get(key, []), list):
+            raise SchemaError(f"{owner} field {key!r} must be a list")
+
+
+def read_json(path: str, owner: str):
+    """The parsed content of a JSON file; invalid JSON is a SchemaError."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise SchemaError(f"{owner} file is not valid JSON: {exc}") from exc
+
+
+def write_json(obj, path: str) -> None:
+    """Write ``obj`` as JSON: indent 2, sorted keys, trailing newline."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+
+
+def _cell(x) -> str:
+    if isinstance(x, (bool, np.bool_)):
+        return "1" if x else "0"
+    return repr(float(x)) if isinstance(x, float) else str(x)
+
+
+def write_csv(header: Sequence[str], rows: Iterable[Sequence], path: str) -> None:
+    """Write ``header`` and ``rows`` as CSV: floats at full precision
+    (``repr``), booleans as 0/1 and anything else as ``str``."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(map(_cell, row)) + "\n")
+
+
 @dataclass(frozen=True)
 class PlantParams:
     """Physical constants of the process.
@@ -85,15 +138,11 @@ class PlantParams:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "PlantParams":
-        fields = dict(obj)
-        fields.pop("schema", None)
-        unknown = set(fields) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise SchemaError(f"unknown plant parameter field(s): {sorted(unknown)}")
+        check_fields(obj, "plant config", cls.__dataclass_fields__)
         try:
-            return cls(**fields)
+            return cls(**{k: v for k, v in obj.items() if k != "schema"})
         except (TypeError, ValueError) as exc:
-            raise SchemaError(f"invalid plant parameters: {exc}") from exc
+            raise SchemaError(f"invalid plant config: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -470,28 +519,22 @@ def scenario_to_dict(scenario: FaultScenario) -> dict:
     }
 
 
-def scenario_from_dict(obj: dict) -> FaultScenario:
-    if not isinstance(obj, dict):
-        raise SchemaError("scenario must be a JSON object")
-    if obj.get("schema", 1) != 1:
-        raise SchemaError(f"unsupported scenario schema {obj.get('schema')!r}")
+_SCENARIO_FIELDS = ("seed", "duration", "dt", "noise_std_R", "noise_std_C",
+                   "events", "inputs", "id")
+_EVENT_FIELDS = ("target", "start", "magnitude", "profile")
+
+
+def scenario_from_dict(obj: dict, owner: str = "scenario") -> FaultScenario:
+    check_fields(obj, owner, _SCENARIO_FIELDS, lists=("events",))
     events = []
     for i, ev in enumerate(obj.get("events", [])):
-        if not isinstance(ev, dict):
-            raise SchemaError(f"events[{i}] must be an object")
-        for key in ("target", "start", "magnitude"):
-            if key not in ev:
-                raise SchemaError(f"events[{i}] is missing required field {key!r}")
+        where = f"{owner} events[{i}]"
+        check_fields(ev, where, _EVENT_FIELDS, required=_EVENT_FIELDS[:3])
         try:
             events.append(FaultEvent(ev["target"], float(ev["start"]),
                                      float(ev["magnitude"]), ev.get("profile", "step")))
         except (TypeError, ValueError) as exc:
-            raise SchemaError(f"events[{i}]: {exc}") from exc
-    known = {"schema", "seed", "duration", "dt", "noise_std_R", "noise_std_C",
-             "events", "inputs", "id"}
-    unknown = set(obj) - known
-    if unknown:
-        raise SchemaError(f"unknown scenario field(s): {sorted(unknown)}")
+            raise SchemaError(f"{where}: {exc}") from exc
     try:
         return FaultScenario(
             seed=int(obj.get("seed", 0)),
@@ -502,39 +545,30 @@ def scenario_from_dict(obj: dict) -> FaultScenario:
             events=tuple(events),
         )
     except (TypeError, ValueError) as exc:
-        raise SchemaError(f"invalid scenario: {exc}") from exc
+        raise SchemaError(f"invalid {owner}: {exc}") from exc
 
 
 def parse_inputs(obj: dict, owner: str) -> tuple[float, float]:
     """Operating inputs (Msf1, Msf2) of a scenario or suite file object."""
-    inputs = obj.get("inputs", {"Msf1": 1.0, "Msf2": 0.8})
-    if not isinstance(inputs, dict) or "Msf1" not in inputs or "Msf2" not in inputs:
-        raise SchemaError(f"{owner} field 'inputs' must carry Msf1 and Msf2")
+    if "inputs" not in obj:
+        return 1.0, 0.8
+    inputs, where = obj["inputs"], f"{owner} field 'inputs'"
+    check_fields(inputs, where, ("Msf1", "Msf2"), required=("Msf1", "Msf2"))
     try:
         pair = (float(inputs["Msf1"]), float(inputs["Msf2"]))
     except (TypeError, ValueError) as exc:
-        raise SchemaError(f"{owner} field 'inputs': {exc}") from exc
+        raise SchemaError(f"{where}: {exc}") from exc
     if not all(math.isfinite(v) for v in pair):
-        raise SchemaError(f"{owner} field 'inputs' must hold finite Msf1 and Msf2")
+        raise SchemaError(f"{where} must hold finite Msf1 and Msf2")
     return pair
 
 
 def load_scenario(path: str) -> tuple[FaultScenario, tuple[float, float]]:
     """Read a scenario JSON file; returns (scenario, operating inputs)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"scenario file is not valid JSON: {exc}") from exc
-    scenario = scenario_from_dict(obj)
-    return scenario, parse_inputs(obj, "scenario")
+    obj = read_json(path, "scenario")
+    return scenario_from_dict(obj), parse_inputs(obj, "scenario")
 
 
 def write_trace_csv(trace: Trace, path: str) -> None:
     """Write `t,Msf1,Msf2,De1,De2,De3,Df1,Df2` rows at full float precision."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("t," + ",".join(VARIABLES) + "\n")
-        for i in range(len(trace)):
-            row = [repr(float(trace.times[i]))]
-            row += [repr(float(v)) for v in trace.signals[i]]
-            fh.write(",".join(row) + "\n")
+    write_csv(("t",) + VARIABLES, np.column_stack([trace.times, trace.signals]).tolist(), path)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .plant import VARIABLES, MeasurementFrame, PlantParams, Trace
+from .plant import VARIABLES, MeasurementFrame, PlantParams, Trace, write_csv
 
 RESIDUAL_NAMES = ("r1", "r2", "r3", "r4", "r5")
 
@@ -246,9 +246,7 @@ def write_residual_csv(times: np.ndarray, residuals: np.ndarray, path: str,
     The optional leading zero row stands in for the first trace frame, which
     precedes any derivative history.
     """
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("t," + ",".join(RESIDUAL_NAMES) + "\n")
-        if include_initial_zero_row:
-            fh.write(",".join([repr(float(t0))] + ["0.0"] * 5) + "\n")
-        for t, row in zip(times, residuals):
-            fh.write(",".join([repr(float(t))] + [repr(float(v)) for v in row]) + "\n")
+    rows = np.column_stack([times, residuals]).tolist()
+    if include_initial_zero_row:
+        rows.insert(0, [float(t0)] + [0.0] * 5)
+    write_csv(("t",) + RESIDUAL_NAMES, rows, path)

@@ -373,3 +373,114 @@ class TestDeterminism:
 
         a, b = self.run_twice(build, tmp_path)
         assert a == b
+
+
+#: One malformed input file per case: (which file, its JSON content or None
+#: for a directory in its place, text the error message must hold).
+MALFORMED_INPUTS = {
+    "plant_not_object": ("plant", [1, 2], "plant config must be a JSON object"),
+    "plant_schema_2": ("plant", {"schema": 2, "R2": 3}, "plant config schema 2"),
+    "events_not_list": ("scenario", {"schema": 1, "events": 5}, "'events' must be a list"),
+    "event_field_typo": ("scenario", {"schema": 1, "events": [
+        {"target": "De1", "start": 1.0, "magnitude": 0.5, "profle": "ramp"}]}, "['profle']"),
+    "config_field_typo": ("config", {**fuzzy.config_to_dict(
+        fuzzy.example_tuned_config("swarm")), "debouce": 9}, "['debouce']"),
+    "suite_field_typo": ("suite", {"schema": 1, "input": {"Msf1": 1.2, "Msf2": 0.6},
+                                   "scenarios": [{"schema": 1, "duration": 2.0}]}, "['input']"),
+    "scenario_is_directory": ("scenario", None, "scenario.json"),
+}
+
+
+class TestMalformedInput:
+    """Every JSON input follows one rule: an object, schema 1, no missing or
+    unknown field, lists where lists belong; breaking it exits 2."""
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
+    def test_exits_2_naming_the_field(self, tmp_path, capsys, case):
+        bad_kind, content, message = MALFORMED_INPUTS[case]
+        files = {"plant": {"schema": 1, "R2": 2.5},
+                 "scenario": {"schema": 1, "duration": 2.0},
+                 "config": fuzzy.config_to_dict(fuzzy.example_tuned_config("swarm")),
+                 "suite": harness.suite_to_dict(harness.generate_suite(2, seed=1)),
+                 bad_kind: content}
+        paths = {}
+        for kind, obj in files.items():
+            path = tmp_path / f"{kind}.json"
+            if obj is None:
+                path.mkdir()
+            else:
+                path.write_text(json.dumps(obj))
+            paths[kind] = str(path)
+        out = tmp_path / "out.csv"
+        if bad_kind == "suite":
+            argv = ["evaluate", "--config", paths["config"], "--suite", paths["suite"]]
+        else:
+            argv = ["detect", "--config", paths["config"], "--scenario", paths["scenario"]]
+        code = main(argv + ["--plant", paths["plant"], "--out", str(out)])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_empty_suite_exits_2(self, tmp_path, config_file, capsys):
+        suite = tmp_path / "suite.json"
+        suite.write_text(json.dumps({"scenarios": []}))
+        code = main(["evaluate", "--config", config_file, "--suite", str(suite),
+                     "--out", str(tmp_path / "m.csv")])
+        assert code == 2
+        assert "suite has no scenarios" in capsys.readouterr().err
+
+    def test_generate_zero_exits_2(self, tmp_path, config_file, capsys):
+        code = main(["evaluate", "--config", config_file, "--generate", "0",
+                     "--out", str(tmp_path / "m.csv")])
+        assert code == 2
+        assert "suite size must be at least 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one_exits_2(self, tmp_path, config_file, suite_file, jobs, capsys):
+        out = tmp_path / "m.csv"
+        code = main(["evaluate", "--config", config_file, "--suite", suite_file,
+                     "--jobs", jobs, "--out", str(out)])
+        assert code == 2
+        assert "jobs must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestOutputErrors:
+    """An output path that cannot be written is a usage error, not a crash."""
+
+    @pytest.mark.parametrize("case", ["evaluate_out_dir", "evaluate_render_file",
+                                      "render_dot_dir"])
+    def test_exits_2(self, tmp_path, config_file, suite_file, case, capsys):
+        taken = tmp_path / "taken"
+        if case == "evaluate_render_file":
+            taken.write_text("")
+            argv = ["evaluate", "--config", config_file, "--suite", suite_file,
+                    "--out", str(tmp_path / "m.csv"), "--render", str(taken)]
+        elif case == "evaluate_out_dir":
+            taken.mkdir()
+            argv = ["evaluate", "--config", config_file, "--suite", suite_file,
+                    "--out", str(taken)]
+        else:
+            taken.mkdir()
+            argv = ["render", "--degrees", "0,0,0,0,0,0,0", "--dot", str(taken)]
+        assert main(argv) == 2
+        assert str(taken) in capsys.readouterr().err
+
+
+def test_generated_suite_uses_the_loaded_plant(tmp_path):
+    # the compensation pairs of a generated suite cancel on r2 only for the
+    # plant's own R2; scenario 24 of 25 is such a pair
+    plant_file = tmp_path / "plant.json"
+    plant_file.write_text(json.dumps({"schema": 1, "R2": 3.0}))
+    suite = tmp_path / "suite.json"
+    harness.save_suite(harness.generate_suite(25, 24, params=plant.PlantParams(R2=3.0)),
+                       str(suite))
+    histories = []
+    for source in (["--generate", "25", "--suite-seed", "24"], ["--suite", str(suite)]):
+        out = tmp_path / f"{len(histories)}.csv"
+        assert main(["tune", "--method", "pso", *source, "--plant", str(plant_file),
+                     "--swarm-size", "4", "--iterations", "1", "--seed", "3",
+                     "--out-config", str(tmp_path / "c.json"),
+                     "--out-history", str(out)]) == 0
+        histories.append(out.read_text())
+    assert histories[0] == histories[1]

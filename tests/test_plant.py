@@ -356,3 +356,37 @@ class TestTraceCsv:
         # full float precision survives a round trip
         first = [float(v) for v in lines[1].split(",")]
         assert first[3] == trace.frame(0).De1
+
+
+class TestFileHelpers:
+    def test_csv_cells(self, tmp_path):
+        path = tmp_path / "x.csv"
+        plant.write_csv(("a", "b", "c", "d", "e"),
+                        [[0.1, True, np.bool_(False), 3, "x"],
+                         [np.float64(-0.0), math.nan, 1e-300, np.int64(7), 2.0]], str(path))
+        assert path.read_bytes() == b"a,b,c,d,e\n0.1,1,0,3,x\n-0.0,nan,1e-300,7,2.0\n"
+
+    def test_json_layout_and_round_trip(self, tmp_path):
+        path = tmp_path / "x.json"
+        plant.write_json({"b": [1, 2.5], "a": "z"}, str(path))
+        assert path.read_bytes() == b'{\n  "a": "z",\n  "b": [\n    1,\n    2.5\n  ]\n}\n'
+        assert plant.read_json(str(path), "thing") == {"a": "z", "b": [1, 2.5]}
+
+    def test_invalid_json_names_the_file_kind(self, tmp_path):
+        path = tmp_path / "x.json"
+        path.write_text("{")
+        with pytest.raises(plant.SchemaError, match="thing file is not valid JSON"):
+            plant.read_json(str(path), "thing")
+
+    @pytest.mark.parametrize("obj,message", [
+        ([1], "thing must be a JSON object"),
+        ({"schema": 2}, "unsupported thing schema 2"),
+        ({"a": 1, "zz": 2}, r"unknown field\(s\) in thing: \['zz'\]"),
+        ({"b": []}, "thing is missing required field 'a'"),
+        ({"a": 1, "b": {}}, "thing field 'b' must be a list"),
+    ])
+    def test_field_check(self, obj, message):
+        with pytest.raises(plant.SchemaError, match=message):
+            plant.check_fields(obj, "thing", ("a", "b"), required=("a",), lists=("b",))
+        plant.check_fields({"schema": 1, "a": 1, "b": []}, "thing", ("a", "b"),
+                           required=("a",), lists=("b",))
