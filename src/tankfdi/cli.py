@@ -3,13 +3,16 @@
 Subcommands: simulate, tune, detect, evaluate, compare, render. All
 randomness flows from explicit --seed flags so runs are replayable; every
 file-writing subcommand also drops a ``<output>.run.json`` with the
-resolved options. Exit codes: 0 success, 2 usage/config error, 3 simulation
-divergence.
+resolved options. Each subcommand checks its output paths before it
+simulates or writes anything, so an output that is a directory or lies in
+no directory fails the command without a partial output. Exit codes: 0
+success, 2 usage/config error, 3 simulation divergence.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import math
 import os
 import sys
@@ -32,6 +35,28 @@ def _write_run_config(path: str, command: str, options: dict) -> None:
                      path + ".run.json")
 
 
+def _check_outputs(files=(), dirs=()) -> None:
+    """Raise the OSError that writing an output would raise, before any
+    output is written: for a file path that is a directory or lies in no
+    directory, or a directory path that is a file or lies under one. None
+    entries (options not given) are skipped."""
+    for path in filter(None, files):
+        if os.path.isdir(path):
+            code = errno.EISDIR
+        elif not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+            code = errno.ENOENT
+        else:
+            continue
+        raise OSError(code, os.strerror(code), path)
+    for path in filter(None, dirs):
+        head = os.path.abspath(path)
+        while not os.path.exists(head):
+            head = os.path.dirname(head)
+        if not os.path.isdir(head):
+            code = errno.EEXIST if head == os.path.abspath(path) else errno.ENOTDIR
+            raise OSError(code, os.strerror(code), path)
+
+
 def _resolve_suite(args, params: plant.PlantParams,
                    ) -> tuple[list[plant.FaultScenario], tuple[float, float]]:
     if args.suite:
@@ -45,6 +70,7 @@ def _resolve_suite(args, params: plant.PlantParams,
 # Subcommands
 
 def cmd_simulate(args) -> int:
+    _check_outputs([args.out_trace, args.out_residuals, args.out_trace + ".run.json"])
     params = _load_plant(args.plant)
     scenario, inputs = plant.load_scenario(args.scenario)
     trace = plant.run(scenario, params, inputs, mode=args.mode)
@@ -64,6 +90,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_tune(args) -> int:
+    _check_outputs([args.out_config, args.out_history, args.out_config + ".run.json"])
     params = _load_plant(args.plant)
     suite, inputs = _resolve_suite(args, params)
     objective = tuner.make_fitness(suite, params, inputs,
@@ -106,6 +133,7 @@ def cmd_tune(args) -> int:
 
 
 def cmd_detect(args) -> int:
+    _check_outputs([args.out, args.dot, args.out + ".run.json"])
     params = _load_plant(args.plant)
     cfg = fuzzy.load_config(args.config)
     scenario, inputs = plant.load_scenario(args.scenario)
@@ -137,6 +165,7 @@ def _render_reports(out_dir: str, reports: list[harness.DetectionReport]) -> Non
 
 
 def cmd_evaluate(args) -> int:
+    _check_outputs([args.out, args.reports, args.out + ".run.json"], [args.render])
     params = _load_plant(args.plant)
     cfg = fuzzy.load_config(args.config)
     suite, inputs = _resolve_suite(args, params)
@@ -171,6 +200,8 @@ def cmd_compare(args) -> int:
         if any(name == seen for seen, _ in configs):
             raise plant.SchemaError(f"--config NAME {name!r} is given twice")
         configs.append((name, fuzzy.load_config(path)))
+    _check_outputs([args.out, args.out + ".run.json"],
+                   [os.path.join(args.render, name) for name, _ in configs] if args.render else [])
     suite, inputs = _resolve_suite(args, params)
     rows, reports = harness.compare(configs, suite, params, inputs, jobs=args.jobs)
     if args.render:

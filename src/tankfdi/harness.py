@@ -28,7 +28,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -311,6 +310,10 @@ class ResidualBank:
         if jobs < 1:
             raise ValueError(f"jobs must be at least 1, got {jobs}")
         if jobs > 1 and len(suite) > 1:
+            # imported here: at module level it costs every process,
+            # pool or not, 10-20 ms and about 2 MB
+            from concurrent.futures import ProcessPoolExecutor
+
             size = -(-len(suite) // jobs)
             starts = range(0, len(suite), size)
             with ProcessPoolExecutor(max_workers=jobs) as pool:

@@ -443,44 +443,58 @@ def simulate_suite(suite: Sequence[FaultScenario], params: PlantParams,
     rc = np.empty((n_rows, len(NOISY_PARAMS), n_scen))
     for i, sc in enumerate(suite):
         rc[:, :, i] = noise_table(sc, params, n_rows)
+    # The loop keeps the tanks in the order (3, 1, 2) so that every operand
+    # below is a contiguous block of rows: a strided view makes a ufunc call
+    # cost about twice as much. rcp holds (R3, R1, R2 | R23, R12 | C3, C1,
+    # C2) and de the pressures (De3, De1, De2) until the loop ends.
+    rcp = rc.take([2, 0, 1, 4, 3, 7, 5, 6], axis=1)
     de = np.empty((n_rows, 3, n_scen))
-    de[0] = np.array([x0.De1, x0.De2, x0.De3])[:, None]
+    de[0] = np.array([x0.De3, x0.De1, x0.De2])[:, None]
 
     k1, k2, k3, k4, stage, q = (np.empty((3, n_scen)) for _ in range(6))
-    # terms = [Msf1, Df1, Msf2 - Df2, Df2, -, 0]: rows 0:3 are each tank's
-    # inflow term and rows 1, 3, 5 the flows it sheds, so each derivative
-    # row is ((inflow - De/R) - shed) / C as in _derivatives; the shed 0.0
-    # of tank 3 leaves its row's bits (and -0.0, NaN) unchanged.
-    terms = np.zeros((6, n_scen))
-    terms[0] = u[0]
-    inflow, shed = terms[0:3], terms[1::2]
-    flows, tank3_in, df2 = terms[1:4:2], terms[2], terms[3]
+    # terms = [Msf2 - Df2, Msf1, Df1, Df2, Df1]: rows 0:3 are the inflow
+    # terms of tanks (3, 1, 2), rows 2:4 the flows that tanks 1 and 2 shed
+    # and rows 3:5 the coupling flows, so each derivative row is
+    # ((inflow - De/R) - shed) / C in _derivatives' order; tank 3 sheds
+    # nothing, as Df2 is already in its inflow.
+    terms = np.empty((5, n_scen))
+    terms[1] = u[0]
+    inflow, shed, flows = terms[0:3], terms[2:4], terms[3:5]
+    tank3_in, tank2_in, df2, df1 = terms[0], terms[2], terms[3], terms[4]
+    msf2 = np.full(n_scen, u[1])
 
-    def derivatives(x, r_de, r_df, cap, out):
+    def derivatives(x, x31, x2, r_de, r_df, cap, out, out12):
         # ufuncs take ``out`` positionally: the keyword costs a third more per call
-        np.subtract(x[::2], x[1], flows)
+        np.subtract(x31, x2, flows)
         np.divide(flows, r_df, flows)
-        np.subtract(u[1], df2, tank3_in)
+        np.subtract(msf2, df2, tank3_in)
+        np.positive(df1, tank2_in)
         np.divide(x, r_de, q)
         np.subtract(inflow, q, out)
-        np.subtract(out, shed, out)
+        np.subtract(out12, shed, out12)
         np.divide(out, cap, out)
 
-    half, sixth = 0.5 * dt, dt / 6.0
+    # constants are arrays too: a Python float operand costs a call half as much again
+    half, full, sixth, two = (np.full((3, n_scen), c) for c in (0.5 * dt, dt, dt / 6.0, 2.0))
+    stage31, stage2 = stage[0:2], stage[2]
+    k1_12, k2_12, k3_12, k4_12 = (k[1:] for k in (k1, k2, k3, k4))   # rows of tanks 1, 2
     with np.errstate(over="ignore", invalid="ignore"):
-        for x, new, r_de, r_df, cap in zip(de[:-1], de[1:], rc[:, 0:3], rc[:, 3:5], rc[:, 5:8]):
-            derivatives(x, r_de, r_df, cap, k1)
+        for x, x31, x2, new, r_de, r_df, cap in zip(
+                de[:-1], de[:-1, 0:2], de[:-1, 2], de[1:],
+                rcp[:, 0:3], rcp[:, 3:5], rcp[:, 5:8]):
+            derivatives(x, x31, x2, r_de, r_df, cap, k1, k1_12)
             np.add(x, np.multiply(k1, half, stage), stage)
-            derivatives(stage, r_de, r_df, cap, k2)
+            derivatives(stage, stage31, stage2, r_de, r_df, cap, k2, k2_12)
             np.add(x, np.multiply(k2, half, stage), stage)
-            derivatives(stage, r_de, r_df, cap, k3)
-            np.add(x, np.multiply(k3, dt, stage), stage)
-            derivatives(stage, r_de, r_df, cap, k4)
+            derivatives(stage, stage31, stage2, r_de, r_df, cap, k3, k3_12)
+            np.add(x, np.multiply(k3, full, stage), stage)
+            derivatives(stage, stage31, stage2, r_de, r_df, cap, k4, k4_12)
             # x + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4), left to right
-            np.add(k1, np.multiply(k2, 2, k2), k1)
-            np.add(k1, np.multiply(k3, 2, k3), k1)
+            np.add(k1, np.multiply(k2, two, k2), k1)
+            np.add(k1, np.multiply(k3, two, k3), k1)
             np.add(k1, k4, k1)
             np.add(x, np.multiply(k1, sixth, k1), new)
+        de = de.take([1, 2, 0], axis=1)
         finite = np.isfinite(de[1:])
         if not finite.all():
             bad = ~finite.all(axis=1)                       # (steps, S)

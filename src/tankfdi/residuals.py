@@ -128,9 +128,12 @@ def _window_median(rows):
     return _median3(*rows) if len(rows) == 3 else np.median(rows, axis=0)
 
 
-def _low_pass(filtered, raw, alpha: float):
-    """One single-pole low-pass step from ``filtered`` towards ``raw``."""
-    return filtered + alpha * (raw - filtered)
+def _low_pass(filtered, raw, alpha, out=None, scratch=None):
+    """One single-pole low-pass step from ``filtered`` towards ``raw``:
+    ``filtered + alpha * (raw - filtered)``, written to ``out`` through
+    ``scratch`` (new arrays where None). ``out`` may be ``raw``."""
+    step = np.subtract(raw, filtered, scratch)
+    return np.add(filtered, np.multiply(alpha, step, step), out)
 
 
 def _rolling_median(raw: np.ndarray, window: int) -> np.ndarray:
@@ -158,11 +161,13 @@ def residual_batch(signals: np.ndarray, dt: float, params: PlantParams,
     if spike_window > 1:
         raw = _rolling_median(raw, spike_window)
     if tau:
-        alpha = dt / (tau + dt)
-        d = np.empty_like(raw)
-        d[:, :1] = raw[:, :1]
-        for k in range(1, raw.shape[1]):
-            d[:, k] = _low_pass(d[:, k - 1], raw[:, k], alpha)
+        # filtered in place, time-major: each step's rows are one (S, 3) block
+        d = np.moveaxis(raw, 1, 0).copy()
+        alpha = np.full(d.shape[1:], dt / (tau + dt))
+        scratch = np.empty(d.shape[1:])
+        for prev, cur in zip(d[:-1], d[1:]):
+            _low_pass(prev, cur, alpha, cur, scratch)
+        d = np.moveaxis(d, 0, 1)
     else:
         d = raw
     out = arr_residuals(np.moveaxis(signals[:, 1:], -1, 0), np.moveaxis(d, -1, 0), params)

@@ -200,6 +200,8 @@ def ga_tune(fitness: Callable[[np.ndarray], float], params: GaParams,
     Stops at ``max_generations`` or when the best fitness has not improved
     for ``stall_generations`` generations. Returns (best, best-so-far
     history, mean history); the best-so-far history is non-increasing.
+    ``fitness`` must be deterministic: elites carry their value over to
+    the next generation without a new call.
     """
     rng = np.random.default_rng(params.seed)
     lo, hi = params.bounds[:, 0], params.bounds[:, 1]
@@ -208,18 +210,19 @@ def ga_tune(fitness: Callable[[np.ndarray], float], params: GaParams,
 
     pop = lo + rng.random((n, dims)) * span
 
-    def evaluate_all(generation: int) -> np.ndarray:
-        values = np.empty(n)
-        for i in range(n):
+    def evaluate_all(rows: np.ndarray, generation: int, first: int = 0) -> np.ndarray:
+        """Fitness of ``rows``, individuals ``first`` on of the population."""
+        values = np.empty(len(rows))
+        for i, x in enumerate(rows):
             try:
-                values[i] = float(fitness(pop[i]))
+                values[i] = float(fitness(x))
             except Exception as exc:
                 raise RuntimeError(
-                    f"fitness evaluation failed for individual {i} "
+                    f"fitness evaluation failed for individual {first + i} "
                     f"in generation {generation}: {exc}") from exc
         return values
 
-    values = evaluate_all(0)
+    values = evaluate_all(pop, 0)
     best_idx = int(np.argmin(values))
     best = pop[best_idx].copy()
     best_fitness = float(values[best_idx])
@@ -231,6 +234,7 @@ def ga_tune(fitness: Callable[[np.ndarray], float], params: GaParams,
         weights = _rank_weights(values)
         order = np.argsort(values, kind="stable")
         elites = pop[order[: params.elite_count]].copy()
+        elite_values = values[order[: params.elite_count]]
 
         n_children = n - params.elite_count
         n_cross = int(round(params.crossover_fraction * n_children))
@@ -246,8 +250,8 @@ def ga_tune(fitness: Callable[[np.ndarray], float], params: GaParams,
             children[i] = np.where(mutate, fresh, parent)
         children = np.clip(children, lo, hi)
 
-        pop = np.vstack([elites, children]) if params.elite_count else children
-        values = evaluate_all(gen)
+        pop = np.vstack([elites, children])
+        values = np.concatenate([elite_values, evaluate_all(children, gen, params.elite_count)])
         gen_best = int(np.argmin(values))
         if values[gen_best] < best_fitness:
             best = pop[gen_best].copy()

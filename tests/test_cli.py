@@ -466,6 +466,42 @@ class TestOutputErrors:
         assert main(argv) == 2
         assert str(taken) in capsys.readouterr().err
 
+    def test_evaluate_render_file_writes_nothing(self, tmp_path, config_file, capsys):
+        (tmp_path / "taken").write_text("")
+        out = tmp_path / "e.csv"
+        assert main(["evaluate", "--config", config_file, "--generate", "3",
+                     "--out", str(out), "--render", str(tmp_path / "taken")]) == 2
+        assert str(tmp_path / "taken") in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["cfg.json", "taken"]
+
+    def test_compare_run_json_dir_writes_nothing(self, tmp_path, config_file, capsys):
+        out = tmp_path / "m.csv"
+        Path(str(out) + ".run.json").mkdir()
+        assert main(["compare", "--config", f"a={config_file}", "--config",
+                     f"b={config_file}", "--generate", "3", "--out", str(out),
+                     "--render", str(tmp_path / "dots")]) == 2
+        assert "m.csv.run.json" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["cfg.json", "m.csv.run.json"]
+
+    @pytest.mark.parametrize("option", ["--out", "--reports"])
+    def test_missing_directory_writes_nothing(self, tmp_path, config_file, option,
+                                              capsys):
+        paths = {"--out": str(tmp_path / "m.csv"), "--reports": str(tmp_path / "r.jsonl")}
+        paths[option] = str(tmp_path / "nowhere" / "x")
+        argv = ["evaluate", "--config", config_file, "--generate", "3"]
+        assert main(argv + [arg for item in paths.items() for arg in item]) == 2
+        assert paths[option] in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["cfg.json"]
+
+    def test_render_dir_under_a_file_writes_nothing(self, tmp_path, config_file,
+                                                    capsys):
+        (tmp_path / "taken").write_text("")
+        dots = str(tmp_path / "taken" / "dots")
+        assert main(["evaluate", "--config", config_file, "--generate", "3",
+                     "--out", str(tmp_path / "m.csv"), "--render", dots]) == 2
+        assert dots in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["cfg.json", "taken"]
+
 
 def test_generated_suite_uses_the_loaded_plant(tmp_path):
     # the compensation pairs of a generated suite cancel on r2 only for the

@@ -349,6 +349,17 @@ class TestEvaluate:
         assert all(proc.returncode == 0 for proc in procs)
         assert len(outputs) == 1, outputs
 
+    def test_import_leaves_the_process_pool_out(self):
+        # only --jobs > 1 starts a pool; every other process skips its import
+        script = ("import sys, tankfdi, tankfdi.cli\n"
+                  "print('concurrent.futures.process' in sys.modules)\n")
+        src = str(Path(tankfdi.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        out = subprocess.run([sys.executable, "-c", script], text=True, check=True,
+                             capture_output=True, env={**os.environ, "PYTHONPATH": path},
+                             timeout=120)
+        assert out.stdout == "False\n"
+
     def test_parallel_jobs_match_serial(self, params, tuned_cfg):
         suite = generate_suite(6, seed=8)
         serial = ResidualBank.from_suite(suite, params, OPERATING_INPUTS, jobs=1)

@@ -258,6 +258,19 @@ class TestSimulateSuite:
             assert times.tobytes() == trace.times.tobytes()
             assert rows.tobytes() == trace.signals.tobytes()
 
+    @pytest.mark.parametrize("noise", [0.0, 0.03], ids=["noise-free", "noisy"])
+    def test_one_scenario_block_equals_run(self, params, noise):
+        # 2.05 s at 0.1 s is not a whole number of steps; a noise-free
+        # scenario's noise table is a read-only broadcast of the nominal row
+        sc = FaultScenario(seed=5, duration=2.05, dt=0.1, noise_std_R=noise,
+                           noise_std_C=noise, events=(FaultEvent("De3", 0.7, 0.4),))
+        assert plant.noise_table(sc, params, 3).flags.writeable == (noise > 0)
+        times, signals = plant.simulate_suite([sc], params, OPERATING_INPUTS)
+        trace = plant.run(sc, params, OPERATING_INPUTS)
+        assert signals.shape == (1, 22, 7)
+        assert times.tobytes() == trace.times.tobytes()
+        assert signals[0].tobytes() == trace.signals.tobytes()
+
     def test_rejects_mixed_steps(self, params):
         suite = [FaultScenario(duration=2.0, dt=0.1), FaultScenario(duration=2.0, dt=0.2)]
         with pytest.raises(ValueError):

@@ -172,6 +172,22 @@ class TestGa:
         # initial evaluation plus exactly stall_generations stagnant ones
         assert len(hist) == 6
 
+    def test_elites_are_not_scored_again(self):
+        calls = []
+
+        def counted(x):
+            calls.append(1)
+            return sphere(x)
+
+        _, hist, mean_hist = ga_tune(counted, GaParams(
+            population=8, max_generations=5, stall_generations=5, elite_count=2,
+            bounds=SPHERE_BOUNDS, seed=3))
+        assert len(calls) == 8 + 5 * (8 - 2)
+        # recorded when every generation re-scored its elites
+        assert hist == [5.594317323784958] * 3 + [5.322700308402564] * 3
+        assert mean_hist == [18.253818682167054, 16.0411217266179, 14.00814870252766,
+                             8.985494912979636, 6.369313770841297, 6.014466226432606]
+
     def test_deterministic_given_seed(self):
         a = ga_tune(sphere, GaParams(population=10, max_generations=15,
                                      stall_generations=15,
