@@ -12,6 +12,7 @@ success, 2 usage/config error, 3 simulation divergence.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import errno
 import math
 import os
@@ -63,7 +64,17 @@ def _resolve_suite(args, params: plant.PlantParams,
         return harness.load_suite(args.suite)
     if args.generate is None:
         raise plant.SchemaError("either --suite FILE or --generate N is required")
-    return harness.generate_suite(args.generate, args.suite_seed, params=params), (1.0, 0.8)
+    suite = harness.generate_suite(args.generate, args.suite_seed, params=params)
+    return suite, plant.OPERATING_POINT
+
+
+#: ``tune --method`` choices: each tuner's settings dataclass and optimizer.
+_TUNERS = {"pso": (tuner.PsoParams, tuner.pso_tune), "ga": (tuner.GaParams, tuner.ga_tune)}
+
+
+def _optimizer_fields(settings) -> list[dataclasses.Field]:
+    """The settings fields that ``tune`` takes as flags: all but bounds and seed."""
+    return [f for f in dataclasses.fields(settings) if f.name not in ("bounds", "seed")]
 
 
 # ---------------------------------------------------------------------------
@@ -76,9 +87,7 @@ def cmd_simulate(args) -> int:
     trace = plant.run(scenario, params, inputs, mode=args.mode)
     plant.write_trace_csv(trace, args.out_trace)
     times, resid = residuals.residual_trace(trace, params, tau=args.tau)
-    residuals.write_residual_csv(times, resid, args.out_residuals,
-                                 include_initial_zero_row=True,
-                                 t0=float(trace.times[0]))
+    residuals.write_residual_csv(times, resid, args.out_residuals, t0=float(trace.times[0]))
     _write_run_config(args.out_trace, "simulate", {
         "scenario": args.scenario, "plant": args.plant, "mode": args.mode,
         "tau": args.tau, "out_trace": args.out_trace,
@@ -95,34 +104,16 @@ def cmd_tune(args) -> int:
     suite, inputs = _resolve_suite(args, params)
     objective = tuner.make_fitness(suite, params, inputs,
                                    max_fault_order=args.max_fault_order)
-    if args.method == "pso":
-        opt = tuner.PsoParams(swarm_size=args.swarm_size,
-                              iterations=args.iterations,
-                              c1=args.c1, c2=args.c2, seed=args.seed)
-        best, history, mean_history = tuner.pso_tune(objective, opt)
-        hyper = {"method": "pso", "swarm_size": opt.swarm_size,
-                 "iterations": opt.iterations, "c1": opt.c1, "c2": opt.c2}
-    else:
-        opt = tuner.GaParams(population=args.population,
-                             max_generations=args.max_generations,
-                             stall_generations=args.stall_generations,
-                             elite_count=args.elite_count,
-                             crossover_fraction=args.crossover_fraction,
-                             mutation_rate=args.mutation_rate, seed=args.seed)
-        best, history, mean_history = tuner.ga_tune(objective, opt)
-        hyper = {"method": "ga", "population": opt.population,
-                 "max_generations": opt.max_generations,
-                 "stall_generations": opt.stall_generations,
-                 "elite_count": opt.elite_count,
-                 "crossover_fraction": opt.crossover_fraction,
-                 "mutation_rate": opt.mutation_rate}
+    settings, optimize = _TUNERS[args.method]
+    hyper = {f.name: getattr(args, f.name) for f in _optimizer_fields(settings)}
+    best, history, mean_history = optimize(objective, settings(**hyper, seed=args.seed))
 
     cfg, _ = fuzzy.params_to_config(best, max_fault_order=args.max_fault_order)
     fuzzy.save_config(cfg, args.out_config)
     plant.write_csv(("iteration", "best_fitness", "mean_fitness"),
                     zip(range(len(history)), history, mean_history), args.out_history)
     _write_run_config(args.out_config, "tune", {
-        **hyper, "seed": args.seed, "suite": args.suite,
+        "method": args.method, **hyper, "seed": args.seed, "suite": args.suite,
         "generate": args.generate, "suite_seed": args.suite_seed,
         "plant": args.plant, "max_fault_order": args.max_fault_order,
         "out_config": args.out_config, "out_history": args.out_history,
@@ -265,22 +256,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("tune", help="optimize detector membership parameters")
-    p.add_argument("--method", choices=("pso", "ga"), required=True)
+    p.add_argument("--method", choices=tuple(_TUNERS), required=True)
     _add_suite_options(p)
     p.add_argument("--plant", help="plant parameter JSON file")
     p.add_argument("--seed", type=int, default=42, help="optimizer seed")
     p.add_argument("--max-fault-order", type=int,
                    default=fuzzy.DEFAULT_MAX_FAULT_ORDER)
-    p.add_argument("--swarm-size", type=int, default=30)
-    p.add_argument("--iterations", type=int, default=200)
-    p.add_argument("--c1", type=float, default=2.8)
-    p.add_argument("--c2", type=float, default=1.3)
-    p.add_argument("--population", type=int, default=30)
-    p.add_argument("--max-generations", type=int, default=100)
-    p.add_argument("--stall-generations", type=int, default=50)
-    p.add_argument("--elite-count", type=int, default=2)
-    p.add_argument("--crossover-fraction", type=float, default=0.8)
-    p.add_argument("--mutation-rate", type=float, default=0.05)
+    for settings, _ in _TUNERS.values():
+        for f in _optimizer_fields(settings):
+            p.add_argument("--" + f.name.replace("_", "-"), type=type(f.default),
+                           default=f.default)
     p.add_argument("--out-config", required=True)
     p.add_argument("--out-history", required=True)
     p.set_defaults(func=cmd_tune)

@@ -776,15 +776,3 @@ def example_tuned_config(kind: str = "swarm") -> DetectorConfig:
     cfg, repaired = params_to_config(vec)
     assert not repaired
     return cfg
-
-
-def detuned_config() -> DetectorConfig:
-    """A deliberately de-tuned but valid detector, used as a weak baseline.
-
-    Input partitions sit far above the usual residual scale, so weak fault
-    components go unseen and ramping faults cross late; the OK output sets
-    are wide relative to AL, biasing degrees low.
-    """
-    cfg, _ = params_to_config(_flatten([(0.75, 1.5, 3.5, 4.8)] * 5,
-                                       [(-4.8, -0.45, 0.45, 0.5)] * 7))
-    return cfg

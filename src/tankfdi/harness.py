@@ -35,7 +35,7 @@ import numpy as np
 
 from . import fuzzy, plant, residuals
 from .fuzzy import DetectorConfig, DetectorKernel, RuleBase
-from .plant import FaultEvent, FaultScenario, PlantParams, SchemaError, VARIABLES
+from .plant import OPERATING_POINT, FaultEvent, FaultScenario, PlantParams, SchemaError, VARIABLES
 
 CLASSIFICATIONS = ("proper", "missed", "bad", "false_alarm")
 
@@ -305,7 +305,7 @@ class ResidualBank:
 
     @classmethod
     def from_suite(cls, suite: Sequence[FaultScenario], params: PlantParams,
-                   inputs: tuple[float, float] = (1.0, 0.8),
+                   inputs: tuple[float, float] = OPERATING_POINT,
                    jobs: int = 1) -> "ResidualBank":
         if jobs < 1:
             raise ValueError(f"jobs must be at least 1, got {jobs}")
@@ -461,7 +461,7 @@ def evaluate_bank(cfg: DetectorConfig, bank: ResidualBank,
 
 def compare(configs: Sequence[tuple[str, DetectorConfig]],
             suite: Sequence[FaultScenario], params: PlantParams,
-            inputs: tuple[float, float] = (1.0, 0.8), jobs: int = 1,
+            inputs: tuple[float, float] = OPERATING_POINT, jobs: int = 1,
             ) -> tuple[list[dict], list[list[DetectionReport]]]:
     """Side-by-side metrics rows of several configurations on one suite,
     and each configuration's per-scenario reports."""
@@ -533,7 +533,7 @@ def write_reports_jsonl(reports: Sequence[DetectionReport], path: str) -> None:
 # Suite files
 
 def suite_to_dict(suite: Sequence[FaultScenario],
-                  inputs: tuple[float, float] = (1.0, 0.8)) -> dict:
+                  inputs: tuple[float, float] = OPERATING_POINT) -> dict:
     return {
         "schema": 1,
         "inputs": {"Msf1": inputs[0], "Msf2": inputs[1]},
@@ -552,7 +552,7 @@ def suite_from_dict(obj: dict) -> tuple[list[FaultScenario], tuple[float, float]
 
 
 def save_suite(suite: Sequence[FaultScenario], path: str,
-               inputs: tuple[float, float] = (1.0, 0.8)) -> None:
+               inputs: tuple[float, float] = OPERATING_POINT) -> None:
     plant.write_json(suite_to_dict(suite, inputs), path)
 
 

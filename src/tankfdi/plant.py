@@ -26,6 +26,9 @@ VARIABLE_INDEX = {name: i for i, name in enumerate(VARIABLES)}
 
 FAULT_PROFILES = ("step", "ramp")
 
+#: The default operating point: the constant source flows (Msf1, Msf2).
+OPERATING_POINT = (1.0, 0.8)
+
 
 class SimulationDiverged(RuntimeError):
     """Raised when a state variable becomes non-finite during integration.
@@ -133,9 +136,6 @@ class PlantParams:
         if self.S_conn <= 0 or self.g <= 0 or self.rho <= 0:
             raise ValueError("PlantParams S_conn, g and rho must be positive")
 
-    def to_dict(self) -> dict:
-        return {"schema": 1, **{k: getattr(self, k) for k in self.__dataclass_fields__}}
-
     @classmethod
     def from_dict(cls, obj: dict) -> "PlantParams":
         check_fields(obj, "plant config", cls.__dataclass_fields__)
@@ -167,10 +167,6 @@ class MeasurementFrame:
     De3: float
     Df1: float
     Df2: float
-
-    def as_vector(self) -> np.ndarray:
-        """Signals in canonical VARIABLES order (time excluded)."""
-        return np.array([getattr(self, name) for name in VARIABLES])
 
 
 @dataclass(frozen=True)
@@ -258,9 +254,6 @@ class Trace:
 
     def frames(self) -> Iterable[MeasurementFrame]:
         return (self.frame(i) for i in range(len(self)))
-
-    def column(self, name: str) -> np.ndarray:
-        return self.signals[:, VARIABLE_INDEX[name]]
 
 
 def coupling_flows(De1: float, De2: float, De3: float, params: PlantParams,
@@ -534,7 +527,7 @@ def scenario_to_dict(scenario: FaultScenario) -> dict:
 
 
 _SCENARIO_FIELDS = ("seed", "duration", "dt", "noise_std_R", "noise_std_C",
-                   "events", "inputs", "id")
+                   "events", "inputs")
 _EVENT_FIELDS = ("target", "start", "magnitude", "profile")
 
 
@@ -565,7 +558,7 @@ def scenario_from_dict(obj: dict, owner: str = "scenario") -> FaultScenario:
 def parse_inputs(obj: dict, owner: str) -> tuple[float, float]:
     """Operating inputs (Msf1, Msf2) of a scenario or suite file object."""
     if "inputs" not in obj:
-        return 1.0, 0.8
+        return OPERATING_POINT
     inputs, where = obj["inputs"], f"{owner} field 'inputs'"
     check_fields(inputs, where, ("Msf1", "Msf2"), required=("Msf1", "Msf2"))
     try:

@@ -223,35 +223,13 @@ def signature_matrix() -> SignatureMatrix:
     return SignatureMatrix(m)
 
 
-def fault_direction(variable: str, params: PlantParams) -> np.ndarray:
-    """Post-settling residual change per unit additive fault on ``variable``.
-
-    The residuals are linear in the measured signals, so a settled step fault
-    of magnitude m shifts the residual vector by m times this direction.
-    Its support is exactly the variable's signature row.
-    """
-    p = params
-    directions = {
-        "Msf1": (1.0, 0.0, 0.0, 0.0, 0.0),
-        "Msf2": (0.0, 0.0, 1.0, 0.0, 0.0),
-        "De1": (-1.0 / p.R1, 0.0, 0.0, 0.0, 1.0 / p.R12),
-        "De2": (0.0, -1.0 / p.R2, 0.0, -1.0 / p.R23, -1.0 / p.R12),
-        "De3": (0.0, 0.0, -1.0 / p.R3, 1.0 / p.R23, 0.0),
-        "Df1": (-1.0, 1.0, 0.0, 0.0, -1.0),
-        "Df2": (0.0, -1.0, -1.0, -1.0, 0.0),
-    }
-    return np.array(directions[variable])
-
-
 def write_residual_csv(times: np.ndarray, residuals: np.ndarray, path: str,
-                       include_initial_zero_row: bool = False,
                        t0: float = 0.0) -> None:
     """Write `t,r1,r2,r3,r4,r5` rows at full float precision.
 
-    The optional leading zero row stands in for the first trace frame, which
+    A leading zero row at ``t0`` stands in for the first trace frame, which
     precedes any derivative history.
     """
     rows = np.column_stack([times, residuals]).tolist()
-    if include_initial_zero_row:
-        rows.insert(0, [float(t0)] + [0.0] * 5)
+    rows.insert(0, [float(t0)] + [0.0] * 5)
     write_csv(("t",) + RESIDUAL_NAMES, rows, path)

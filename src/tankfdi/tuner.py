@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from . import fuzzy
 from .harness import DetectionReport, ResidualBank, evaluate_bank, score_bank
-from .plant import FaultScenario, PlantParams
+from .plant import OPERATING_POINT, FaultScenario, PlantParams
 
 
 def default_bounds() -> np.ndarray:
@@ -54,12 +54,13 @@ def _checked_bounds(bounds) -> np.ndarray:
     return b
 
 
-@dataclass
-class Particle:
+class Particle(NamedTuple):
+    """One particle, or a swarm when every field has a leading particle axis."""
+
     x: np.ndarray
     v: np.ndarray
     pbest: np.ndarray
-    pbest_fitness: float
+    pbest_fitness: float | np.ndarray
 
 
 @dataclass(frozen=True)
@@ -76,8 +77,7 @@ class PsoParams:
             raise ValueError("swarm_size must be at least 2")
         if self.iterations < 0:
             raise ValueError("iterations must be non-negative")
-        if self.c1 + self.c2 <= 4.0:
-            raise ValueError("PSO constriction requires c1 + c2 > 4")
+        constriction(self.c1, self.c2)
         object.__setattr__(self, "bounds", _checked_bounds(self.bounds))
 
 
@@ -113,10 +113,10 @@ def update_particle(p: Particle, gbest: np.ndarray, k: float, c1: float,
 
     Fresh uniform draws multiply the cognitive and social terms per
     dimension; positions leaving the box are clamped and the corresponding
-    velocity component zeroed.
+    velocity component zeroed. For a swarm, each particle draws its r1 and
+    then its r2, in particle order.
     """
-    r1 = rng.random(p.x.shape)
-    r2 = rng.random(p.x.shape)
+    r1, r2 = np.moveaxis(rng.random((*p.x.shape[:-1], 2, p.x.shape[-1])), -2, 0)
     v = k * (p.v + c1 * r1 * (p.pbest - p.x) + c2 * r2 * (gbest - p.x))
     x = p.x + v
     lo, hi = bounds[:, 0], bounds[:, 1]
@@ -127,6 +127,20 @@ def update_particle(p: Particle, gbest: np.ndarray, k: float, c1: float,
 
 
 _BIG = 1e30  # sentinel "not evaluated yet" fitness
+
+
+def _score(fitness: Callable[[np.ndarray], float], rows: np.ndarray,
+           name: Callable[[int], str], prefix: str = "") -> np.ndarray:
+    """Fitness of each row, in order. A failing call raises a RuntimeError
+    ``{prefix}fitness evaluation failed for {name(i)}: ...``."""
+    values = np.empty(len(rows))
+    for i, x in enumerate(rows):
+        try:
+            values[i] = float(fitness(x))
+        except Exception as exc:
+            raise RuntimeError(
+                f"{prefix}fitness evaluation failed for {name(i)}: {exc}") from exc
+    return values
 
 
 def pso_tune(fitness: Callable[[np.ndarray], float], params: PsoParams,
@@ -141,45 +155,28 @@ def pso_tune(fitness: Callable[[np.ndarray], float], params: PsoParams,
     span = hi - lo
     k = constriction(params.c1, params.c2)
 
-    swarm = []
+    xs, vs = [], []
     for _ in range(params.swarm_size):
-        x = lo + rng.random(len(lo)) * span
-        v = rng.uniform(-span, span)
-        swarm.append(Particle(x, v, x.copy(), _BIG))
+        xs.append(lo + rng.random(len(lo)) * span)
+        vs.append(rng.uniform(-span, span))
+    x = np.array(xs)
+    swarm = Particle(x, np.array(vs), x.copy(), np.full(len(x), _BIG))
 
-    def evaluate_all() -> list[float]:
-        values = []
-        for i, p in enumerate(swarm):
-            try:
-                f = float(fitness(p.x))
-            except Exception as exc:
-                raise RuntimeError(
-                    f"fitness evaluation failed for particle {i}: {exc}") from exc
-            values.append(f)
-            if f < p.pbest_fitness:
-                p.pbest = p.x.copy()
-                p.pbest_fitness = f
-        return values
-
-    values = evaluate_all()
-    gbest_idx = int(np.argmin([p.pbest_fitness for p in swarm]))
-    gbest = swarm[gbest_idx].pbest.copy()
-    gbest_fitness = swarm[gbest_idx].pbest_fitness
-    history = [gbest_fitness]
-    mean_history = [float(np.mean(values))]
-
-    for it in range(params.iterations):
-        for i in range(params.swarm_size):
-            swarm[i] = update_particle(swarm[i], gbest, k, params.c1, params.c2,
-                                       rng, params.bounds)
-        try:
-            values = evaluate_all()
-        except RuntimeError as exc:
-            raise RuntimeError(f"iteration {it + 1}: {exc}") from exc
-        best_idx = int(np.argmin([p.pbest_fitness for p in swarm]))
-        if swarm[best_idx].pbest_fitness < gbest_fitness:
-            gbest = swarm[best_idx].pbest.copy()
-            gbest_fitness = swarm[best_idx].pbest_fitness
+    history, mean_history = [], []
+    for it in range(params.iterations + 1):
+        # pass 0 scores the random initialization
+        if it:
+            swarm = update_particle(swarm, gbest, k, params.c1, params.c2,
+                                    rng, params.bounds)
+        values = _score(fitness, swarm.x, "particle {}".format,
+                        f"iteration {it}: " if it else "")
+        better = values < swarm.pbest_fitness
+        swarm.pbest[better] = swarm.x[better]
+        swarm.pbest_fitness[better] = values[better]
+        best_idx = int(np.argmin(swarm.pbest_fitness))
+        if it == 0 or swarm.pbest_fitness[best_idx] < gbest_fitness:
+            gbest = swarm.pbest[best_idx].copy()
+            gbest_fitness = float(swarm.pbest_fitness[best_idx])
         history.append(gbest_fitness)
         mean_history.append(float(np.mean(values)))
     return gbest, history, mean_history
@@ -209,20 +206,7 @@ def ga_tune(fitness: Callable[[np.ndarray], float], params: GaParams,
     n, dims = params.population, len(lo)
 
     pop = lo + rng.random((n, dims)) * span
-
-    def evaluate_all(rows: np.ndarray, generation: int, first: int = 0) -> np.ndarray:
-        """Fitness of ``rows``, individuals ``first`` on of the population."""
-        values = np.empty(len(rows))
-        for i, x in enumerate(rows):
-            try:
-                values[i] = float(fitness(x))
-            except Exception as exc:
-                raise RuntimeError(
-                    f"fitness evaluation failed for individual {first + i} "
-                    f"in generation {generation}: {exc}") from exc
-        return values
-
-    values = evaluate_all(pop, 0)
+    values = _score(fitness, pop, "individual {} in generation 0".format)
     best_idx = int(np.argmin(values))
     best = pop[best_idx].copy()
     best_fitness = float(values[best_idx])
@@ -251,7 +235,8 @@ def ga_tune(fitness: Callable[[np.ndarray], float], params: GaParams,
         children = np.clip(children, lo, hi)
 
         pop = np.vstack([elites, children])
-        values = np.concatenate([elite_values, evaluate_all(children, gen, params.elite_count)])
+        values = np.concatenate([elite_values, _score(fitness, children, lambda i: (
+            f"individual {params.elite_count + i} in generation {gen}"))])
         gen_best = int(np.argmin(values))
         if values[gen_best] < best_fitness:
             best = pop[gen_best].copy()
@@ -290,7 +275,7 @@ class FitnessReport:
 
 
 def fitness(x: np.ndarray, suite: Sequence[FaultScenario], plant: PlantParams,
-            inputs: tuple[float, float] = (1.0, 0.8),
+            inputs: tuple[float, float] = OPERATING_POINT,
             bank: ResidualBank | None = None,
             max_fault_order: int = fuzzy.DEFAULT_MAX_FAULT_ORDER,
             ) -> FitnessReport:
@@ -311,7 +296,7 @@ def fitness(x: np.ndarray, suite: Sequence[FaultScenario], plant: PlantParams,
 
 
 def make_fitness(suite: Sequence[FaultScenario], plant: PlantParams,
-                 inputs: tuple[float, float] = (1.0, 0.8),
+                 inputs: tuple[float, float] = OPERATING_POINT,
                  max_fault_order: int = fuzzy.DEFAULT_MAX_FAULT_ORDER,
                  ) -> Callable[[np.ndarray], float]:
     """Bind a suite into a scalar evaluator for the optimizers.

@@ -8,7 +8,9 @@ bit for bit; its hold, which fills each gap from its source sample, must
 equal ``hold`` here, a running maximum over whole rows. Likewise the plant
 one frame at a time: R/C noise drawn step by step and sensor frames with
 their fault offsets, which ``tankfdi.plant.run`` must reproduce row for
-row.
+row. Last, the accessors and fixtures only tests use: the residual fault
+directions, a de-tuned detector, and plain forms of plant parameters,
+frames and trace columns.
 """
 
 from __future__ import annotations
@@ -18,9 +20,11 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from tankfdi.fuzzy import InputPartition, OutputPartition, RuleBase
+from tankfdi.fuzzy import (DetectorConfig, InputPartition, OutputPartition, RuleBase,
+                          params_to_config)
 from tankfdi.plant import (NOISY_PARAMS, VARIABLE_INDEX, VARIABLES, FaultEvent,
-                           MeasurementFrame, PlantParams, PlantState, coupling_flows)
+                           MeasurementFrame, PlantParams, PlantState, Trace,
+                           coupling_flows)
 
 
 class Memberships(NamedTuple):
@@ -192,3 +196,50 @@ def measure(state: PlantState, inputs: tuple[float, float], params: PlantParams,
     for ev in events:
         values[VARIABLE_INDEX[ev.target]] += ev.offset_at(t)
     return MeasurementFrame(t, *values)
+
+
+def fault_direction(variable: str, params: PlantParams) -> np.ndarray:
+    """Post-settling residual change per unit additive fault on ``variable``.
+
+    The residuals are linear in the measured signals, so a settled step fault
+    of magnitude m shifts the residual vector by m times this direction.
+    Its support is exactly the variable's signature row.
+    """
+    p = params
+    directions = {
+        "Msf1": (1.0, 0.0, 0.0, 0.0, 0.0),
+        "Msf2": (0.0, 0.0, 1.0, 0.0, 0.0),
+        "De1": (-1.0 / p.R1, 0.0, 0.0, 0.0, 1.0 / p.R12),
+        "De2": (0.0, -1.0 / p.R2, 0.0, -1.0 / p.R23, -1.0 / p.R12),
+        "De3": (0.0, 0.0, -1.0 / p.R3, 1.0 / p.R23, 0.0),
+        "Df1": (-1.0, 1.0, 0.0, 0.0, -1.0),
+        "Df2": (0.0, -1.0, -1.0, -1.0, 0.0),
+    }
+    return np.array(directions[variable])
+
+
+def detuned_config() -> DetectorConfig:
+    """A deliberately de-tuned but valid detector, used as a weak baseline.
+
+    Input partitions sit far above the usual residual scale, so weak fault
+    components go unseen and ramping faults cross late; the OK output sets
+    are wide relative to AL, biasing degrees low.
+    """
+    cfg, _ = params_to_config(np.array([0.75, 1.5, 3.5, 4.8] * 5
+                                       + [-4.8, -0.45, 0.45, 0.5] * 7))
+    return cfg
+
+
+def plant_params_dict(params: PlantParams) -> dict:
+    """A plant config object, as ``PlantParams.from_dict`` reads it."""
+    return {"schema": 1, **{k: getattr(params, k) for k in params.__dataclass_fields__}}
+
+
+def frame_vector(frame: MeasurementFrame) -> np.ndarray:
+    """A frame's signals in canonical VARIABLES order (time excluded)."""
+    return np.array([getattr(frame, name) for name in VARIABLES])
+
+
+def column(trace: Trace, name: str) -> np.ndarray:
+    """One supervised signal of a trace."""
+    return trace.signals[:, VARIABLE_INDEX[name]]

@@ -159,7 +159,7 @@ def test_criterion_6_tuning_improvement(swarm_tuned, pinned_bank):
 
     cfg, _ = fuzzy.params_to_config(best)
     _, tuned = harness.evaluate_bank(cfg, pinned_bank)
-    _, untuned = harness.evaluate_bank(fuzzy.detuned_config(), pinned_bank)
+    _, untuned = harness.evaluate_bank(oracle.detuned_config(), pinned_bank)
 
     assert tuned.proper_rate >= 0.90
     assert tuned.proper_rate >= untuned.proper_rate + 0.10

@@ -11,6 +11,7 @@ import pytest
 from tankfdi import fuzzy, harness, plant, render
 from tankfdi.cli import main
 
+import oracle
 from conftest import OPERATING_INPUTS
 
 
@@ -233,7 +234,7 @@ class TestEvaluate:
 class TestCompare:
     def test_rows_share_suite_column(self, tmp_path, config_file, suite_file):
         detuned = tmp_path / "detuned.json"
-        fuzzy.save_config(fuzzy.detuned_config(), str(detuned))
+        fuzzy.save_config(oracle.detuned_config(), str(detuned))
         out = tmp_path / "cmp.csv"
         code = main(["compare", "--config", f"tuned={config_file}",
                      "--config", f"untuned={detuned}",
@@ -283,7 +284,7 @@ class TestCompare:
     def test_render_flag_writes_per_config_dirs(self, tmp_path, config_file,
                                                 suite_file):
         detuned = tmp_path / "detuned.json"
-        fuzzy.save_config(fuzzy.detuned_config(), str(detuned))
+        fuzzy.save_config(oracle.detuned_config(), str(detuned))
         out_dir = tmp_path / "dots"
         code = main(["compare", "--config", f"tuned={config_file}",
                      "--config", f"untuned={detuned}", "--suite", suite_file,
@@ -388,6 +389,8 @@ MALFORMED_INPUTS = {
     "suite_field_typo": ("suite", {"schema": 1, "input": {"Msf1": 1.2, "Msf2": 0.6},
                                    "scenarios": [{"schema": 1, "duration": 2.0}]}, "['input']"),
     "scenario_is_directory": ("scenario", None, "scenario.json"),
+    "suite_scenario_id": ("suite", {"schema": 1, "scenarios": [
+        {"schema": 1, "id": 100 + i, "duration": 2.0} for i in range(3)]}, "['id']"),
 }
 
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from tankfdi import fuzzy, residuals
+from tankfdi import fuzzy
 from tankfdi.fuzzy import (DetectorConfig, Detector, DetectorKernel,
                            InputPartition, OutputPartition, Rule,
                            build_rulebase, config_to_params, params_to_config)
@@ -450,8 +450,8 @@ class TestDetector:
 
     def test_saturated_single_fault_flags_after_debounce(self, tuned_cfg):
         rows = np.zeros((20, 5))
-        rows[10:] = 10.0 * residuals.fault_direction("De1",
-                                                     __import__("tankfdi").plant.PlantParams())
+        rows[10:] = 10.0 * oracle.fault_direction("De1",
+                                                  __import__("tankfdi").plant.PlantParams())
         degrees, flags = self.degrees_for(rows, tuned_cfg)
         j = VARIABLES.index("De1")
         assert degrees[11, j] == pytest.approx(1.0)
@@ -599,8 +599,8 @@ class TestDetector:
 
     def test_compensated_pair_keeps_alarms_active(self, params, tuned_cfg):
         # contributions tuned to cancel in r2; the pair rule must still fire
-        d_de2 = residuals.fault_direction("De2", params)
-        d_df2 = residuals.fault_direction("Df2", params)
+        d_de2 = oracle.fault_direction("De2", params)
+        d_df2 = oracle.fault_direction("Df2", params)
         m_de2 = 3.0
         m_df2 = -m_de2 * d_de2[1] / d_df2[1]
         combined = m_de2 * d_de2 + m_df2 * d_df2

@@ -73,8 +73,8 @@ class TestCompensationPair:
 
     def test_direction_algebra(self, params):
         ev_de2, ev_df2 = compensation_pair(2.0, params, start=1.0)
-        combined = (ev_de2.magnitude * residuals.fault_direction("De2", params)
-                    + ev_df2.magnitude * residuals.fault_direction("Df2", params))
+        combined = (ev_de2.magnitude * oracle.fault_direction("De2", params)
+                    + ev_df2.magnitude * oracle.fault_direction("Df2", params))
         assert combined[1] == pytest.approx(0.0, abs=1e-15)
 
 
@@ -288,7 +288,7 @@ class TestEvaluate:
     def test_counts_partition_suite(self, params):
         suite = generate_suite(12, seed=4)
         bank = ResidualBank.from_suite(suite, params, OPERATING_INPUTS)
-        reports, metrics = evaluate_bank(fuzzy.detuned_config(), bank)
+        reports, metrics = evaluate_bank(oracle.detuned_config(), bank)
         assert sum(metrics.counts.values()) == len(suite) == len(reports)
         assert metrics.total == len(suite)
 
@@ -504,7 +504,7 @@ class TestCompare:
 
     def test_metrics_csv_schema(self, params, tuned_cfg, tmp_path):
         suite = generate_suite(4, seed=3)
-        rows, _ = harness.compare([("a", tuned_cfg), ("b", fuzzy.detuned_config())],
+        rows, _ = harness.compare([("a", tuned_cfg), ("b", oracle.detuned_config())],
                                suite, params, OPERATING_INPUTS)
         path = tmp_path / "metrics.csv"
         harness.write_metrics_csv(rows, str(path))
@@ -517,7 +517,7 @@ class TestCompare:
     def test_format_table_renders_all_rows(self, params, tuned_cfg):
         suite = generate_suite(4, seed=3)
         rows, _ = harness.compare([("tuned", tuned_cfg),
-                                ("untuned", fuzzy.detuned_config())],
+                                ("untuned", oracle.detuned_config())],
                                suite, params, OPERATING_INPUTS)
         table = harness.format_table(rows)
         assert "tuned" in table and "untuned" in table

@@ -13,7 +13,7 @@ from tankfdi.plant import (FaultEvent, FaultScenario, PlantParams,
                            PlantState, SimulationDiverged)
 
 from conftest import OPERATING_INPUTS
-from oracle import measure, perturb_params
+from oracle import column, frame_vector, measure, perturb_params, plant_params_dict
 
 
 class TestParams:
@@ -32,7 +32,7 @@ class TestParams:
             PlantParams(az=0.0)
 
     def test_dict_round_trip(self, params):
-        assert PlantParams.from_dict(params.to_dict()) == params
+        assert PlantParams.from_dict(plant_params_dict(params)) == params
 
 
 class TestStep:
@@ -180,7 +180,7 @@ class TestRun:
         ss = plant.steady_state(OPERATING_INPUTS, params)
         assert trace.frame(0).De1 == pytest.approx(ss.De1)
         # equilibrium start: signals stay flat without faults or noise
-        assert np.ptp(trace.column("De2")) < 1e-12
+        assert np.ptp(column(trace, "De2")) < 1e-12
 
     def test_bounded_approach_to_steady_state(self, params):
         sc = FaultScenario(seed=0, duration=60.0, dt=0.1)
@@ -188,7 +188,7 @@ class TestRun:
                           x0=PlantState(0, 0, 0, 0))
         ss = plant.steady_state(OPERATING_INPUTS, params)
         for name in ("De1", "De2", "De3"):
-            col = trace.column(name)
+            col = column(trace, name)
             assert col.max() <= max(0.0, getattr(ss, name)) + 1e-9
             assert col[-1] == pytest.approx(getattr(ss, name), rel=1e-6)
 
@@ -218,7 +218,7 @@ class TestRun:
             p = perturb_params(params, sc.noise_std_R, sc.noise_std_C, rng)
             frame = measure(state, OPERATING_INPUTS, p, sc.events, t, mode)
             assert trace.times[k] == t
-            assert trace.signals[k].tobytes() == frame.as_vector().tobytes()
+            assert trace.signals[k].tobytes() == frame_vector(frame).tobytes()
             state = plant.step(PlantState(state.De1, state.De2, state.De3, t),
                                OPERATING_INPUTS, p, sc.dt, mode)
 

@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 from tankfdi import plant, residuals
 from tankfdi.plant import FaultEvent, FaultScenario, MeasurementFrame, PlantState
 from tankfdi.residuals import (InsufficientHistory, ResidualEvaluator,
-                               fault_direction, residual_batch, residual_trace,
-                               signature_matrix)
+                               residual_batch, residual_trace, signature_matrix)
 
 from conftest import OPERATING_INPUTS
+from oracle import fault_direction
 
 
 def frame_at(t, msf1, msf2, de1, de2, de3, df1, df2):
@@ -274,8 +274,7 @@ class TestResidualCsv:
         trace = plant.run(sc, params, OPERATING_INPUTS)
         times, resid = residual_trace(trace, params)
         path = tmp_path / "resid.csv"
-        residuals.write_residual_csv(times, resid, str(path),
-                                     include_initial_zero_row=True, t0=0.0)
+        residuals.write_residual_csv(times, resid, str(path), t0=0.0)
         lines = path.read_text().splitlines()
         assert lines[0] == "t,r1,r2,r3,r4,r5"
         assert len(lines) == len(trace) + 1

@@ -125,6 +125,16 @@ class TestPso:
         assert np.all(arr >= SPHERE_BOUNDS[:, 0])
         assert np.all(arr <= SPHERE_BOUNDS[:, 1])
 
+    def test_swarm_history_pinned(self):
+        # recorded when each particle was updated on its own; guards the
+        # swarm's draw order: every particle draws r1, then r2, in turn
+        _, hist, mean_hist = pso_tune(sphere, PsoParams(
+            swarm_size=5, iterations=4, bounds=SPHERE_BOUNDS, seed=4))
+        assert hist == [18.040711408969457, 18.040711408969457, 9.428850847373518,
+                        8.128593246738273, 3.7542261939041666]
+        assert mean_hist == [30.199493253674017, 28.432173636606308, 17.939243996754296,
+                             11.346244083102002, 10.322412249186257]
+
     def test_invalid_acceleration_rejected(self):
         with pytest.raises(ValueError):
             PsoParams(c1=2.0, c2=2.0)
