@@ -36,7 +36,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .plant import VARIABLES, SchemaError, check_fields, read_json, write_json
+from .plant import VARIABLES, SchemaError, from_json, read_json, to_json, write_json
 from .residuals import SignatureMatrix, signature_matrix
 
 #: Premise constraints a rule may place on one residual.
@@ -448,53 +448,18 @@ def config_to_params(cfg: DetectorConfig) -> np.ndarray:
 
 
 def config_to_dict(cfg: DetectorConfig) -> dict:
-    return {
-        "schema": 1,
-        "input_partitions": [
-            {"a1": p.a1, "a2": p.a2, "a3": p.a3, "a4": p.a4, "beta": p.beta}
-            for p in cfg.input_partitions
-        ],
-        "output_partitions": [
-            {"a": p.a, "b": p.b, "c": p.c, "d": p.d}
-            for p in cfg.output_partitions
-        ],
-        "max_fault_order": cfg.rulebase.max_fault_order,
-        "alarm_threshold": cfg.alarm_threshold,
-        "debounce": cfg.debounce,
-    }
-
-
-_CONFIG_FIELDS = ("input_partitions", "output_partitions", "max_fault_order",
-                  "alarm_threshold", "debounce")
-_INPUT_FIELDS = ("a1", "a2", "a3", "a4", "beta")
-_OUTPUT_FIELDS = ("a", "b", "c", "d")
+    """A config's JSON object; the rule base is stored as its
+    ``max_fault_order``."""
+    obj = to_json(cfg)
+    obj["max_fault_order"] = obj.pop("rulebase").max_fault_order
+    return obj
 
 
 def config_from_dict(obj: dict) -> DetectorConfig:
-    check_fields(obj, "detector config", _CONFIG_FIELDS, required=_CONFIG_FIELDS[:2],
-                 lists=_CONFIG_FIELDS[:2])
-    for i, p in enumerate(obj["input_partitions"]):
-        check_fields(p, f"detector config input_partitions[{i}]", _INPUT_FIELDS,
-                     required=_INPUT_FIELDS[:4])
-    for i, p in enumerate(obj["output_partitions"]):
-        check_fields(p, f"detector config output_partitions[{i}]", _OUTPUT_FIELDS,
-                     required=_OUTPUT_FIELDS)
-    try:
-        inputs = tuple(
-            InputPartition(p["a1"], p["a2"], p["a3"], p["a4"], p.get("beta", DEFAULT_BETA))
-            for p in obj["input_partitions"]
-        )
-        outputs = tuple(
-            OutputPartition(p["a"], p["b"], p["c"], p["d"])
-            for p in obj["output_partitions"]
-        )
-        rb = build_rulebase(max_fault_order=int(obj.get("max_fault_order",
-                                                        DEFAULT_MAX_FAULT_ORDER)))
-        return DetectorConfig(inputs, outputs, rb,
-                              float(obj.get("alarm_threshold", DEFAULT_ALARM_THRESHOLD)),
-                              int(obj.get("debounce", DEFAULT_DEBOUNCE)))
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"invalid detector config: {exc}") from exc
+    """The config a JSON object holds; the rule base is regenerated from
+    its ``max_fault_order``."""
+    return from_json(DetectorConfig, obj, "detector config",
+                     rulebase=("max_fault_order", int, build_rulebase))
 
 
 def save_config(cfg: DetectorConfig, path: str) -> None:

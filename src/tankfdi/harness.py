@@ -476,21 +476,19 @@ def compare(configs: Sequence[tuple[str, DetectorConfig]],
     return rows, reports
 
 
+#: The columns of the metrics CSV and table: the config's name, the suite
+#: size, the count of each classification, then the SuiteMetrics rates.
+METRICS_COLUMNS = ("config", "scenarios", *CLASSIFICATIONS, "proper_rate", "mean_delay")
+
+#: Table cells of the columns that ``format_table`` does not show with ``str``.
+_TABLE_CELLS = {"proper_rate": "{:.3f}".format,
+                "mean_delay": lambda d: "-" if math.isnan(d) else f"{d:.2f}s"}
+
+
 def metrics_row(name: str, metrics: SuiteMetrics) -> dict:
-    return {
-        "config": name,
-        "scenarios": metrics.total,
-        "proper": metrics.counts["proper"],
-        "missed": metrics.counts["missed"],
-        "bad": metrics.counts["bad"],
-        "false_alarm": metrics.counts["false_alarm"],
-        "proper_rate": metrics.proper_rate,
-        "mean_delay": metrics.mean_delay,
-    }
-
-
-METRICS_COLUMNS = ("config", "scenarios", "proper", "missed", "bad",
-                   "false_alarm", "proper_rate", "mean_delay")
+    """One config's METRICS_COLUMNS row."""
+    values = {"config": name, "scenarios": metrics.total, **metrics.counts}
+    return {c: values[c] if c in values else getattr(metrics, c) for c in METRICS_COLUMNS}
 
 
 def write_metrics_csv(rows: Sequence[dict], path: str) -> None:
@@ -499,15 +497,8 @@ def write_metrics_csv(rows: Sequence[dict], path: str) -> None:
 
 def format_table(rows: Sequence[dict]) -> str:
     """Human-readable fixed-width rendering of comparison rows."""
-    header = list(METRICS_COLUMNS)
-    body = []
-    for row in rows:
-        body.append([
-            str(row["config"]), str(row["scenarios"]), str(row["proper"]),
-            str(row["missed"]), str(row["bad"]), str(row["false_alarm"]),
-            f"{row['proper_rate']:.3f}",
-            "-" if math.isnan(row["mean_delay"]) else f"{row['mean_delay']:.2f}s",
-        ])
+    header = METRICS_COLUMNS
+    body = [[_TABLE_CELLS.get(c, str)(row[c]) for c in header] for row in rows]
     widths = [max(len(header[i]), *(len(r[i]) for r in body)) for i in range(len(header))]
     lines = ["  ".join(h.ljust(w) for h, w in zip(header, widths))]
     for r in body:
@@ -536,7 +527,7 @@ def suite_to_dict(suite: Sequence[FaultScenario],
                   inputs: tuple[float, float] = OPERATING_POINT) -> dict:
     return {
         "schema": 1,
-        "inputs": {"Msf1": inputs[0], "Msf2": inputs[1]},
+        "inputs": plant.inputs_to_dict(inputs),
         "scenarios": [plant.scenario_to_dict(sc) for sc in suite],
     }
 

@@ -7,14 +7,21 @@ the *measured* channels (sensor/actuator reading faults); parameter noise
 perturbs the physical R and C values each step.
 
 Every module's file handling is also here: ``check_fields`` (the rule of
-every JSON input object), ``read_json``, ``write_json`` and ``write_csv``.
+every JSON input object), ``json_value`` (the type rule of every JSON
+value), ``read_json``, ``write_json`` and ``write_csv``. Each JSON file
+format is declared once, by its dataclass: ``to_json`` writes and
+``from_json`` reads any of them from ``dataclasses.fields`` and the fields'
+type hints.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
+import typing
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -59,8 +66,9 @@ def check_fields(obj, owner: str, fields, required=(), lists=()) -> None:
     ``owner`` and the field."""
     if not isinstance(obj, dict):
         raise SchemaError(f"{owner} must be a JSON object")
-    if obj.get("schema", 1) != 1:
-        raise SchemaError(f"unsupported {owner} schema {obj['schema']!r}")
+    schema = obj.get("schema", 1)
+    if type(schema) is not int or schema != 1:   # neither true nor 1.0 is schema 1
+        raise SchemaError(f"unsupported {owner} schema {schema!r}")
     unknown = [key for key in obj if key not in fields and key != "schema"]
     if unknown:
         raise SchemaError(f"unknown field(s) in {owner}: {sorted(unknown)}")
@@ -70,6 +78,87 @@ def check_fields(obj, owner: str, fields, required=(), lists=()) -> None:
     for key in lists:
         if not isinstance(obj.get(key, []), list):
             raise SchemaError(f"{owner} field {key!r} must be a list")
+
+
+#: The type rule of JSON values: the Python types that a parsed JSON value
+#: of an int, float or str field may have, and their name in messages.
+_JSON_TYPES = {int: (int, "an integer"), float: ((int, float), "a number"),
+               str: (str, "a string")}
+
+
+def json_value(value, tp: type, owner: str, key: str):
+    """``value`` of field ``key`` under the type rule of every JSON field: an
+    int field takes an integer, a float field a number (an integer is widened
+    to float) and a str field a string; a bool is never a number."""
+    accepted, kind = _JSON_TYPES[tp]
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        raise SchemaError(f"{owner} field {key!r} must be {kind}, got {value!r}")
+    try:
+        return float(value) if tp is float else value
+    except OverflowError:
+        raise SchemaError(f"{owner} field {key!r} is too large for a number") from None
+
+
+@lru_cache(maxsize=None)
+def _layout(cls) -> tuple[dict, tuple, tuple]:
+    """Dataclass ``cls`` as JSON sees it, resolved once per class: (type,
+    item) by field name, with item X for a ``tuple[X, ...]`` field (a list
+    of X objects) else None; the fields with no default; the tuple fields."""
+    hints = typing.get_type_hints(cls)
+    fields = {f.name: (hints[f.name], (typing.get_args(hints[f.name]) or (None,))[0])
+              for f in dataclasses.fields(cls)}
+    required = tuple(f.name for f in dataclasses.fields(cls)
+                     if f.default is f.default_factory is dataclasses.MISSING)
+    return fields, required, tuple(name for name, (_, item) in fields.items() if item)
+
+
+def to_json(obj, schema: bool = True) -> dict:
+    """The JSON object of dataclass instance ``obj``: each field under its
+    name, a tuple field as a list of its items' objects (which hold no
+    ``schema``), and ``"schema": 1`` if ``schema``."""
+    out = {"schema": 1} if schema else {}
+    for name, (_, item) in _layout(type(obj))[0].items():
+        value = getattr(obj, name)
+        out[name] = [to_json(v, False) for v in value] if item else value
+    return out
+
+
+def from_json(cls, obj, owner: str, extra: Sequence[str] = (), **stored):
+    """The instance of dataclass ``cls`` that JSON object ``obj`` holds.
+
+    ``obj`` follows ``check_fields`` with the fields of ``cls``: those with
+    no default are required, and a tuple field is a list of objects read
+    the same way. Values follow ``json_value``. ``obj`` may also hold the
+    keys in ``extra``, which the caller reads. ``stored`` maps a field that
+    JSON holds in another form to (key, type, build): the field is
+    ``build(key=value)``, or ``build()`` when ``obj`` has no ``key``.
+    """
+    fields, required, lists = _layout(cls)
+    names = fields
+    if extra or stored:
+        names = [*(name for name in fields if name not in stored), *extra,
+                 *(key for key, _, _ in stored.values())]
+        required = [name for name in required if name not in stored]
+    check_fields(obj, owner, names, required, lists)
+    kwargs = {}
+    for name, (tp, item) in fields.items():
+        if name in obj:
+            value = obj[name]
+            if item:
+                value = tuple([from_json(item, v, f"{owner} {name}[{i}]")
+                               for i, v in enumerate(value)])
+            elif type(value) is not tp:   # a value of type tp passes json_value as it is
+                value = json_value(value, tp, owner, name)
+            kwargs[name] = value
+    try:
+        for name, (key, tp, build) in stored.items():
+            kwargs[name] = build(**{key: json_value(obj[key], tp, owner, key)}
+                                 if key in obj else {})
+        return cls(**kwargs)
+    except SchemaError:
+        raise
+    except ValueError as exc:
+        raise SchemaError(f"invalid {owner}: {exc}") from exc
 
 
 def read_json(path: str, owner: str):
@@ -138,11 +227,7 @@ class PlantParams:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "PlantParams":
-        check_fields(obj, "plant config", cls.__dataclass_fields__)
-        try:
-            return cls(**{k: v for k, v in obj.items() if k != "schema"})
-        except (TypeError, ValueError) as exc:
-            raise SchemaError(f"invalid plant config: {exc}") from exc
+        return from_json(cls, obj, "plant config")
 
 
 @dataclass(frozen=True)
@@ -511,48 +596,20 @@ def simulate_suite(suite: Sequence[FaultScenario], params: PlantParams,
 # JSON / CSV interfaces
 
 def scenario_to_dict(scenario: FaultScenario) -> dict:
-    return {
-        "schema": 1,
-        "seed": scenario.seed,
-        "duration": scenario.duration,
-        "dt": scenario.dt,
-        "noise_std_R": scenario.noise_std_R,
-        "noise_std_C": scenario.noise_std_C,
-        "events": [
-            {"target": ev.target, "start": ev.start,
-             "magnitude": ev.magnitude, "profile": ev.profile}
-            for ev in scenario.events
-        ],
-    }
-
-
-_SCENARIO_FIELDS = ("seed", "duration", "dt", "noise_std_R", "noise_std_C",
-                   "events", "inputs")
-_EVENT_FIELDS = ("target", "start", "magnitude", "profile")
+    return to_json(scenario)
 
 
 def scenario_from_dict(obj: dict, owner: str = "scenario") -> FaultScenario:
-    check_fields(obj, owner, _SCENARIO_FIELDS, lists=("events",))
-    events = []
-    for i, ev in enumerate(obj.get("events", [])):
-        where = f"{owner} events[{i}]"
-        check_fields(ev, where, _EVENT_FIELDS, required=_EVENT_FIELDS[:3])
-        try:
-            events.append(FaultEvent(ev["target"], float(ev["start"]),
-                                     float(ev["magnitude"]), ev.get("profile", "step")))
-        except (TypeError, ValueError) as exc:
-            raise SchemaError(f"{where}: {exc}") from exc
-    try:
-        return FaultScenario(
-            seed=int(obj.get("seed", 0)),
-            duration=float(obj.get("duration", 20.0)),
-            dt=float(obj.get("dt", 0.1)),
-            noise_std_R=float(obj.get("noise_std_R", 0.0)),
-            noise_std_C=float(obj.get("noise_std_C", 0.0)),
-            events=tuple(events),
-        )
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"invalid {owner}: {exc}") from exc
+    return from_json(FaultScenario, obj, owner)
+
+
+#: The keys of an ``inputs`` object: the source flows, in VARIABLES order.
+_SOURCES = VARIABLES[:2]
+
+
+def inputs_to_dict(inputs: tuple[float, float]) -> dict:
+    """The ``inputs`` object of a scenario or suite file."""
+    return dict(zip(_SOURCES, inputs))
 
 
 def parse_inputs(obj: dict, owner: str) -> tuple[float, float]:
@@ -560,11 +617,8 @@ def parse_inputs(obj: dict, owner: str) -> tuple[float, float]:
     if "inputs" not in obj:
         return OPERATING_POINT
     inputs, where = obj["inputs"], f"{owner} field 'inputs'"
-    check_fields(inputs, where, ("Msf1", "Msf2"), required=("Msf1", "Msf2"))
-    try:
-        pair = (float(inputs["Msf1"]), float(inputs["Msf2"]))
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"{where}: {exc}") from exc
+    check_fields(inputs, where, _SOURCES, required=_SOURCES)
+    pair = tuple(json_value(inputs[key], float, where, key) for key in _SOURCES)
     if not all(math.isfinite(v) for v in pair):
         raise SchemaError(f"{where} must hold finite Msf1 and Msf2")
     return pair
@@ -573,7 +627,9 @@ def parse_inputs(obj: dict, owner: str) -> tuple[float, float]:
 def load_scenario(path: str) -> tuple[FaultScenario, tuple[float, float]]:
     """Read a scenario JSON file; returns (scenario, operating inputs)."""
     obj = read_json(path, "scenario")
-    return scenario_from_dict(obj), parse_inputs(obj, "scenario")
+    # only a file's top level holds ``inputs``, not a scenario in a suite
+    scenario = from_json(FaultScenario, obj, "scenario", ("inputs",))
+    return scenario, parse_inputs(obj, "scenario")
 
 
 def write_trace_csv(trace: Trace, path: str) -> None:

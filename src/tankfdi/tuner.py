@@ -98,7 +98,8 @@ class GaParams:
         if not 0 <= self.elite_count < self.population:
             raise ValueError("elite_count must satisfy 0 <= elite < population")
         if self.stall_generations > self.max_generations:
-            raise ValueError("stall_generations must not exceed max_generations")
+            raise ValueError(f"stall_generations ({self.stall_generations}) must not "
+                             f"exceed max_generations ({self.max_generations})")
         if not 0.0 <= self.crossover_fraction <= 1.0:
             raise ValueError("crossover_fraction must lie in [0, 1]")
         if not 0.0 <= self.mutation_rate <= 1.0:

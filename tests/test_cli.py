@@ -174,6 +174,15 @@ class TestTune:
         assert code == 2
         assert "c1 + c2 > 4" in capsys.readouterr().err
 
+    def test_stall_above_max_generations_names_both(self, tmp_path, capsys):
+        out = tmp_path / "cfg.json"
+        code = main(["tune", "--method", "ga", "--generate", "3", "--max-generations", "2",
+                     "--out-config", str(out), "--out-history", str(tmp_path / "hist.csv")])
+        assert code == 2
+        assert ("stall_generations (50) must not exceed max_generations (2)"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_generate_flag_builds_suite(self, tmp_path):
         code = main(["tune", "--method", "pso", "--generate", "4",
                      "--suite-seed", "5", "--swarm-size", "5",
@@ -386,11 +395,41 @@ MALFORMED_INPUTS = {
         {"target": "De1", "start": 1.0, "magnitude": 0.5, "profle": "ramp"}]}, "['profle']"),
     "config_field_typo": ("config", {**fuzzy.config_to_dict(
         fuzzy.example_tuned_config("swarm")), "debouce": 9}, "['debouce']"),
+    "config_rulebase_field": ("config", {**fuzzy.config_to_dict(
+        fuzzy.example_tuned_config("swarm")), "rulebase": 2}, "['rulebase']"),
     "suite_field_typo": ("suite", {"schema": 1, "input": {"Msf1": 1.2, "Msf2": 0.6},
                                    "scenarios": [{"schema": 1, "duration": 2.0}]}, "['input']"),
     "scenario_is_directory": ("scenario", None, "scenario.json"),
     "suite_scenario_id": ("suite", {"schema": 1, "scenarios": [
         {"schema": 1, "id": 100 + i, "duration": 2.0} for i in range(3)]}, "['id']"),
+    "suite_scenario_inputs": ("suite", {"schema": 1, "scenarios": [
+        {"schema": 1, "duration": 2.0, "inputs": {"Msf1": 1.2, "Msf2": 0.6}}]}, "['inputs']"),
+    # the type rule: int fields take integers, float fields numbers, str
+    # fields strings, and a bool is never a number
+    "scenario_seed_fraction": ("scenario", {"schema": 1, "seed": 1.9, "duration": 2.0},
+                               "scenario field 'seed' must be an integer"),
+    "scenario_seed_bool": ("scenario", {"schema": 1, "seed": True, "duration": 2.0},
+                           "scenario field 'seed' must be an integer"),
+    "scenario_duration_string": ("scenario", {"schema": 1, "duration": "20"},
+                                 "scenario field 'duration' must be a number"),
+    "scenario_duration_overflow": ("scenario", {"schema": 1, "duration": 10**400},
+                                   "scenario field 'duration' is too large for a number"),
+    "event_magnitude_bool": ("scenario", {"schema": 1, "duration": 2.0, "events": [
+        {"target": "De1", "start": 1.0, "magnitude": True}]},
+        "scenario events[0] field 'magnitude' must be a number"),
+    "config_debounce_fraction": ("config", {**fuzzy.config_to_dict(
+        fuzzy.example_tuned_config("swarm")), "debounce": 3.7},
+        "detector config field 'debounce' must be an integer"),
+    "config_max_fault_order_fraction": ("config", {**fuzzy.config_to_dict(
+        fuzzy.example_tuned_config("swarm")), "max_fault_order": 2.9},
+        "detector config field 'max_fault_order' must be an integer"),
+    "config_alarm_threshold_string": ("config", {**fuzzy.config_to_dict(
+        fuzzy.example_tuned_config("swarm")), "alarm_threshold": "0.5"},
+        "detector config field 'alarm_threshold' must be a number"),
+    "plant_R1_bool": ("plant", {"schema": 1, "R1": True},
+                      "plant config field 'R1' must be a number"),
+    "scenario_schema_bool": ("scenario", {"schema": True, "duration": 2.0},
+                             "unsupported scenario schema True"),
 }
 
 

@@ -533,6 +533,21 @@ class TestSuiteFiles:
         assert loaded == suite
         assert inputs == (1.0, 0.8)
 
+    @pytest.mark.parametrize("kind", ["swarm", "genetic", "suite"])
+    def test_save_load_save_is_byte_identical(self, tmp_path, kind):
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        if kind == "suite":
+            suite = generate_suite(200, seed=7)
+            profiles = {ev.profile for sc in suite for ev in sc.events}
+            assert profiles == {"step", "ramp"}
+            harness.save_suite(suite, str(first), inputs=(1.2, 0.6))
+            loaded, inputs = harness.load_suite(str(first))
+            harness.save_suite(loaded, str(second), inputs=inputs)
+        else:
+            fuzzy.save_config(fuzzy.example_tuned_config(kind), str(first))
+            fuzzy.save_config(fuzzy.load_config(str(first)), str(second))
+        assert second.read_bytes() == first.read_bytes()
+
     def test_schema_errors_name_the_field(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"schema": 1, "inputs": {"Msf1": 1.0}}))
