@@ -61,6 +61,8 @@ def _check_outputs(files=(), dirs=()) -> None:
 def _resolve_suite(args, params: plant.PlantParams,
                    ) -> tuple[list[plant.FaultScenario], tuple[float, float]]:
     if args.suite:
+        if args.generate is not None:
+            raise plant.SchemaError("--suite and --generate exclude each other: give one")
         return harness.load_suite(args.suite)
     if args.generate is None:
         raise plant.SchemaError("either --suite FILE or --generate N is required")
@@ -100,20 +102,27 @@ def cmd_simulate(args) -> int:
 
 def cmd_tune(args) -> int:
     _check_outputs([args.out_config, args.out_history, args.out_config + ".run.json"])
+    settings_type, optimize = _TUNERS[args.method]
+    names = [f.name for f in _optimizer_fields(settings_type)]
+    given = {f.name: getattr(args, f.name) for other, _ in _TUNERS.values()
+             for f in _optimizer_fields(other) if getattr(args, f.name) is not None}
+    foreign = ["--" + name.replace("_", "-") for name in given if name not in names]
+    if foreign:
+        raise plant.SchemaError(f"--method {args.method} does not take {', '.join(foreign)}")
+    settings = settings_type(**given, seed=args.seed)
     params = _load_plant(args.plant)
     suite, inputs = _resolve_suite(args, params)
     objective = tuner.make_fitness(suite, params, inputs,
                                    max_fault_order=args.max_fault_order)
-    settings, optimize = _TUNERS[args.method]
-    hyper = {f.name: getattr(args, f.name) for f in _optimizer_fields(settings)}
-    best, history, mean_history = optimize(objective, settings(**hyper, seed=args.seed))
+    best, history, mean_history = optimize(objective, settings)
 
     cfg, _ = fuzzy.params_to_config(best, max_fault_order=args.max_fault_order)
     fuzzy.save_config(cfg, args.out_config)
     plant.write_csv(("iteration", "best_fitness", "mean_fitness"),
                     zip(range(len(history)), history, mean_history), args.out_history)
     _write_run_config(args.out_config, "tune", {
-        "method": args.method, **hyper, "seed": args.seed, "suite": args.suite,
+        "method": args.method, **{name: getattr(settings, name) for name in names},
+        "seed": args.seed, "suite": args.suite,
         "generate": args.generate, "suite_seed": args.suite_seed,
         "plant": args.plant, "max_fault_order": args.max_fault_order,
         "out_config": args.out_config, "out_history": args.out_history,
@@ -156,11 +165,14 @@ def _render_reports(out_dir: str, reports: list[harness.DetectionReport]) -> Non
 
 
 def cmd_evaluate(args) -> int:
+    if args.jobs != 1:
+        raise plant.SchemaError(
+            f"--jobs must be 1: a suite is built in one process, got {args.jobs}")
     _check_outputs([args.out, args.reports, args.out + ".run.json"], [args.render])
     params = _load_plant(args.plant)
     cfg = fuzzy.load_config(args.config)
     suite, inputs = _resolve_suite(args, params)
-    bank = harness.ResidualBank.from_suite(suite, params, inputs, jobs=args.jobs)
+    bank = harness.ResidualBank.from_suite(suite, params, inputs)
     reports, metrics = harness.evaluate_bank(cfg, bank)
     name = args.name or os.path.splitext(os.path.basename(args.config))[0]
     harness.write_metrics_csv([harness.metrics_row(name, metrics)], args.out)
@@ -194,7 +206,7 @@ def cmd_compare(args) -> int:
     _check_outputs([args.out, args.out + ".run.json"],
                    [os.path.join(args.render, name) for name, _ in configs] if args.render else [])
     suite, inputs = _resolve_suite(args, params)
-    rows, reports = harness.compare(configs, suite, params, inputs, jobs=args.jobs)
+    rows, reports = harness.compare(configs, suite, params, inputs)
     if args.render:
         for (name, _), config_reports in zip(configs, reports):
             _render_reports(os.path.join(args.render, name), config_reports)
@@ -202,8 +214,7 @@ def cmd_compare(args) -> int:
     _write_run_config(args.out, "compare", {
         "configs": list(args.config), "suite": args.suite,
         "generate": args.generate, "suite_seed": args.suite_seed,
-        "plant": args.plant, "jobs": args.jobs, "out": args.out,
-        "render": args.render,
+        "plant": args.plant, "out": args.out, "render": args.render,
     })
     print(harness.format_table(rows))
     return EXIT_OK
@@ -264,8 +275,9 @@ def build_parser() -> argparse.ArgumentParser:
                    default=fuzzy.DEFAULT_MAX_FAULT_ORDER)
     for settings, _ in _TUNERS.values():
         for f in _optimizer_fields(settings):
-            p.add_argument("--" + f.name.replace("_", "-"), type=type(f.default),
-                           default=f.default)
+            # default None: a flag not given takes the dataclass default,
+            # and a given flag of the other method can be named
+            p.add_argument("--" + f.name.replace("_", "-"), type=type(f.default))
     p.add_argument("--out-config", required=True)
     p.add_argument("--out-history", required=True)
     p.set_defaults(func=cmd_tune)
@@ -283,8 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--name", help="row label (default: config file stem)")
     _add_suite_options(p)
     p.add_argument("--plant")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="parallel scenario simulations")
+    p.add_argument("--jobs", type=int, default=1, help="takes only 1")
     p.add_argument("--out", required=True, help="metrics CSV output")
     p.add_argument("--reports", help="per-scenario JSONL output")
     p.add_argument("--render", metavar="DIR",
@@ -297,7 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "(score a single config with evaluate)")
     _add_suite_options(p)
     p.add_argument("--plant")
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", required=True, help="metrics CSV output")
     p.add_argument("--render", metavar="DIR")
     p.set_defaults(func=cmd_compare)

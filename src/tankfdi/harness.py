@@ -245,43 +245,6 @@ def _simulate_residuals(scenario: FaultScenario, params: PlantParams,
 BANK_BLOCK = 256
 
 
-def _bank_rows(suite: Sequence[FaultScenario], params: PlantParams,
-               inputs: tuple[float, float], first: int = 0,
-               ) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Times and residual rows of every scenario, in suite order.
-
-    Scenarios sharing (dt, duration) are simulated and conditioned together
-    in blocks of at most BANK_BLOCK. A divergence is reported for the
-    earliest diverging scenario in suite order, numbered from ``first``.
-    """
-    groups: dict[tuple[float, float], list[int]] = {}
-    for i, scenario in enumerate(suite):
-        groups.setdefault((scenario.dt, scenario.duration), []).append(i)
-    times: list = [None] * len(suite)
-    resid: list = [None] * len(suite)
-    diverged: plant.SimulationDiverged | None = None
-    for (dt, _), members in groups.items():
-        for lo in range(0, len(members), BANK_BLOCK):
-            idx = members[lo:lo + BANK_BLOCK]
-            try:
-                t, signals = plant.simulate_suite([suite[i] for i in idx], params, inputs)
-            except plant.SimulationDiverged as exc:
-                i = first + idx[exc.scenario]
-                if diverged is None or i < diverged.scenario:
-                    diverged = plant.SimulationDiverged(exc.variable, exc.t, i)
-                continue
-            t = t[1:]
-            t.setflags(write=False)
-            rows = residuals.residual_batch(signals, dt, params,
-                                            tau=DERIVATIVE_TAU_FACTOR * dt,
-                                            spike_window=DERIVATIVE_SPIKE_WINDOW)
-            for j, i in enumerate(idx):
-                times[i], resid[i] = t, rows[j]
-    if diverged is not None:
-        raise diverged
-    return times, resid
-
-
 @dataclass(frozen=True)
 class ResidualBank:
     """Precomputed residual traces of a suite, reusable across detectors.
@@ -305,25 +268,38 @@ class ResidualBank:
 
     @classmethod
     def from_suite(cls, suite: Sequence[FaultScenario], params: PlantParams,
-                   inputs: tuple[float, float] = OPERATING_POINT,
-                   jobs: int = 1) -> "ResidualBank":
-        if jobs < 1:
-            raise ValueError(f"jobs must be at least 1, got {jobs}")
-        if jobs > 1 and len(suite) > 1:
-            # imported here: at module level it costs every process,
-            # pool or not, 10-20 ms and about 2 MB
-            from concurrent.futures import ProcessPoolExecutor
+                   inputs: tuple[float, float] = OPERATING_POINT) -> "ResidualBank":
+        """Simulate and condition every scenario, in suite order.
 
-            size = -(-len(suite) // jobs)
-            starts = range(0, len(suite), size)
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                parts = list(pool.map(_bank_rows, [suite[lo:lo + size] for lo in starts],
-                                      itertools.repeat(params), itertools.repeat(inputs),
-                                      starts))
-            times = [t for part, _ in parts for t in part]
-            resid = [r for _, part in parts for r in part]
-        else:
-            times, resid = _bank_rows(suite, params, inputs)
+        Scenarios sharing (dt, duration) are simulated and conditioned
+        together in blocks of at most BANK_BLOCK. A divergence is reported
+        for the earliest diverging scenario in suite order.
+        """
+        groups: dict[tuple[float, float], list[int]] = {}
+        for i, scenario in enumerate(suite):
+            groups.setdefault((scenario.dt, scenario.duration), []).append(i)
+        times: list = [None] * len(suite)
+        resid: list = [None] * len(suite)
+        diverged: plant.SimulationDiverged | None = None
+        for (dt, _), members in groups.items():
+            for lo in range(0, len(members), BANK_BLOCK):
+                idx = members[lo:lo + BANK_BLOCK]
+                try:
+                    t, signals = plant.simulate_suite([suite[i] for i in idx], params, inputs)
+                except plant.SimulationDiverged as exc:
+                    i = idx[exc.scenario]
+                    if diverged is None or i < diverged.scenario:
+                        diverged = plant.SimulationDiverged(exc.variable, exc.t, i)
+                    continue
+                t = t[1:]
+                t.setflags(write=False)
+                rows = residuals.residual_batch(signals, dt, params,
+                                                tau=DERIVATIVE_TAU_FACTOR * dt,
+                                                spike_window=DERIVATIVE_SPIKE_WINDOW)
+                for j, i in enumerate(idx):
+                    times[i], resid[i] = t, rows[j]
+        if diverged is not None:
+            raise diverged
         block = np.vstack(resid)
         block.setflags(write=False)
         offsets = np.cumsum([0] + [len(r) for r in resid])
@@ -461,13 +437,13 @@ def evaluate_bank(cfg: DetectorConfig, bank: ResidualBank,
 
 def compare(configs: Sequence[tuple[str, DetectorConfig]],
             suite: Sequence[FaultScenario], params: PlantParams,
-            inputs: tuple[float, float] = OPERATING_POINT, jobs: int = 1,
+            inputs: tuple[float, float] = OPERATING_POINT,
             ) -> tuple[list[dict], list[list[DetectionReport]]]:
     """Side-by-side metrics rows of several configurations on one suite,
     and each configuration's per-scenario reports."""
     if len(configs) < 2:
         raise ValueError("compare needs at least two configurations")
-    bank = ResidualBank.from_suite(suite, params, inputs, jobs=jobs)
+    bank = ResidualBank.from_suite(suite, params, inputs)
     rows, reports = [], []
     for name, cfg in configs:
         config_reports, metrics = evaluate_bank(cfg, bank)

@@ -51,9 +51,6 @@ class SimulationDiverged(RuntimeError):
         where = "" if scenario is None else f" in scenario {scenario}"
         super().__init__(f"simulation diverged: {variable} is non-finite at t={t:.6g}s{where}")
 
-    def __reduce__(self):
-        return type(self), (self.variable, self.t, self.scenario)
-
 
 class SchemaError(ValueError):
     """Raised when a JSON artifact does not match its documented schema."""
@@ -304,6 +301,8 @@ class FaultScenario:
             raise ValueError("FaultScenario.dt must be positive")
         if self.duration < self.dt:
             raise ValueError("FaultScenario.duration must be at least one step")
+        if self.seed < 0:
+            raise ValueError(f"FaultScenario.seed must be non-negative, got {self.seed}")
         if self.noise_std_R < 0 or self.noise_std_C < 0:
             raise ValueError("noise standard deviations must be non-negative")
         if len(self.events) > 7:

@@ -183,6 +183,17 @@ class TestTune:
                 in capsys.readouterr().err)
         assert not out.exists()
 
+    @pytest.mark.parametrize("method,flag,value", [("pso", "--population", "99"),
+                                                   ("ga", "--c1", "2.5")])
+    def test_flag_of_the_other_method_exits_2(self, tmp_path, suite_file, method, flag,
+                                              value, capsys):
+        out = tmp_path / "cfg.json"
+        code = main(["tune", "--method", method, "--suite", suite_file, flag, value,
+                     "--out-config", str(out), "--out-history", str(tmp_path / "hist.csv")])
+        assert code == 2
+        assert f"--method {method} does not take {flag}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_generate_flag_builds_suite(self, tmp_path):
         code = main(["tune", "--method", "pso", "--generate", "4",
                      "--suite-seed", "5", "--swarm-size", "5",
@@ -410,6 +421,9 @@ MALFORMED_INPUTS = {
                                "scenario field 'seed' must be an integer"),
     "scenario_seed_bool": ("scenario", {"schema": 1, "seed": True, "duration": 2.0},
                            "scenario field 'seed' must be an integer"),
+    # rejected with or without noise, not only where the noise is drawn
+    "scenario_seed_negative": ("scenario", {"schema": 1, "seed": -1, "duration": 2.0},
+                               "FaultScenario.seed must be non-negative, got -1"),
     "scenario_duration_string": ("scenario", {"schema": 1, "duration": "20"},
                                  "scenario field 'duration' must be a number"),
     "scenario_duration_overflow": ("scenario", {"schema": 1, "duration": 10**400},
@@ -477,14 +491,30 @@ class TestMalformedInput:
         assert code == 2
         assert "suite size must be at least 1" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    @pytest.mark.parametrize("jobs", ["0", "-1", "2"])
     def test_jobs_below_one_exits_2(self, tmp_path, config_file, suite_file, jobs, capsys):
         out = tmp_path / "m.csv"
         code = main(["evaluate", "--config", config_file, "--suite", suite_file,
                      "--jobs", jobs, "--out", str(out)])
         assert code == 2
-        assert "jobs must be at least 1" in capsys.readouterr().err
+        assert (f"--jobs must be 1: a suite is built in one process, got {jobs}"
+                in capsys.readouterr().err)
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["tune", "evaluate", "compare"])
+    def test_suite_with_generate_exits_2(self, tmp_path, config_file, suite_file,
+                                         command, capsys):
+        out = tmp_path / "out.csv"
+        argv = {"tune": ["tune", "--method", "pso", "--swarm-size", "2", "--iterations", "1",
+                         "--out-config", str(out),
+                         "--out-history", str(tmp_path / "hist.csv")],
+                "evaluate": ["evaluate", "--config", config_file, "--out", str(out)],
+                "compare": ["compare", "--config", f"a={config_file}",
+                            "--config", f"b={config_file}", "--out", str(out)]}[command]
+        code = main(argv + ["--suite", suite_file, "--generate", "7", "--suite-seed", "9"])
+        assert code == 2
+        assert "--suite and --generate exclude each other" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["cfg.json", "suite.json"]
 
 
 class TestOutputErrors:

@@ -350,7 +350,7 @@ class TestEvaluate:
         assert len(outputs) == 1, outputs
 
     def test_import_leaves_the_process_pool_out(self):
-        # only --jobs > 1 starts a pool; every other process skips its import
+        # a suite is built in one process: nothing imports a process pool
         script = ("import sys, tankfdi, tankfdi.cli\n"
                   "print('concurrent.futures.process' in sys.modules)\n")
         src = str(Path(tankfdi.__file__).resolve().parents[1])
@@ -359,13 +359,6 @@ class TestEvaluate:
                              capture_output=True, env={**os.environ, "PYTHONPATH": path},
                              timeout=120)
         assert out.stdout == "False\n"
-
-    def test_parallel_jobs_match_serial(self, params, tuned_cfg):
-        suite = generate_suite(6, seed=8)
-        serial = ResidualBank.from_suite(suite, params, OPERATING_INPUTS, jobs=1)
-        parallel = ResidualBank.from_suite(suite, params, OPERATING_INPUTS, jobs=2)
-        for a, b in zip(serial.residuals, parallel.residuals):
-            np.testing.assert_array_equal(a, b)
 
 
 @pytest.fixture(scope="module")
@@ -467,10 +460,10 @@ class TestResidualBank:
             with pytest.raises(ValueError):
                 arr[0] = 1
 
-    @pytest.mark.parametrize("jobs,block", [(1, 1), (1, harness.BANK_BLOCK), (2, 1)])
+    @pytest.mark.parametrize("block", [1, harness.BANK_BLOCK])
     @pytest.mark.parametrize("unstable", [(1, 3), (3,)])
     def test_divergence_reports_what_the_sequential_loop_reports(
-            self, params, monkeypatch, jobs, block, unstable):
+            self, params, monkeypatch, block, unstable):
         # with (1, 3), both diverge and 3 does so earlier in simulated time;
         # the scenario-by-scenario loop stops at scenario 1, so must the bank
         monkeypatch.setattr(harness, "BANK_BLOCK", block)
@@ -486,7 +479,7 @@ class TestResidualBank:
         assert [idx for idx, _, _ in diverged] == list(unstable)
         assert diverged[-1][2] <= diverged[0][2]
         with pytest.raises(plant.SimulationDiverged) as err:
-            ResidualBank.from_suite(suite, params, OPERATING_INPUTS, jobs=jobs)
+            ResidualBank.from_suite(suite, params, OPERATING_INPUTS)
         assert (err.value.scenario, err.value.variable, err.value.t) == diverged[0]
 
 

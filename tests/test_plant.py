@@ -1,7 +1,6 @@
 """Plant model: integration, fault injection, parameter noise, traces."""
 
 import math
-import pickle
 
 import numpy as np
 import pytest
@@ -306,11 +305,6 @@ class TestSimulateSuite:
             plant.simulate_suite(suite, params, OPERATING_INPUTS)
         assert ((batch.value.scenario, batch.value.variable, batch.value.t)
                 == (1, scalar.value.variable, scalar.value.t))
-
-    def test_divergence_survives_pickling(self):
-        exc = pickle.loads(pickle.dumps(SimulationDiverged("De2", 1.5, scenario=4)))
-        assert (exc.variable, exc.t, exc.scenario) == ("De2", 1.5, 4)
-        assert str(exc).endswith("in scenario 4")
 
 
 class TestNonFiniteRejected:
