@@ -58,16 +58,25 @@ def _check_outputs(files=(), dirs=()) -> None:
             raise OSError(code, os.strerror(code), path)
 
 
+#: Seed of ``--generate`` when ``--suite-seed`` is not given.
+DEFAULT_SUITE_SEED = 42
+
+
 def _resolve_suite(args, params: plant.PlantParams,
-                   ) -> tuple[list[plant.FaultScenario], tuple[float, float]]:
+                   ) -> tuple[list[plant.FaultScenario], tuple[float, float], int | None]:
+    """The suite, its inputs and the seed it was generated from (None for a
+    --suite file)."""
     if args.suite:
         if args.generate is not None:
             raise plant.SchemaError("--suite and --generate exclude each other: give one")
-        return harness.load_suite(args.suite)
+        if args.suite_seed is not None:
+            raise plant.SchemaError("--suite-seed seeds --generate: it does not apply to --suite")
+        return (*harness.load_suite(args.suite), None)
     if args.generate is None:
         raise plant.SchemaError("either --suite FILE or --generate N is required")
-    suite = harness.generate_suite(args.generate, args.suite_seed, params=params)
-    return suite, plant.OPERATING_POINT
+    seed = DEFAULT_SUITE_SEED if args.suite_seed is None else args.suite_seed
+    suite = harness.generate_suite(args.generate, seed, params=params)
+    return suite, plant.OPERATING_POINT, seed
 
 
 #: ``tune --method`` choices: each tuner's settings dataclass and optimizer.
@@ -111,7 +120,7 @@ def cmd_tune(args) -> int:
         raise plant.SchemaError(f"--method {args.method} does not take {', '.join(foreign)}")
     settings = settings_type(**given, seed=args.seed)
     params = _load_plant(args.plant)
-    suite, inputs = _resolve_suite(args, params)
+    suite, inputs, suite_seed = _resolve_suite(args, params)
     objective = tuner.make_fitness(suite, params, inputs,
                                    max_fault_order=args.max_fault_order)
     best, history, mean_history = optimize(objective, settings)
@@ -123,7 +132,7 @@ def cmd_tune(args) -> int:
     _write_run_config(args.out_config, "tune", {
         "method": args.method, **{name: getattr(settings, name) for name in names},
         "seed": args.seed, "suite": args.suite,
-        "generate": args.generate, "suite_seed": args.suite_seed,
+        "generate": args.generate, "suite_seed": suite_seed,
         "plant": args.plant, "max_fault_order": args.max_fault_order,
         "out_config": args.out_config, "out_history": args.out_history,
     })
@@ -144,9 +153,8 @@ def cmd_detect(args) -> int:
     plant.write_csv(header, ([t, *d, *f] for t, d, f in zip(
         times.tolist(), degrees.tolist(), flags.tolist())), args.out)
     if args.dot:
-        graph = render.CausalGraph()
         with open(args.dot, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(render.emit_dot(graph, degrees[-1]))
+            fh.write(render.emit_dot(degrees[-1]))
     _write_run_config(args.out, "detect", {
         "config": args.config, "scenario": args.scenario,
         "plant": args.plant, "out": args.out, "dot": args.dot,
@@ -157,11 +165,10 @@ def cmd_detect(args) -> int:
 
 def _render_reports(out_dir: str, reports: list[harness.DetectionReport]) -> None:
     os.makedirs(out_dir, exist_ok=True)
-    graph = render.CausalGraph()
     for rep in reports:
         path = os.path.join(out_dir, f"scenario_{rep.scenario_id:03d}.dot")
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(render.emit_dot(graph, rep.final_degrees))
+            fh.write(render.emit_dot(rep.final_degrees))
 
 
 def cmd_evaluate(args) -> int:
@@ -171,7 +178,7 @@ def cmd_evaluate(args) -> int:
     _check_outputs([args.out, args.reports, args.out + ".run.json"], [args.render])
     params = _load_plant(args.plant)
     cfg = fuzzy.load_config(args.config)
-    suite, inputs = _resolve_suite(args, params)
+    suite, inputs, suite_seed = _resolve_suite(args, params)
     bank = harness.ResidualBank.from_suite(suite, params, inputs)
     reports, metrics = harness.evaluate_bank(cfg, bank)
     name = args.name or os.path.splitext(os.path.basename(args.config))[0]
@@ -182,7 +189,7 @@ def cmd_evaluate(args) -> int:
         _render_reports(args.render, reports)
     _write_run_config(args.out, "evaluate", {
         "config": args.config, "suite": args.suite, "generate": args.generate,
-        "suite_seed": args.suite_seed, "plant": args.plant, "name": name,
+        "suite_seed": suite_seed, "plant": args.plant, "name": name,
         "jobs": args.jobs, "out": args.out, "reports": args.reports,
         "render": args.render,
     })
@@ -205,7 +212,7 @@ def cmd_compare(args) -> int:
         configs.append((name, fuzzy.load_config(path)))
     _check_outputs([args.out, args.out + ".run.json"],
                    [os.path.join(args.render, name) for name, _ in configs] if args.render else [])
-    suite, inputs = _resolve_suite(args, params)
+    suite, inputs, suite_seed = _resolve_suite(args, params)
     rows, reports = harness.compare(configs, suite, params, inputs)
     if args.render:
         for (name, _), config_reports in zip(configs, reports):
@@ -213,7 +220,7 @@ def cmd_compare(args) -> int:
     harness.write_metrics_csv(rows, args.out)
     _write_run_config(args.out, "compare", {
         "configs": list(args.config), "suite": args.suite,
-        "generate": args.generate, "suite_seed": args.suite_seed,
+        "generate": args.generate, "suite_seed": suite_seed,
         "plant": args.plant, "out": args.out, "render": args.render,
     })
     print(harness.format_table(rows))
@@ -230,7 +237,7 @@ def cmd_render(args) -> int:
     no_color = args.no_color or bool(os.environ.get("NO_COLOR"))
     if args.ansi:
         sys.stdout.write(render.emit_ansi(values, no_color=no_color))
-    dot = render.emit_dot(render.CausalGraph(), values)
+    dot = render.emit_dot(values)
     if args.dot:
         with open(args.dot, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(dot)
@@ -242,12 +249,20 @@ def cmd_render(args) -> int:
 # ---------------------------------------------------------------------------
 # Parser
 
+def _non_negative_int(text: str) -> int:
+    """argparse type of a seed: an integer >= 0, so the error names the flag."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 def _add_suite_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--suite", help="suite JSON file")
     p.add_argument("--generate", type=int, metavar="N",
                    help="generate an N-scenario suite instead of loading one")
-    p.add_argument("--suite-seed", type=int, default=42,
-                   help="seed for --generate (default 42)")
+    p.add_argument("--suite-seed", type=_non_negative_int,
+                   help=f"seed for --generate (default {DEFAULT_SUITE_SEED})")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -270,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=tuple(_TUNERS), required=True)
     _add_suite_options(p)
     p.add_argument("--plant", help="plant parameter JSON file")
-    p.add_argument("--seed", type=int, default=42, help="optimizer seed")
+    p.add_argument("--seed", type=_non_negative_int, default=42, help="optimizer seed")
     p.add_argument("--max-fault-order", type=int,
                    default=fuzzy.DEFAULT_MAX_FAULT_ORDER)
     for settings, _ in _TUNERS.values():

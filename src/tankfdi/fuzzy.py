@@ -37,7 +37,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .plant import VARIABLES, SchemaError, from_json, read_json, to_json, write_json
-from .residuals import SignatureMatrix, signature_matrix
+from .residuals import signature_matrix
 
 #: Premise constraints a rule may place on one residual.
 CONSTRAINTS = ("Z", "nonZ", "any")
@@ -305,8 +305,7 @@ def compile_rules(rules: tuple[Rule, ...]) -> RuleProgram:
     return RuleProgram(rows, tuple(program), ones)
 
 
-def build_rulebase(sig: SignatureMatrix | None = None,
-                   max_fault_order: int = DEFAULT_MAX_FAULT_ORDER) -> RuleBase:
+def build_rulebase(max_fault_order: int = DEFAULT_MAX_FAULT_ORDER) -> RuleBase:
     """Generate the rule base from the fault-signature structure.
 
     For every candidate fault set F (up to ``max_fault_order`` simultaneous
@@ -320,11 +319,10 @@ def build_rulebase(sig: SignatureMatrix | None = None,
     an alarm against a strong competing hypothesis. A final all-Z rule
     concludes OK for all seven variables.
     """
-    if sig is None:
-        sig = signature_matrix()
     if not 1 <= max_fault_order <= 7:
         raise ValueError("max_fault_order must be in [1, 7]")
 
+    sig = signature_matrix()
     rows = {v: sig.row(v) for v in VARIABLES}
     rules = []
     for order in range(1, max_fault_order + 1):
@@ -386,17 +384,16 @@ class DetectorConfig:
 PARAM_COUNT = 48
 
 
-def params_to_config(x: Sequence[float], beta: float = DEFAULT_BETA,
+def params_to_config(x: Sequence[float],
                      max_fault_order: int = DEFAULT_MAX_FAULT_ORDER,
-                     alarm_threshold: float = DEFAULT_ALARM_THRESHOLD,
-                     debounce: int = DEFAULT_DEBOUNCE,
                      rulebase: RuleBase | None = None,
                      ) -> tuple[DetectorConfig, bool]:
     """Build a DetectorConfig from a 48-entry parameter vector.
 
     Ordering violations are repaired (inputs: sort ascending plus epsilon
     separation of strict boundaries; outputs: sign projection and ordering)
-    and reported through the returned flag.
+    and reported through the returned flag. Beta, the alarm threshold and
+    the debounce take their DEFAULT_* values.
     """
     x = np.asarray(x, dtype=float)
     if x.shape != (PARAM_COUNT,):
@@ -412,8 +409,8 @@ def params_to_config(x: Sequence[float], beta: float = DEFAULT_BETA,
         a2 = max(v[1], a1 + eps)
         a3 = max(v[2], a2)
         a4 = max(v[3], a3 + eps)
-        b = max(beta, a4)
-        if (a1, a2, a3, a4) != raw or b != beta:
+        b = max(DEFAULT_BETA, a4)
+        if (a1, a2, a3, a4) != raw or b != DEFAULT_BETA:
             repaired = True
         inputs.append(InputPartition(a1, a2, a3, a4, b))
 
@@ -432,8 +429,7 @@ def params_to_config(x: Sequence[float], beta: float = DEFAULT_BETA,
 
     if rulebase is None:
         rulebase = build_rulebase(max_fault_order=max_fault_order)
-    cfg = DetectorConfig(tuple(inputs), tuple(outputs), rulebase,
-                         alarm_threshold, debounce)
+    cfg = DetectorConfig(tuple(inputs), tuple(outputs), rulebase)
     return cfg, repaired
 
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -66,51 +66,10 @@ class SuiteMetrics:
         return sum(self.counts.values())
 
 
-@dataclass(frozen=True)
-class SuiteSpec:
-    """Knobs for random suite generation."""
-
-    multiplicity: dict[int, float] = field(
-        default_factory=lambda: {1: 0.5, 2: 0.5})
-    magnitude_range: tuple[float, float] = (1.0, 2.5)
-    start_fraction: tuple[float, float] = (0.2, 0.4)
-    duration: float = 20.0
-    dt: float = 0.1
-    noise_std_R: float = 0.02
-    noise_std_C: float = 0.02
-    ramp_fraction: float = 0.3
-    # Ramp slope = magnitude / ramp_time. Kept shallow: a pressure-channel
-    # ramp feeds its slope straight into the residual derivative term, and
-    # slopes near the fault detection band would mimic a source fault during
-    # the initial climb.
-    ramp_time: float = 20.0
-    compensation_every: int = 25
-    restrict_to_isolable: bool = True
-    max_fault_order: int = fuzzy.DEFAULT_MAX_FAULT_ORDER
-
-    def __post_init__(self):
-        if not self.multiplicity:
-            raise ValueError("multiplicity distribution must not be empty")
-        for m, p in self.multiplicity.items():
-            if not 1 <= m <= 7:
-                raise ValueError(f"fault multiplicity {m} outside [1, 7]")
-            if p < 0:
-                raise ValueError("multiplicity weights must be non-negative")
-        if sum(self.multiplicity.values()) <= 0:
-            raise ValueError("multiplicity weights must sum to a positive value")
-        lo, hi = self.magnitude_range
-        if not 0 < lo <= hi:
-            raise ValueError("magnitude_range must be positive and ordered")
-        f0, f1 = self.start_fraction
-        if not 0 <= f0 <= f1 < 1:
-            raise ValueError("start_fraction must satisfy 0 <= lo <= hi < 1")
-
-
 # ---------------------------------------------------------------------------
 # Isolability analysis of the rule structure
 
-def isolable_combinations(rulebase: RuleBase | None = None,
-                          max_multiplicity: int = 2,
+def isolable_combinations(rulebase: RuleBase, max_multiplicity: int = 2,
                           ) -> dict[int, list[tuple[str, ...]]]:
     """Fault sets whose generic residual pattern is flagged exactly.
 
@@ -121,8 +80,6 @@ def isolable_combinations(rulebase: RuleBase | None = None,
     signatures collide with other candidate sets fail this; no tuning can
     separate them under sign-blind support reasoning.
     """
-    if rulebase is None:
-        rulebase = fuzzy.build_rulebase()
     combos = [c for m in range(1, max_multiplicity + 1)
               for c in itertools.combinations(VARIABLES, m)]
     chosen = np.array([[v in c for v in VARIABLES] for c in combos]).reshape(-1, 7).T
@@ -150,42 +107,47 @@ def compensation_pair(magnitude: float, params: PlantParams,
 # ---------------------------------------------------------------------------
 # Suite generation
 
-def generate_suite(n: int, seed: int, spec: SuiteSpec | None = None,
+#: Fault multiplicities of a generated suite and their probabilities.
+SUITE_MULTIPLICITY = {1: 0.5, 2: 0.5}
+SUITE_MAGNITUDE_RANGE = (1.0, 2.5)
+#: Fault starts, as fractions of the scenario duration.
+SUITE_START_FRACTION = (0.2, 0.4)
+SUITE_DURATION = 20.0
+SUITE_DT = 0.1
+SUITE_NOISE_STD = 0.02
+SUITE_RAMP_FRACTION = 0.3
+#: Ramp slope = magnitude / ramp_time. Kept shallow: a pressure-channel
+#: ramp feeds its slope straight into the residual derivative term, and
+#: slopes near the fault detection band would mimic a source fault during
+#: the initial climb.
+SUITE_RAMP_TIME = 20.0
+#: Every this-many-th scenario is a compensation pair; a shorter suite
+#: ends on one.
+SUITE_COMPENSATION_EVERY = 25
+
+
+def generate_suite(n: int, seed: int,
                    params: PlantParams | None = None) -> list[FaultScenario]:
     """Generate ``n`` fault scenarios, deterministic for a given seed."""
     if n < 1:
         raise ValueError("suite size must be at least 1")
-    spec = spec or SuiteSpec()
     params = params or PlantParams()
     rng = np.random.default_rng(seed)
 
-    max_mult = max(spec.multiplicity)
-    if spec.restrict_to_isolable:
-        rulebase = fuzzy.build_rulebase(max_fault_order=spec.max_fault_order)
-        catalog = isolable_combinations(rulebase, max_mult)
-        for m, weight in spec.multiplicity.items():
-            if weight > 0 and not catalog.get(m):
-                raise ValueError(
-                    f"no isolable fault combination of multiplicity {m}; "
-                    "the suite spec is infeasible for this rule structure")
-    else:
-        catalog = {m: list(itertools.combinations(VARIABLES, m))
-                   for m in range(1, max_mult + 1)}
+    mults = sorted(SUITE_MULTIPLICITY)
+    catalog = isolable_combinations(fuzzy.build_rulebase(), max(mults))
+    weights = np.array([SUITE_MULTIPLICITY[m] for m in mults])
 
-    mults = sorted(spec.multiplicity)
-    weights = np.array([spec.multiplicity[m] for m in mults], dtype=float)
-    weights /= weights.sum()
-
-    comp_indices = {i for i in range(n) if (i + 1) % spec.compensation_every == 0}
+    comp_indices = {i for i in range(n) if (i + 1) % SUITE_COMPENSATION_EVERY == 0}
     if not comp_indices:
         comp_indices = {n - 1}
 
     def draw_start() -> float:
-        f0, f1 = spec.start_fraction
-        return float(rng.uniform(f0, f1) * spec.duration)
+        f0, f1 = SUITE_START_FRACTION
+        return float(rng.uniform(f0, f1) * SUITE_DURATION)
 
     def draw_magnitude() -> float:
-        lo, hi = spec.magnitude_range
+        lo, hi = SUITE_MAGNITUDE_RANGE
         sign = 1.0 if rng.random() < 0.5 else -1.0
         return float(sign * rng.uniform(lo, hi))
 
@@ -200,18 +162,18 @@ def generate_suite(n: int, seed: int, spec: SuiteSpec | None = None,
             events = []
             for target in combo:
                 magnitude = draw_magnitude()
-                if rng.random() < spec.ramp_fraction:
+                if rng.random() < SUITE_RAMP_FRACTION:
                     events.append(FaultEvent(target, draw_start(),
-                                             magnitude / spec.ramp_time, "ramp"))
+                                             magnitude / SUITE_RAMP_TIME, "ramp"))
                 else:
                     events.append(FaultEvent(target, draw_start(), magnitude, "step"))
             events = tuple(events)
         scenarios.append(FaultScenario(
             seed=scenario_seed,
-            duration=spec.duration,
-            dt=spec.dt,
-            noise_std_R=spec.noise_std_R,
-            noise_std_C=spec.noise_std_C,
+            duration=SUITE_DURATION,
+            dt=SUITE_DT,
+            noise_std_R=SUITE_NOISE_STD,
+            noise_std_C=SUITE_NOISE_STD,
             events=events,
         ))
     return scenarios

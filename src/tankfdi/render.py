@@ -8,14 +8,13 @@ system state at a glance.
 from __future__ import annotations
 
 import colorsys
-from dataclasses import dataclass
 from typing import Mapping
 
 from .plant import VARIABLES
 
 #: Directed influence edges between the supervised variables: sources drive
 #: their tank pressures, coupled tanks exchange flow with the middle tank.
-DEFAULT_EDGES = (
+EDGES = (
     ("Msf1", "De1"),
     ("Msf2", "De3"),
     ("De1", "Df1"),
@@ -25,17 +24,6 @@ DEFAULT_EDGES = (
     ("Df2", "De2"),
     ("Df2", "De3"),
 )
-
-
-@dataclass(frozen=True)
-class CausalGraph:
-    nodes: tuple[str, ...] = VARIABLES
-    edges: tuple[tuple[str, str], ...] = DEFAULT_EDGES
-
-    def __post_init__(self):
-        for src, dst in self.edges:
-            if src not in self.nodes or dst not in self.nodes:
-                raise ValueError(f"edge ({src}, {dst}) references unknown node")
 
 
 def color_index(degree: float) -> str:
@@ -67,7 +55,7 @@ def _degree_map(degrees) -> dict[str, float]:
     return {v: float(x) for v, x in zip(VARIABLES, values)}
 
 
-def emit_dot(graph: CausalGraph, degrees) -> str:
+def emit_dot(degrees) -> str:
     """DOT digraph with one filled node per variable; byte-stable output.
 
     Nodes are emitted in canonical variable order and edges sorted
@@ -79,12 +67,12 @@ def emit_dot(graph: CausalGraph, degrees) -> str:
         "  rankdir=LR;",
         "  node [style=filled, shape=ellipse, fontname=\"Helvetica\"];",
     ]
-    for name in graph.nodes:
+    for name in VARIABLES:
         d = table[name]
         lines.append(
             f"  \"{name}\" [fillcolor=\"{color_index(d)}\", "
             f"label=\"{name} ({d:.2f})\"];")
-    for src, dst in sorted(graph.edges):
+    for src, dst in sorted(EDGES):
         lines.append(f"  \"{src}\" -> \"{dst}\";")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -206,12 +206,11 @@ def test_criterion_8_detector_invariants(tmp_path):
     # all-zero residuals: degrees zero, flags off, green-only golden DOT
     degrees, flags = kernel.run(np.zeros((30, 5)))
     assert np.all(degrees == 0.0) and not flags.any()
-    dot = render.emit_dot(render.CausalGraph(), degrees[-1])
+    dot = render.emit_dot(degrees[-1])
     assert dot.count('fillcolor="#00FF00"') == 7
     golden = tmp_path / "green.dot"
     golden.write_bytes(dot.encode())
-    assert golden.read_bytes() == render.emit_dot(
-        render.CausalGraph(), [0.0] * 7).encode()
+    assert golden.read_bytes() == render.emit_dot([0.0] * 7).encode()
 
     # partition of unity on both shoulders
     p = fuzzy.InputPartition(1.0, 2.0, 3.0, 4.0, beta=10.0)

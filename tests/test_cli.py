@@ -396,6 +396,16 @@ class TestDeterminism:
         assert a == b
 
 
+def suite_command(command, tmp_path, config_file):
+    """Arguments of a suite-reading command, all but the suite options."""
+    out = tmp_path / "out.csv"
+    return {"tune": ["tune", "--method", "pso", "--swarm-size", "2", "--iterations", "1",
+                     "--out-config", str(out), "--out-history", str(tmp_path / "hist.csv")],
+            "evaluate": ["evaluate", "--config", config_file, "--out", str(out)],
+            "compare": ["compare", "--config", f"a={config_file}",
+                        "--config", f"b={config_file}", "--out", str(out)]}[command]
+
+
 #: One malformed input file per case: (which file, its JSON content or None
 #: for a directory in its place, text the error message must hold).
 MALFORMED_INPUTS = {
@@ -504,17 +514,35 @@ class TestMalformedInput:
     @pytest.mark.parametrize("command", ["tune", "evaluate", "compare"])
     def test_suite_with_generate_exits_2(self, tmp_path, config_file, suite_file,
                                          command, capsys):
-        out = tmp_path / "out.csv"
-        argv = {"tune": ["tune", "--method", "pso", "--swarm-size", "2", "--iterations", "1",
-                         "--out-config", str(out),
-                         "--out-history", str(tmp_path / "hist.csv")],
-                "evaluate": ["evaluate", "--config", config_file, "--out", str(out)],
-                "compare": ["compare", "--config", f"a={config_file}",
-                            "--config", f"b={config_file}", "--out", str(out)]}[command]
+        argv = suite_command(command, tmp_path, config_file)
         code = main(argv + ["--suite", suite_file, "--generate", "7", "--suite-seed", "9"])
         assert code == 2
         assert "--suite and --generate exclude each other" in capsys.readouterr().err
         assert sorted(os.listdir(tmp_path)) == ["cfg.json", "suite.json"]
+
+    @pytest.mark.parametrize("command", ["tune", "evaluate", "compare"])
+    def test_suite_seed_with_suite_exits_2(self, tmp_path, config_file, suite_file,
+                                           command, capsys):
+        argv = suite_command(command, tmp_path, config_file)
+        code = main(argv + ["--suite", suite_file, "--suite-seed", "9"])
+        assert code == 2
+        assert ("--suite-seed seeds --generate: it does not apply to --suite"
+                in capsys.readouterr().err)
+        assert sorted(os.listdir(tmp_path)) == ["cfg.json", "suite.json"]
+
+    @pytest.mark.parametrize("command,flag", [("tune", "--seed"), ("tune", "--suite-seed"),
+                                              ("evaluate", "--suite-seed"),
+                                              ("compare", "--suite-seed")])
+    def test_negative_seed_exits_2_naming_the_flag(self, tmp_path, config_file, command,
+                                                   flag, monkeypatch, capsys):
+        # rejected while the arguments are parsed, before a suite is built
+        monkeypatch.setattr(harness, "generate_suite", None)
+        argv = suite_command(command, tmp_path, config_file)
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--generate", "3", flag, "-1"])
+        assert exc.value.code == 2
+        assert f"argument {flag}: must be non-negative, got -1" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["cfg.json"]
 
 
 class TestOutputErrors:
@@ -573,6 +601,18 @@ class TestOutputErrors:
                      "--out", str(tmp_path / "m.csv"), "--render", dots]) == 2
         assert dots in capsys.readouterr().err
         assert sorted(os.listdir(tmp_path)) == ["cfg.json", "taken"]
+
+
+@pytest.mark.parametrize("command", ["tune", "evaluate", "compare"])
+def test_run_json_records_the_suite_seed_used(tmp_path, config_file, suite_file, command):
+    # 42 for a generated suite without --suite-seed, null for a suite file
+    seeds = []
+    for source in (["--generate", "3"], ["--suite", suite_file]):
+        argv = suite_command(command, tmp_path, config_file)
+        assert main(argv + source) == 0
+        run = json.loads((tmp_path / "out.csv.run.json").read_text())
+        seeds.append(run["options"]["suite_seed"])
+    assert seeds == [42, None]
 
 
 def test_generated_suite_uses_the_loaded_plant(tmp_path):

@@ -1,5 +1,7 @@
 """Fuzzy detector: membership functions, rule base, inference, defuzzify."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -460,7 +462,7 @@ class TestDetector:
         assert not flags[:, VARIABLES.index("Msf1")].any()
 
     def test_just_below_threshold_never_flags(self):
-        cfg, _ = params_to_config(fuzzy.EXAMPLE_SWARM_TUNED,
+        cfg = dataclasses.replace(params_to_config(fuzzy.EXAMPLE_SWARM_TUNED)[0],
                                   alarm_threshold=0.9999)
         rows = np.zeros((50, 5))
         rows[10:] = [2.0, 0, 0, 0, 2.0]
@@ -487,7 +489,8 @@ class TestDetector:
         # state, so any chunking of a trace, down to single rows, changes
         # no degree and no flag
         debounce = data.draw(st.integers(1, 5))
-        cfg, _ = params_to_config(fuzzy.EXAMPLE_SWARM_TUNED, debounce=debounce)
+        cfg = dataclasses.replace(params_to_config(fuzzy.EXAMPLE_SWARM_TUNED)[0],
+                                  debounce=debounce)
         patterns = st.sampled_from([
             [0.0] * 5,
             [3.0, 0, 0, 0, 0],                   # Msf1 fault pattern

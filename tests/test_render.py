@@ -5,8 +5,8 @@ import re
 import numpy as np
 import pytest
 
-from tankfdi import fuzzy, harness, plant
-from tankfdi.render import CausalGraph, color_index, emit_ansi, emit_dot
+from tankfdi import fuzzy, harness, plant, render
+from tankfdi.render import color_index, emit_ansi, emit_dot
 
 from conftest import OPERATING_INPUTS
 
@@ -73,25 +73,21 @@ class TestColorIndex:
 
 class TestEmitDot:
     def test_all_green_golden(self):
-        assert emit_dot(CausalGraph(), [0.0] * 7) == ALL_GREEN_DOT
+        assert emit_dot([0.0] * 7) == ALL_GREEN_DOT
 
     def test_byte_stable(self):
         degrees = dict(zip(plant.VARIABLES, [0.1, 0.9, 0.4, 0.0, 1.0, 0.2, 0.6]))
-        assert emit_dot(CausalGraph(), degrees) == emit_dot(CausalGraph(), degrees)
+        assert emit_dot(degrees) == emit_dot(degrees)
 
     def test_tokenizes_as_digraph(self):
-        tokens = tokenize_dot(emit_dot(CausalGraph(), [0.3] * 7))
+        tokens = tokenize_dot(emit_dot([0.3] * 7))
         assert tokens[0] == "digraph"
-        assert tokens.count("->") == len(CausalGraph().edges)
+        assert tokens.count("->") == len(render.EDGES)
         assert tokens[-1] == "}"
 
     def test_degree_count_enforced(self):
         with pytest.raises(ValueError):
-            emit_dot(CausalGraph(), [0.0] * 6)
-
-    def test_edges_reference_known_nodes(self):
-        with pytest.raises(ValueError):
-            CausalGraph(edges=(("Msf1", "De9"),))
+            emit_dot([0.0] * 6)
 
     def node_red_channel(self, dot, name):
         line = next(ln for ln in dot.splitlines() if f'"{name}" [' in ln)
@@ -106,7 +102,7 @@ class TestEmitDot:
         sc = plant.FaultScenario(seed=2, duration=15.0, dt=0.1, events=events)
         _, resid = harness._simulate_residuals(sc, params, OPERATING_INPUTS)
         degrees, _ = fuzzy.DetectorKernel(tuned_cfg).run(resid)
-        dot = emit_dot(CausalGraph(), degrees[-1])
+        dot = emit_dot(degrees[-1])
         assert self.node_red_channel(dot, "De2") == 0xFF
         assert self.node_red_channel(dot, "Msf2") > 0x40
         for cold in ("Msf1", "De1", "Df1"):
@@ -119,7 +115,7 @@ class TestEmitDot:
         sc = plant.FaultScenario(seed=2, duration=15.0, dt=0.1, events=events)
         _, resid = harness._simulate_residuals(sc, params, OPERATING_INPUTS)
         degrees, _ = fuzzy.DetectorKernel(tuned_cfg).run(resid)
-        dot = emit_dot(CausalGraph(), degrees[-1])
+        dot = emit_dot(degrees[-1])
         assert self.node_red_channel(dot, "De1") == 0xFF
         assert self.node_red_channel(dot, "Msf2") == 0xFF
         for cold in ("Msf1", "De2", "De3", "Df1", "Df2"):

@@ -1,5 +1,6 @@
 """Optimizers: constriction PSO, GA baseline, detection-error fitness."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -265,16 +266,14 @@ def scoring():
 
 
 class TestFitness:
-    def suite(self, n=6, noise=True):
-        spec = harness.SuiteSpec() if noise else harness.SuiteSpec(
-            noise_std_R=0.0, noise_std_C=0.0)
-        return harness.generate_suite(n, seed=11, spec=spec)
+    def suite(self, n=6):
+        return harness.generate_suite(n, seed=11)
 
     def test_never_flagging_detector_scores_one(self, params):
         suite = self.suite()
         # a debounce longer than any trace can never raise a flag
-        cfg, _ = fuzzy.params_to_config(fuzzy.EXAMPLE_SWARM_TUNED,
-                                        debounce=10**6)
+        cfg = dataclasses.replace(fuzzy.params_to_config(fuzzy.EXAMPLE_SWARM_TUNED)[0],
+                                  debounce=10**6)
         bank = harness.ResidualBank.from_suite(suite, params, OPERATING_INPUTS)
         _, metrics = harness.evaluate_bank(cfg, bank)
         assert metrics.proper_rate == 0.0
