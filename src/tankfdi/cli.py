@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import errno
+import functools
 import math
 import os
 import sys
@@ -257,6 +258,14 @@ def _non_negative_int(text: str) -> int:
     return value
 
 
+def _non_negative_float(text: str) -> float:
+    """argparse type of ``--tau``: a finite number >= 0, so the error names the flag."""
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"must be a finite non-negative number, got {value!r}")
+    return value
+
+
 def _add_suite_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--suite", help="suite JSON file")
     p.add_argument("--generate", type=int, metavar="N",
@@ -265,7 +274,10 @@ def _add_suite_options(p: argparse.ArgumentParser) -> None:
                    help=f"seed for --generate (default {DEFAULT_SUITE_SEED})")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``tankfdi`` parser, built on first use and shared by later calls:
+    parsing reads it and returns a new Namespace each time."""
     parser = argparse.ArgumentParser(
         prog="tankfdi",
         description="Three-tank fault detection: simulate, detect, tune, evaluate.")
@@ -275,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario", required=True, help="scenario JSON file")
     p.add_argument("--plant", help="plant parameter JSON file")
     p.add_argument("--mode", choices=("linear", "nonlinear"), default="linear")
-    p.add_argument("--tau", type=float, default=None,
+    p.add_argument("--tau", type=_non_negative_float, default=None,
                    help="derivative smoothing time constant (default: off)")
     p.add_argument("--out-trace", required=True)
     p.add_argument("--out-residuals", required=True)
@@ -340,8 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except plant.SchemaError as exc:

@@ -31,7 +31,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cache, cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -269,7 +269,6 @@ def _allocate(ops: list, outputs: dict[int, int]) -> tuple[int, list]:
     return rows, program
 
 
-@lru_cache(maxsize=8)
 def compile_rules(rules: tuple[Rule, ...]) -> RuleProgram:
     """Compile MIN-MAX inference over ``rules`` to a ``RuleProgram``.
 
@@ -282,8 +281,7 @@ def compile_rules(rules: tuple[Rule, ...]) -> RuleProgram:
     rules' read lists, and then between outputs' rule lists, are computed
     once. Both steps are exact because min and max return one of their
     operands, provided the table holds no NaN and no -0.0 (max(-0.0, 0.0)
-    may return either). Cached per rule structure, since configs loaded
-    from JSON each build their own ``RuleBase``.
+    may return either).
     """
     reads = [frozenset(5 * _COLUMN[c] + i for i, c in enumerate(rule.premise) if c != "any")
              for rule in rules]
@@ -306,6 +304,16 @@ def compile_rules(rules: tuple[Rule, ...]) -> RuleProgram:
 
 
 def build_rulebase(max_fault_order: int = DEFAULT_MAX_FAULT_ORDER) -> RuleBase:
+    """The rule base of ``max_fault_order`` (``_generate_rulebase``), built
+    once per order and shared by every caller and loaded config. It is
+    frozen, and its program is compiled on first use."""
+    # one cache key per order: a cached build_rulebase would key (), (2,)
+    # and max_fault_order=2 apart and build three equal rule bases
+    return _generate_rulebase(max_fault_order)
+
+
+@cache
+def _generate_rulebase(max_fault_order: int) -> RuleBase:
     """Generate the rule base from the fault-signature structure.
 
     For every candidate fault set F (up to ``max_fault_order`` simultaneous

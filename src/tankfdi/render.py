@@ -55,27 +55,24 @@ def _degree_map(degrees) -> dict[str, float]:
     return {v: float(x) for v, x in zip(VARIABLES, values)}
 
 
+#: The DOT text around the node lines: the same for every call.
+_DOT_HEAD = ("digraph system_state {\n"
+             "  rankdir=LR;\n"
+             "  node [style=filled, shape=ellipse, fontname=\"Helvetica\"];\n")
+_DOT_EDGES = "".join(f"  \"{src}\" -> \"{dst}\";\n" for src, dst in sorted(EDGES)) + "}\n"
+
+
 def emit_dot(degrees) -> str:
     """DOT digraph with one filled node per variable; byte-stable output.
 
     Nodes are emitted in canonical variable order and edges sorted
-    lexicographically, so identical inputs give identical bytes.
+    lexicographically, so identical inputs give identical bytes. Only the
+    node lines depend on ``degrees``.
     """
-    table = _degree_map(degrees)
-    lines = [
-        "digraph system_state {",
-        "  rankdir=LR;",
-        "  node [style=filled, shape=ellipse, fontname=\"Helvetica\"];",
-    ]
-    for name in VARIABLES:
-        d = table[name]
-        lines.append(
-            f"  \"{name}\" [fillcolor=\"{color_index(d)}\", "
-            f"label=\"{name} ({d:.2f})\"];")
-    for src, dst in sorted(EDGES):
-        lines.append(f"  \"{src}\" -> \"{dst}\";")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    nodes = "".join(f"  \"{name}\" [fillcolor=\"{color_index(d)}\", "
+                    f"label=\"{name} ({d:.2f})\"];\n"
+                    for name, d in _degree_map(degrees).items())
+    return _DOT_HEAD + nodes + _DOT_EDGES
 
 
 def emit_ansi(degrees, no_color: bool = False) -> str:

@@ -17,6 +17,7 @@ linear-mode traces by construction.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -90,7 +91,7 @@ class ResidualEvaluator:
         self.dt = dt
         self.tau = tau
         self.spike_window = spike_window
-        self._alpha = dt / (tau + dt) if tau else None
+        self._alpha = _low_pass_alpha(tau, dt)
         self._prev: MeasurementFrame | None = None
         self._filtered: np.ndarray | None = None
         self._recent: deque[np.ndarray] = deque(maxlen=spike_window)
@@ -128,6 +129,18 @@ def _window_median(rows):
     return _median3(*rows) if len(rows) == 3 else np.median(rows, axis=0)
 
 
+def _low_pass_alpha(tau: float | None, dt: float) -> float | None:
+    """Gain ``dt / (tau + dt)`` of the low-pass with time constant ``tau``;
+    None (no filter) for a ``tau`` of None or 0. A negative or non-finite
+    ``tau`` raises ValueError: -dt divides by zero, (-dt, 0) gives a gain
+    above 1 that overshoots, and NaN makes every residual NaN."""
+    if tau is None or tau == 0:
+        return None
+    if not (math.isfinite(tau) and tau > 0):
+        raise ValueError(f"tau must be a finite non-negative number, got {tau!r}")
+    return dt / (tau + dt)
+
+
 def _low_pass(filtered, raw, alpha, out=None, scratch=None):
     """One single-pole low-pass step from ``filtered`` towards ``raw``:
     ``filtered + alpha * (raw - filtered)``, written to ``out`` through
@@ -157,13 +170,14 @@ def residual_batch(signals: np.ndarray, dt: float, params: PlantParams,
     its own: a rolling median of ``spike_window`` raw differences, then a
     single-pole low-pass run as one loop over time across all traces.
     """
+    alpha = _low_pass_alpha(tau, dt)
     raw = np.diff(signals[:, :, 2:5], axis=1) / dt
     if spike_window > 1:
         raw = _rolling_median(raw, spike_window)
-    if tau:
+    if alpha is not None:
         # filtered in place, time-major: each step's rows are one (S, 3) block
         d = np.moveaxis(raw, 1, 0).copy()
-        alpha = np.full(d.shape[1:], dt / (tau + dt))
+        alpha = np.full(d.shape[1:], alpha)
         scratch = np.empty(d.shape[1:])
         for prev, cur in zip(d[:-1], d[1:]):
             _low_pass(prev, cur, alpha, cur, scratch)

@@ -39,11 +39,12 @@ def default_bounds() -> np.ndarray:
 def constriction(c1: float, c2: float) -> float:
     """Constriction factor K = 2 / |2 - c - sqrt(c^2 - 4c)| with c = c1 + c2.
 
-    Only defined for c > 4; smaller sums give no velocity damping guarantee.
+    Only defined for a finite c > 4; smaller sums give no velocity damping
+    guarantee, and an infinite or NaN c gives a NaN K.
     """
     c = c1 + c2
-    if c <= 4.0:
-        raise ValueError(f"constriction requires c1 + c2 > 4, got c = {c}")
+    if not (math.isfinite(c) and c > 4.0):
+        raise ValueError(f"constriction requires a finite c1 + c2 > 4, got c = {c}")
     return 2.0 / abs(2.0 - c - math.sqrt(c * c - 4.0 * c))
 
 

@@ -8,9 +8,10 @@ bit for bit; its hold, which fills each gap from its source sample, must
 equal ``hold`` here, a running maximum over whole rows. Likewise the plant
 one frame at a time: R/C noise drawn step by step and sensor frames with
 their fault offsets, which ``tankfdi.plant.run`` must reproduce row for
-row. Last, the accessors and fixtures only tests use: the residual fault
-directions, a de-tuned detector, and plain forms of plant parameters,
-frames and trace columns.
+row. The DOT graph line by line, as ``tankfdi.render.emit_dot`` must
+write it. Last, the accessors and fixtures only tests use: the residual
+fault directions, a de-tuned detector, and plain forms of plant
+parameters, frames and trace columns.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from tankfdi.fuzzy import (DetectorConfig, InputPartition, OutputPartition, Rule
 from tankfdi.plant import (NOISY_PARAMS, VARIABLE_INDEX, VARIABLES, FaultEvent,
                            MeasurementFrame, PlantParams, PlantState, Trace,
                            coupling_flows)
+from tankfdi.render import EDGES, _degree_map, color_index
 
 
 class Memberships(NamedTuple):
@@ -196,6 +198,26 @@ def measure(state: PlantState, inputs: tuple[float, float], params: PlantParams,
     for ev in events:
         values[VARIABLE_INDEX[ev.target]] += ev.offset_at(t)
     return MeasurementFrame(t, *values)
+
+
+def emit_dot(degrees) -> str:
+    """The DOT graph built line by line on every call: the header, one node
+    per variable in canonical order, the edges sorted."""
+    table = _degree_map(degrees)
+    lines = [
+        "digraph system_state {",
+        "  rankdir=LR;",
+        "  node [style=filled, shape=ellipse, fontname=\"Helvetica\"];",
+    ]
+    for name in VARIABLES:
+        d = table[name]
+        lines.append(
+            f"  \"{name}\" [fillcolor=\"{color_index(d)}\", "
+            f"label=\"{name} ({d:.2f})\"];")
+    for src, dst in sorted(EDGES):
+        lines.append(f"  \"{src}\" -> \"{dst}\";")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
 
 
 def fault_direction(variable: str, params: PlantParams) -> np.ndarray:

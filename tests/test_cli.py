@@ -3,12 +3,13 @@
 import json
 import os
 import re
+import shutil
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tankfdi import fuzzy, harness, plant, render
+from tankfdi import cli, fuzzy, harness, plant, render
 from tankfdi.cli import main
 
 import oracle
@@ -94,6 +95,26 @@ class TestSimulate:
         assert code == 3
         assert "diverged" in capsys.readouterr().err
 
+    # -0.1 = -dt divided by zero, -0.05 gave a filter gain of 2, NaN wrote
+    # NaN residuals
+    @pytest.mark.parametrize("tau", ["-0.1", "-0.05", "nan", "inf"])
+    def test_bad_tau_exits_2_naming_the_flag(self, tmp_path, scenario_file, tau, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--scenario", scenario_file, "--tau", tau,
+                  "--out-trace", str(tmp_path / "t.csv"),
+                  "--out-residuals", str(tmp_path / "r.csv")])
+        assert exc.value.code == 2
+        assert ("argument --tau: must be a finite non-negative number, got "
+                f"{float(tau)!r}" in capsys.readouterr().err)
+        assert sorted(os.listdir(tmp_path)) == ["scenario.json"]
+
+    def test_zero_tau_is_no_filter(self, tmp_path, scenario_file):
+        for tau in (["--tau", "0"], []):
+            main(["simulate", "--scenario", scenario_file, *tau,
+                  "--out-trace", str(tmp_path / "t.csv"),
+                  "--out-residuals", str(tmp_path / f"r{len(tau)}.csv")])
+        assert (tmp_path / "r0.csv").read_bytes() == (tmp_path / "r2.csv").read_bytes()
+
 
 class TestNonFiniteInput:
     """JSON NaN/Infinity is rejected at load with exit code 2."""
@@ -173,6 +194,17 @@ class TestTune:
                      "--out-history", str(tmp_path / "hist.csv")])
         assert code == 2
         assert "c1 + c2 > 4" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_acceleration_exits_2_before_the_suite(self, tmp_path, value,
+                                                               monkeypatch, capsys):
+        monkeypatch.setattr(harness, "generate_suite", None)
+        code = main(["tune", "--method", "pso", "--generate", "3", "--c1", value,
+                     "--out-config", str(tmp_path / "cfg.json"),
+                     "--out-history", str(tmp_path / "hist.csv")])
+        assert code == 2
+        assert "finite c1 + c2 > 4" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
 
     def test_stall_above_max_generations_names_both(self, tmp_path, capsys):
         out = tmp_path / "cfg.json"
@@ -394,6 +426,53 @@ class TestDeterminism:
 
         a, b = self.run_twice(build, tmp_path)
         assert a == b
+
+
+class TestOneProcess:
+    """The parser is built once per process and the rule base once per
+    order: a call made after others gives the bytes it gives when made
+    first in a process."""
+
+    def test_calls_repeat_their_first_outputs(self, tmp_path, scenario_file, config_file,
+                                              suite_file, capsys):
+        out = tmp_path / "out"
+        evaluate = ["evaluate", "--config", config_file, "--suite", suite_file,
+                    "--out", str(out / "m.csv"), "--reports", str(out / "r.jsonl"),
+                    "--render", str(out / "dots")]
+        simulate = ["simulate", "--scenario", scenario_file, "--tau", "0.3",
+                    "--out-trace", str(out / "t.csv"), "--out-residuals", str(out / "r.csv")]
+        calls = {"evaluate": evaluate, "simulate": simulate,
+                 "parse error": simulate[:4] + ["-0.1"] + simulate[5:],
+                 "config error": evaluate + ["--suite-seed", "9"],
+                 "help": ["evaluate", "--help"]}
+
+        def run(name):
+            shutil.rmtree(out, ignore_errors=True)
+            out.mkdir()
+            try:
+                code = main(calls[name])
+            except SystemExit as exc:
+                code = exc.code
+            files = {p.relative_to(out).as_posix(): p.read_bytes()
+                     for p in sorted(out.rglob("*")) if p.is_file()}
+            return code, *capsys.readouterr(), files
+
+        first = {}
+        for name in calls:
+            cli.build_parser.cache_clear()
+            first[name] = run(name)
+        assert [first[name][0] for name in calls] == [0, 0, 2, 2, 0]
+        assert "argument --tau" in first["parse error"][2]
+        assert "--suite-seed" in first["config error"][2]
+        assert "usage: tankfdi evaluate" in first["help"][1]
+        assert len(first["evaluate"][3]) == 3 + 5  # m, r, run.json and 5 DOT files
+
+        cli.build_parser.cache_clear()
+        sequence = ["evaluate", "simulate", "parse error", "config error", "help",
+                    "evaluate", "simulate"]
+        for name in sequence:
+            assert run(name) == first[name], name
+        assert cli.build_parser.cache_info().misses == 1
 
 
 def suite_command(command, tmp_path, config_file):

@@ -8,6 +8,7 @@ import pytest
 from tankfdi import fuzzy, harness, plant, render
 from tankfdi.render import color_index, emit_ansi, emit_dot
 
+import oracle
 from conftest import OPERATING_INPUTS
 
 ALL_GREEN_DOT = """digraph system_state {
@@ -84,6 +85,15 @@ class TestEmitDot:
         assert tokens[0] == "digraph"
         assert tokens.count("->") == len(render.EDGES)
         assert tokens[-1] == "}"
+
+    def test_equals_the_line_by_line_oracle(self):
+        rng = np.random.default_rng(17)
+        # on a grid that lands on the .2f rounding ties, and off it
+        grid = rng.integers(-100, 1101, (1000, 7)) / 1000
+        for degrees in [*grid, *rng.uniform(-0.5, 1.5, (1000, 7))]:
+            assert emit_dot(degrees) == oracle.emit_dot(degrees)
+        mapping = dict(zip(plant.VARIABLES, grid[0].tolist()))
+        assert emit_dot(mapping) == oracle.emit_dot(mapping)
 
     def test_degree_count_enforced(self):
         with pytest.raises(ValueError):

@@ -60,6 +60,15 @@ class TestDerivativeEstimate:
         assert raw == pytest.approx(10.0)
         assert 0 < smooth < raw
 
+    # -0.1 = -dt divides by zero, -0.05 gives a gain of 2 that overshoots,
+    # and NaN or infinity leaves no finite filter
+    @pytest.mark.parametrize("tau", [-0.1, -0.05, -1.0, float("nan"), float("inf")])
+    def test_negative_or_non_finite_tau_rejected(self, unit_params, tau):
+        with pytest.raises(ValueError, match="tau must be a finite non-negative number"):
+            derivative_from_r1([0.0, 1.0, 2.0], 0.1, unit_params, tau=tau)
+        with pytest.raises(ValueError, match="tau must be a finite non-negative number"):
+            ResidualEvaluator(unit_params, dt=0.1, tau=tau)
+
 
 class TestEvaluateArrs:
     def test_all_zero_frames(self, params):

@@ -36,6 +36,14 @@ class TestConstriction:
         with pytest.raises(ValueError):
             constriction(1.0, 1.0)
 
+    @pytest.mark.parametrize("c1", [math.nan, math.inf, -math.inf])
+    def test_non_finite_sum_rejected(self, c1):
+        # NaN > 4 is false and an infinite c gives K = NaN, so neither may pass
+        with pytest.raises(ValueError, match=r"finite c1 \+ c2 > 4"):
+            constriction(c1, 1.3)
+        with pytest.raises(ValueError):
+            PsoParams(c1=c1)
+
 
 class TestUpdateParticle:
     def test_fixed_point(self, rng):
