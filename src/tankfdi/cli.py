@@ -250,20 +250,29 @@ def cmd_render(args) -> int:
 # ---------------------------------------------------------------------------
 # Parser
 
+def _number(kind, text: str):
+    """``kind(text)``, failing with argparse's own message for ``type=kind``."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {text!r}") from None
+
+
 def _non_negative_int(text: str) -> int:
     """argparse type of a seed: an integer >= 0, so the error names the flag."""
-    value = int(text)
+    value = _number(int, text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
     return value
 
 
-def _non_negative_float(text: str) -> float:
-    """argparse type of ``--tau``: a finite number >= 0, so the error names the flag."""
-    value = float(text)
-    if not (math.isfinite(value) and value >= 0):
-        raise argparse.ArgumentTypeError(f"must be a finite non-negative number, got {value!r}")
-    return value
+def _tau(text: str) -> float:
+    """argparse type of ``--tau``: ``residuals.check_tau`` while parsing, so
+    the error names the flag before anything is simulated."""
+    try:
+        return residuals.check_tau(_number(float, text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _add_suite_options(p: argparse.ArgumentParser) -> None:
@@ -287,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario", required=True, help="scenario JSON file")
     p.add_argument("--plant", help="plant parameter JSON file")
     p.add_argument("--mode", choices=("linear", "nonlinear"), default="linear")
-    p.add_argument("--tau", type=_non_negative_float, default=None,
+    p.add_argument("--tau", type=_tau, default=None,
                    help="derivative smoothing time constant (default: off)")
     p.add_argument("--out-trace", required=True)
     p.add_argument("--out-residuals", required=True)

@@ -303,17 +303,8 @@ def compile_rules(rules: tuple[Rule, ...]) -> RuleProgram:
     return RuleProgram(rows, tuple(program), ones)
 
 
-def build_rulebase(max_fault_order: int = DEFAULT_MAX_FAULT_ORDER) -> RuleBase:
-    """The rule base of ``max_fault_order`` (``_generate_rulebase``), built
-    once per order and shared by every caller and loaded config. It is
-    frozen, and its program is compiled on first use."""
-    # one cache key per order: a cached build_rulebase would key (), (2,)
-    # and max_fault_order=2 apart and build three equal rule bases
-    return _generate_rulebase(max_fault_order)
-
-
 @cache
-def _generate_rulebase(max_fault_order: int) -> RuleBase:
+def build_rulebase(max_fault_order: int = DEFAULT_MAX_FAULT_ORDER) -> RuleBase:
     """Generate the rule base from the fault-signature structure.
 
     For every candidate fault set F (up to ``max_fault_order`` simultaneous
@@ -326,6 +317,11 @@ def _generate_rulebase(max_fault_order: int) -> RuleBase:
     vouches for everything outside it, so weak overlap rules cannot raise
     an alarm against a strong competing hypothesis. A final all-Z rule
     concludes OK for all seven variables.
+
+    Built once per order and shared by every caller and loaded config: the
+    rule base is frozen and its program is compiled on first use. Callers
+    pass the order by keyword, as ``config_from_dict`` does, so that they
+    share one cache key.
     """
     if not 1 <= max_fault_order <= 7:
         raise ValueError("max_fault_order must be in [1, 7]")

@@ -129,16 +129,19 @@ def _window_median(rows):
     return _median3(*rows) if len(rows) == 3 else np.median(rows, axis=0)
 
 
-def _low_pass_alpha(tau: float | None, dt: float) -> float | None:
-    """Gain ``dt / (tau + dt)`` of the low-pass with time constant ``tau``;
-    None (no filter) for a ``tau`` of None or 0. A negative or non-finite
-    ``tau`` raises ValueError: -dt divides by zero, (-dt, 0) gives a gain
-    above 1 that overshoots, and NaN makes every residual NaN."""
-    if tau is None or tau == 0:
-        return None
-    if not (math.isfinite(tau) and tau > 0):
+def check_tau(tau: float) -> float:
+    """``tau`` if it is a low-pass time constant: finite and >= 0, where 0
+    means no filter. Otherwise ValueError: -dt divides by zero, (-dt, 0)
+    gives a gain above 1 that overshoots, and NaN makes every residual NaN."""
+    if not (math.isfinite(tau) and tau >= 0):
         raise ValueError(f"tau must be a finite non-negative number, got {tau!r}")
-    return dt / (tau + dt)
+    return tau
+
+
+def _low_pass_alpha(tau: float | None, dt: float) -> float | None:
+    """Gain ``dt / (tau + dt)`` of the low-pass with time constant ``tau``
+    (``check_tau``); None (no filter) for a ``tau`` of None or 0."""
+    return dt / (check_tau(tau) + dt) if tau else None
 
 
 def _low_pass(filtered, raw, alpha, out=None, scratch=None):

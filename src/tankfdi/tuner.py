@@ -39,12 +39,14 @@ def default_bounds() -> np.ndarray:
 def constriction(c1: float, c2: float) -> float:
     """Constriction factor K = 2 / |2 - c - sqrt(c^2 - 4c)| with c = c1 + c2.
 
-    Only defined for a finite c > 4; smaller sums give no velocity damping
-    guarantee, and an infinite or NaN c gives a NaN K.
+    Only defined for c > 4 whose square is finite: smaller sums give no
+    velocity damping guarantee, a NaN or infinite c gives a NaN K, and a c
+    above about 1.3e154 squares to inf and gives K = 0, a swarm that never
+    moves.
     """
     c = c1 + c2
-    if not (math.isfinite(c) and c > 4.0):
-        raise ValueError(f"constriction requires a finite c1 + c2 > 4, got c = {c}")
+    if not (c > 4.0 and math.isfinite(c * c)):
+        raise ValueError(f"constriction requires c1 + c2 > 4 with a finite square, got c = {c}")
     return 2.0 / abs(2.0 - c - math.sqrt(c * c - 4.0 * c))
 
 

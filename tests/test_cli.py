@@ -104,7 +104,7 @@ class TestSimulate:
                   "--out-trace", str(tmp_path / "t.csv"),
                   "--out-residuals", str(tmp_path / "r.csv")])
         assert exc.value.code == 2
-        assert ("argument --tau: must be a finite non-negative number, got "
+        assert ("argument --tau: tau must be a finite non-negative number, got "
                 f"{float(tau)!r}" in capsys.readouterr().err)
         assert sorted(os.listdir(tmp_path)) == ["scenario.json"]
 
@@ -195,7 +195,7 @@ class TestTune:
         assert code == 2
         assert "c1 + c2 > 4" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "1e200"])
     def test_non_finite_acceleration_exits_2_before_the_suite(self, tmp_path, value,
                                                                monkeypatch, capsys):
         monkeypatch.setattr(harness, "generate_suite", None)
@@ -203,7 +203,7 @@ class TestTune:
                      "--out-config", str(tmp_path / "cfg.json"),
                      "--out-history", str(tmp_path / "hist.csv")])
         assert code == 2
-        assert "finite c1 + c2 > 4" in capsys.readouterr().err
+        assert "c1 + c2 > 4 with a finite square" in capsys.readouterr().err
         assert os.listdir(tmp_path) == []
 
     def test_stall_above_max_generations_names_both(self, tmp_path, capsys):
@@ -622,6 +622,20 @@ class TestMalformedInput:
         assert exc.value.code == 2
         assert f"argument {flag}: must be non-negative, got -1" in capsys.readouterr().err
         assert sorted(os.listdir(tmp_path)) == ["cfg.json"]
+
+    @pytest.mark.parametrize("command,flag,kind", [("tune", "--seed", "int"),
+                                                   ("evaluate", "--suite-seed", "int"),
+                                                   ("simulate", "--tau", "float")])
+    def test_non_number_names_the_kind(self, tmp_path, config_file, command, flag, kind,
+                                       capsys):
+        # argparse's own wording for type=int or float, not the type function's name
+        argv = (["simulate", "--scenario", "s.json", "--out-trace", "t.csv",
+                 "--out-residuals", "r.csv"] if command == "simulate"
+                else suite_command(command, tmp_path, config_file) + ["--generate", "3"])
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [flag, "abc"])
+        assert exc.value.code == 2
+        assert f"argument {flag}: invalid {kind} value: 'abc'" in capsys.readouterr().err
 
 
 class TestOutputErrors:

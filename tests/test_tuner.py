@@ -36,10 +36,11 @@ class TestConstriction:
         with pytest.raises(ValueError):
             constriction(1.0, 1.0)
 
-    @pytest.mark.parametrize("c1", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("c1", [math.nan, math.inf, -math.inf, 1e200])
     def test_non_finite_sum_rejected(self, c1):
-        # NaN > 4 is false and an infinite c gives K = NaN, so neither may pass
-        with pytest.raises(ValueError, match=r"finite c1 \+ c2 > 4"):
+        # NaN > 4 is false, an infinite c gives K = NaN, and 1e200 squares to
+        # inf and gives K = 0, so none may pass
+        with pytest.raises(ValueError, match=r"c1 \+ c2 > 4 with a finite square"):
             constriction(c1, 1.3)
         with pytest.raises(ValueError):
             PsoParams(c1=c1)
