@@ -266,13 +266,16 @@ def _non_negative_int(text: str) -> int:
     return value
 
 
-def _tau(text: str) -> float:
-    """argparse type of ``--tau``: ``residuals.check_tau`` while parsing, so
-    the error names the flag before anything is simulated."""
-    try:
-        return residuals.check_tau(_number(float, text))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+def _checked(kind, check):
+    """argparse type applying ``check`` to a ``kind`` value while parsing
+    (``residuals.check_tau``, ``fuzzy.check_max_fault_order``), so its
+    error names the flag before anything is simulated."""
+    def parse(text: str):
+        try:
+            return check(_number(kind, text))
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return parse
 
 
 def _add_suite_options(p: argparse.ArgumentParser) -> None:
@@ -296,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario", required=True, help="scenario JSON file")
     p.add_argument("--plant", help="plant parameter JSON file")
     p.add_argument("--mode", choices=("linear", "nonlinear"), default="linear")
-    p.add_argument("--tau", type=_tau, default=None,
+    p.add_argument("--tau", type=_checked(float, residuals.check_tau), default=None,
                    help="derivative smoothing time constant (default: off)")
     p.add_argument("--out-trace", required=True)
     p.add_argument("--out-residuals", required=True)
@@ -307,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_suite_options(p)
     p.add_argument("--plant", help="plant parameter JSON file")
     p.add_argument("--seed", type=_non_negative_int, default=42, help="optimizer seed")
-    p.add_argument("--max-fault-order", type=int,
+    p.add_argument("--max-fault-order", type=_checked(int, fuzzy.check_max_fault_order),
                    default=fuzzy.DEFAULT_MAX_FAULT_ORDER)
     for settings, _ in _TUNERS.values():
         for f in _optimizer_fields(settings):

@@ -303,6 +303,14 @@ def compile_rules(rules: tuple[Rule, ...]) -> RuleProgram:
     return RuleProgram(rows, tuple(program), ones)
 
 
+def check_max_fault_order(max_fault_order: int) -> int:
+    """``max_fault_order`` if a rule base can be built for it: 1 to 7
+    simultaneous faults, one per supervised variable. Otherwise ValueError."""
+    if not 1 <= max_fault_order <= 7:
+        raise ValueError(f"max_fault_order must be in [1, 7], got {max_fault_order}")
+    return max_fault_order
+
+
 @cache
 def build_rulebase(max_fault_order: int = DEFAULT_MAX_FAULT_ORDER) -> RuleBase:
     """Generate the rule base from the fault-signature structure.
@@ -323,9 +331,7 @@ def build_rulebase(max_fault_order: int = DEFAULT_MAX_FAULT_ORDER) -> RuleBase:
     pass the order by keyword, as ``config_from_dict`` does, so that they
     share one cache key.
     """
-    if not 1 <= max_fault_order <= 7:
-        raise ValueError("max_fault_order must be in [1, 7]")
-
+    check_max_fault_order(max_fault_order)
     sig = signature_matrix()
     rows = {v: sig.row(v) for v in VARIABLES}
     rules = []
@@ -529,8 +535,8 @@ class DetectorKernel:
     AL share of the clipped output areas is the alarm degree.
 
     ``run`` takes one trace, whole or chunk by chunk on carried state (the
-    streaming ``Detector`` runs it one row at a time); ``run_block`` and
-    ``block_flags`` take many traces concatenated.
+    streaming ``Detector`` runs it one row at a time); ``run_block`` takes
+    many traces concatenated.
     """
 
     def __init__(self, cfg: DetectorConfig):
@@ -605,16 +611,12 @@ class DetectorKernel:
         raw, defined = self._defuzzify(residuals)
         return _hold(raw, defined, held0).T
 
-    def flags(self, degrees: np.ndarray, recent: np.ndarray | None = None) -> np.ndarray:
-        """Debounced flags: degree above threshold for ``debounce`` consecutive
-        rows. See ``_debounce`` for ``recent``."""
-        return self._debounce(degrees > self.cfg.alarm_threshold, None, recent)
-
     def _debounce(self, above: np.ndarray, starts: np.ndarray | None = None,
                   recent: np.ndarray | None = None) -> np.ndarray:
-        """Debounce "above threshold" rows (T, 7). The first windows reach
-        back into ``recent`` (debounce - 1, 7), the above rows before row 0
-        (none by default), which is updated in place to the last ones. With
+        """Debounced flags: the "above threshold" rows (T, 7) that end a run
+        of ``debounce`` above rows. The first windows reach back into
+        ``recent`` (debounce - 1, 7), the above rows before row 0 (none by
+        default), which is updated in place to the last ones. With
         ``starts`` every listed row starts a fresh window."""
         d = self.cfg.debounce
         before = np.zeros((d - 1, 7), dtype=bool) if recent is None else recent
@@ -646,7 +648,7 @@ class DetectorKernel:
         degrees = self.degrees(residuals, held)
         if held is not None and len(degrees):
             held[:] = degrees[-1]
-        return degrees, self.flags(degrees, recent)
+        return degrees, self._debounce(degrees > self.cfg.alarm_threshold, None, recent)
 
     def run_block(self, residuals: np.ndarray,
                   starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -659,17 +661,6 @@ class DetectorKernel:
         raw, defined = self._defuzzify(residuals)
         degrees = _hold(raw, defined, None, starts).T
         return degrees, self._debounce(degrees > self.cfg.alarm_threshold, starts)
-
-    def block_flags(self, residuals: np.ndarray, starts: np.ndarray) -> np.ndarray:
-        """The flags of ``run_block`` without its degrees.
-
-        Holds the boolean "above threshold" rather than the degree: the
-        threshold test of a held degree is the held threshold test, and the
-        initial hold 0 is below any threshold in (0, 1).
-        """
-        raw, defined = self._defuzzify(residuals)
-        above = _hold(raw > self.cfg.alarm_threshold, defined, None, starts)
-        return self._debounce(above.T, starts)
 
 
 class Detector:

@@ -212,17 +212,15 @@ BANK_BLOCK = 256
 class ResidualBank:
     """Precomputed residual traces of a suite, reusable across detectors.
 
-    Also carries the suite's residual rows concatenated into one read-only
-    block so a detector can be evaluated in a single vectorized pass;
-    ``offsets`` holds each scenario's start row (plus one trailing
-    sentinel), and ``residuals[i]`` is scenario i's slice of the block.
+    The suite's residual rows are concatenated into one read-only block so
+    a detector can be evaluated in a single vectorized pass; ``offsets``
+    holds each scenario's start row (plus one trailing sentinel), so
+    scenario i's rows are ``block[offsets[i]:offsets[i + 1]]``.
     ``row_times`` is the time of every block row, and ``injected`` and
     ``fault_starts`` are the ``fault_arrays`` of the scenarios.
     """
 
     scenarios: tuple[FaultScenario, ...]
-    times: tuple[np.ndarray, ...]
-    residuals: tuple[np.ndarray, ...]
     block: np.ndarray
     offsets: np.ndarray
     row_times: np.ndarray
@@ -255,7 +253,6 @@ class ResidualBank:
                         diverged = plant.SimulationDiverged(exc.variable, exc.t, i)
                     continue
                 t = t[1:]
-                t.setflags(write=False)
                 rows = residuals.residual_batch(signals, dt, params,
                                                 tau=DERIVATIVE_TAU_FACTOR * dt,
                                                 spike_window=DERIVATIVE_SPIKE_WINDOW)
@@ -266,13 +263,11 @@ class ResidualBank:
         block = np.vstack(resid)
         block.setflags(write=False)
         offsets = np.cumsum([0] + [len(r) for r in resid])
-        views = tuple(block[lo:hi] for lo, hi in zip(offsets[:-1], offsets[1:]))
         row_times = np.concatenate(times)
         injected, fault_starts = fault_arrays([sc.events for sc in suite])
         for arr in (row_times, injected, fault_starts):
             arr.setflags(write=False)
-        return cls(tuple(suite), tuple(times), views, block, offsets,
-                   row_times, injected, fault_starts)
+        return cls(tuple(suite), block, offsets, row_times, injected, fault_starts)
 
 
 def fault_arrays(event_lists: Sequence[Sequence[FaultEvent]],
@@ -372,9 +367,8 @@ def _rates(labels: np.ndarray, delays: np.ndarray) -> tuple[float, float]:
 
 
 def score_bank(cfg: DetectorConfig, bank: ResidualBank) -> tuple[float, float]:
-    """The (proper_rate, mean_delay) of ``evaluate_bank``, without reports
-    or degrees."""
-    flags = DetectorKernel(cfg).block_flags(bank.block, bank.offsets[:-1])
+    """The (proper_rate, mean_delay) of ``evaluate_bank``, without reports."""
+    _, flags = DetectorKernel(cfg).run_block(bank.block, bank.offsets[:-1])
     _, labels, delays = _outcomes(bank, flags)
     return _rates(labels, delays)
 

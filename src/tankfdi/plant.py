@@ -228,16 +228,6 @@ class PlantParams:
 
 
 @dataclass(frozen=True)
-class PlantState:
-    """Tank pressures and simulation time."""
-
-    De1: float = 0.0
-    De2: float = 0.0
-    De3: float = 0.0
-    t: float = 0.0
-
-
-@dataclass(frozen=True)
 class MeasurementFrame:
     """The seven supervised signals at one timestep."""
 
@@ -274,13 +264,6 @@ class FaultEvent:
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"FaultEvent.{name} must be finite")
 
-    def offset_at(self, t: float) -> float:
-        if t < self.start:
-            return 0.0
-        if self.profile == "step":
-            return self.magnitude
-        return self.magnitude * (t - self.start)
-
 
 @dataclass(frozen=True)
 class FaultScenario:
@@ -299,6 +282,9 @@ class FaultScenario:
                 raise ValueError(f"FaultScenario.{name} must be finite")
         if self.dt <= 0:
             raise ValueError("FaultScenario.dt must be positive")
+        if not math.isfinite(self.duration / self.dt):
+            raise ValueError("FaultScenario.duration / dt must be finite, got "
+                             f"{self.duration!r} / {self.dt!r}")
         if self.duration < self.dt:
             raise ValueError("FaultScenario.duration must be at least one step")
         if self.seed < 0:
@@ -340,21 +326,16 @@ class Trace:
         return (self.frame(i) for i in range(len(self)))
 
 
-def coupling_flows(De1: float, De2: float, De3: float, params: PlantParams,
-                   mode: str = "linear") -> tuple[float, float]:
-    """Coupling flows Df1 (tank1 -> tank2) and Df2 (tank3 -> tank2).
-
-    Linear mode divides the pressure difference by the coupling resistance.
-    Nonlinear mode uses the sign-preserving square-root valve law
-    ``az * S * sgn(hi - hj) * sqrt(2 g |hi - hj|)`` with ``h = De / (rho g)``.
-    """
-    return _flows(De1, De2, De3, params.R12, params.R23, params, mode)
-
-
 def _flows(de1: float, de2: float, de3: float, r12: float, r23: float,
            params: PlantParams, mode: str) -> tuple[float, float]:
-    """``coupling_flows`` with the step's (possibly noisy) coupling
-    resistances passed apart from the valve constants in ``params``."""
+    """Coupling flows Df1 (tank1 -> tank2) and Df2 (tank3 -> tank2).
+
+    Linear mode divides the pressure difference by the step's (possibly
+    noisy) coupling resistance ``r12`` or ``r23``. Nonlinear mode uses the
+    sign-preserving square-root valve law
+    ``az * S * sgn(hi - hj) * sqrt(2 g |hi - hj|)`` with ``h = De / (rho g)``
+    and the valve constants of ``params``.
+    """
     if mode == "linear":
         return (de1 - de2) / r12, (de3 - de2) / r23
     if mode == "nonlinear":
@@ -414,16 +395,6 @@ def _advance(de: tuple, inputs: tuple[float, float], rc: Sequence[float],
     return new
 
 
-def step(state: PlantState, inputs: tuple[float, float], params: PlantParams,
-         dt: float, mode: str = "linear") -> PlantState:
-    """Advance the plant one fixed RK4 step."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    rc = tuple(getattr(params, name) for name in NOISY_PARAMS)
-    new = _advance((state.De1, state.De2, state.De3), inputs, rc, params, dt, mode, state.t)
-    return PlantState(new[0], new[1], new[2], state.t + dt)
-
-
 def noise_table(scenario: FaultScenario, params: PlantParams, n_rows: int) -> np.ndarray:
     """Per-step R and C of a scenario, (n_rows, 8) in NOISY_PARAMS order.
 
@@ -444,15 +415,18 @@ def noise_table(scenario: FaultScenario, params: PlantParams, n_rows: int) -> np
 
 def _add_faults(signals: np.ndarray, times: np.ndarray,
                 events: Sequence[FaultEvent]) -> None:
-    """Add each event's ``offset_at`` to its channel of one scenario's
-    (T, 7) signals, in place."""
+    """Add each event's offset to its channel of one scenario's (T, 7)
+    signals, in place: 0 before its start, then the step's magnitude or the
+    ramp's slope times the time since the start."""
     for ev in events:
         offset = ev.magnitude if ev.profile == "step" else ev.magnitude * (times - ev.start)
         signals[:, VARIABLE_INDEX[ev.target]] += np.where(times < ev.start, 0.0, offset)
 
 
-def steady_state(inputs: tuple[float, float], params: PlantParams) -> PlantState:
-    """Equilibrium pressures of the linear model for constant source flows."""
+def steady_state(inputs: tuple[float, float],
+                 params: PlantParams) -> tuple[float, float, float]:
+    """Equilibrium pressures (De1, De2, De3) of the linear model for
+    constant source flows."""
     msf1, msf2 = inputs
     p = params
     # Zeros of the three pressure derivatives; note the middle tank sheds
@@ -463,26 +437,23 @@ def steady_state(inputs: tuple[float, float], params: PlantParams) -> PlantState
         [0.0, -1.0 / p.R23, 1.0 / p.R23 + 1.0 / p.R3],
     ])
     b = np.array([msf1, 0.0, msf2])
-    de = np.linalg.solve(a, b)
-    return PlantState(float(de[0]), float(de[1]), float(de[2]), 0.0)
+    return tuple(float(x) for x in np.linalg.solve(a, b))
 
 
 def run(scenario: FaultScenario, params: PlantParams, inputs: tuple[float, float],
-        x0: PlantState | None = None, mode: str = "linear") -> Trace:
+        mode: str = "linear") -> Trace:
     """Simulate a scenario and return the measured trace.
 
-    ``inputs`` is the constant operating point (Msf1, Msf2). The initial
-    state defaults to its linear steady state, so fault-free runs sit at the
-    operating point from the first frame. Each step's R and C are a row of
-    the scenario's ``noise_table``, so the run is deterministic given the
+    ``inputs`` is the constant operating point (Msf1, Msf2). The run starts
+    at its linear steady state, so fault-free runs sit at the operating
+    point from the first frame. Each step's R and C are a row of the
+    scenario's ``noise_table``, so the run is deterministic given the
     scenario seed.
     """
     u = (float(inputs[0]), float(inputs[1]))
-    if x0 is None:
-        x0 = steady_state(u, params)
     dt = scenario.dt
     n_steps = math.ceil(scenario.duration / dt - 1e-9)
-    de = (x0.De1, x0.De2, x0.De3)
+    de = steady_state(u, params)
     rows = []
     for k, rc in enumerate(noise_table(scenario, params, n_steps + 1).tolist()):
         rows.append((*u, *de, *_flows(*de, rc[3], rc[4], params, mode)))
@@ -515,7 +486,7 @@ def simulate_suite(suite: Sequence[FaultScenario], params: PlantParams,
     n_steps = math.ceil(duration / dt - 1e-9)
     n_rows, n_scen = n_steps + 1, len(suite)
     u = (float(inputs[0]), float(inputs[1]))
-    x0 = steady_state(u, params)
+    de1, de2, de3 = steady_state(u, params)
 
     rc = np.empty((n_rows, len(NOISY_PARAMS), n_scen))
     for i, sc in enumerate(suite):
@@ -526,7 +497,7 @@ def simulate_suite(suite: Sequence[FaultScenario], params: PlantParams,
     # C2) and de the pressures (De3, De1, De2) until the loop ends.
     rcp = rc.take([2, 0, 1, 4, 3, 7, 5, 6], axis=1)
     de = np.empty((n_rows, 3, n_scen))
-    de[0] = np.array([x0.De3, x0.De1, x0.De2])[:, None]
+    de[0] = np.array([de3, de1, de2])[:, None]
 
     k1, k2, k3, k4, stage, q = (np.empty((3, n_scen)) for _ in range(6))
     # terms = [Msf2 - Df2, Msf1, Df1, Df2, Df1]: rows 0:3 are the inflow

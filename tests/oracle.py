@@ -6,26 +6,30 @@ rule by rule, and defuzzification as the AL share of the clipped output
 areas. The vectorized ``tankfdi.fuzzy.DetectorKernel`` must agree with it
 bit for bit; its hold, which fills each gap from its source sample, must
 equal ``hold`` here, a running maximum over whole rows. Likewise the plant
-one frame at a time: R/C noise drawn step by step and sensor frames with
-their fault offsets, which ``tankfdi.plant.run`` must reproduce row for
-row. The DOT graph line by line, as ``tankfdi.render.emit_dot`` must
-write it. Last, the accessors and fixtures only tests use: the residual
-fault directions, a de-tuned detector, and plain forms of plant
-parameters, frames and trace columns.
+one step at a time: a ``PlantState`` advanced by one RK4 ``step``, R/C
+noise drawn step by step, the ``coupling_flows`` and sensor frames with
+each event's ``offset_at``, which ``simulate`` runs from any initial
+state and ``tankfdi.plant.run`` must reproduce row for row from the
+steady state. The DOT graph line by line, as ``tankfdi.render.emit_dot``
+must write it. Last, the accessors and fixtures only tests use: the
+residual fault directions, a de-tuned detector, a bank's per-scenario
+rows, and plain forms of plant parameters, frames and trace columns.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
+import math
+from dataclasses import dataclass, replace
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from tankfdi.fuzzy import (DetectorConfig, InputPartition, OutputPartition, RuleBase,
                           params_to_config)
+from tankfdi.harness import ResidualBank
 from tankfdi.plant import (NOISY_PARAMS, VARIABLE_INDEX, VARIABLES, FaultEvent,
-                           MeasurementFrame, PlantParams, PlantState, Trace,
-                           coupling_flows)
+                           FaultScenario, MeasurementFrame, PlantParams, Trace,
+                           _advance, _flows)
 from tankfdi.render import EDGES, _degree_map, color_index
 
 
@@ -173,6 +177,42 @@ def hold(values: np.ndarray, defined: np.ndarray, held0: np.ndarray | None = Non
     return values
 
 
+@dataclass(frozen=True)
+class PlantState:
+    """Tank pressures and simulation time."""
+
+    De1: float = 0.0
+    De2: float = 0.0
+    De3: float = 0.0
+    t: float = 0.0
+
+
+def coupling_flows(De1: float, De2: float, De3: float, params: PlantParams,
+                   mode: str = "linear") -> tuple[float, float]:
+    """Coupling flows Df1 (tank1 -> tank2) and Df2 (tank3 -> tank2) at the
+    nominal coupling resistances of ``params``."""
+    return _flows(De1, De2, De3, params.R12, params.R23, params, mode)
+
+
+def step(state: PlantState, inputs: tuple[float, float], params: PlantParams,
+         dt: float, mode: str = "linear") -> PlantState:
+    """Advance the plant one fixed RK4 step."""
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    rc = tuple(getattr(params, name) for name in NOISY_PARAMS)
+    new = _advance((state.De1, state.De2, state.De3), inputs, rc, params, dt, mode, state.t)
+    return PlantState(new[0], new[1], new[2], state.t + dt)
+
+
+def offset_at(event: FaultEvent, t: float) -> float:
+    """The event's additive offset at time t."""
+    if t < event.start:
+        return 0.0
+    if event.profile == "step":
+        return event.magnitude
+    return event.magnitude * (t - event.start)
+
+
 def perturb_params(params: PlantParams, noise_std_R: float, noise_std_C: float,
                    rng: np.random.Generator) -> PlantParams:
     """Multiply each R and C by (1 + N(0, sigma)), floored at 1% of nominal."""
@@ -196,8 +236,24 @@ def measure(state: PlantState, inputs: tuple[float, float], params: PlantParams,
     df1, df2 = coupling_flows(state.De1, state.De2, state.De3, params, mode)
     values = [inputs[0], inputs[1], state.De1, state.De2, state.De3, df1, df2]
     for ev in events:
-        values[VARIABLE_INDEX[ev.target]] += ev.offset_at(t)
+        values[VARIABLE_INDEX[ev.target]] += offset_at(ev, t)
     return MeasurementFrame(t, *values)
+
+
+def simulate(scenario: FaultScenario, params: PlantParams, inputs: tuple[float, float],
+             x0: PlantState, mode: str = "linear") -> Trace:
+    """The trace of a scenario, one frame at a time from state ``x0``: per
+    step the perturbed params, a measured frame with the active offsets,
+    then one RK4 step from that frame's time."""
+    dt = scenario.dt
+    times = np.arange(math.ceil(scenario.duration / dt - 1e-9) + 1) * dt
+    rng = np.random.default_rng(scenario.seed)
+    state, rows = x0, []
+    for t in times.tolist():
+        p = perturb_params(params, scenario.noise_std_R, scenario.noise_std_C, rng)
+        rows.append(frame_vector(measure(state, inputs, p, scenario.events, t, mode)))
+        state = step(replace(state, t=t), inputs, p, dt, mode)
+    return Trace(times, np.array(rows), dt)
 
 
 def emit_dot(degrees) -> str:
@@ -265,3 +321,10 @@ def frame_vector(frame: MeasurementFrame) -> np.ndarray:
 def column(trace: Trace, name: str) -> np.ndarray:
     """One supervised signal of a trace."""
     return trace.signals[:, VARIABLE_INDEX[name]]
+
+
+def bank_traces(bank: ResidualBank) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each scenario's (times, residual rows): its slices of the bank's
+    ``row_times`` and ``block``."""
+    bounds = zip(bank.offsets[:-1].tolist(), bank.offsets[1:].tolist())
+    return [(bank.row_times[lo:hi], bank.block[lo:hi]) for lo, hi in bounds]

@@ -247,6 +247,33 @@ class TestDetect:
         assert len(lines) == 81
         assert dot.read_text().startswith("digraph")
 
+    def test_agrees_with_evaluate(self, tmp_path, config_file):
+        # detect runs the per-scenario float plant and the kernel on one
+        # trace; evaluate runs the batched bank and the kernel on its block
+        scenario = plant.FaultScenario(
+            seed=11, duration=15.0, dt=0.1, noise_std_R=0.02, noise_std_C=0.02,
+            events=(plant.FaultEvent("Msf1", 4.0, 1.8),
+                    plant.FaultEvent("Msf2", 6.0, 0.2, "ramp")))
+        scenario_path, suite_path = tmp_path / "scenario.json", tmp_path / "suite.json"
+        scenario_path.write_text(json.dumps(plant.scenario_to_dict(scenario)))
+        harness.save_suite([scenario], str(suite_path))
+        out, dot, dots = tmp_path / "d.csv", tmp_path / "d.dot", tmp_path / "dots"
+        assert main(["detect", "--config", config_file, "--scenario", str(scenario_path),
+                     "--out", str(out), "--dot", str(dot)]) == 0
+        assert main(["evaluate", "--config", config_file, "--suite", str(suite_path),
+                     "--out", str(tmp_path / "m.csv"), "--reports", str(tmp_path / "r.jsonl"),
+                     "--render", str(dots)]) == 0
+        assert dot.read_bytes() == (dots / "scenario_000.dot").read_bytes()
+        header, *rows = [line.split(",") for line in out.read_text().splitlines()]
+        first = {}
+        for row in rows:
+            for name, value in zip(header, row):
+                if name.startswith("flag_") and value == "1":
+                    first.setdefault(name[len("flag_"):], float(row[0]))
+        (report,) = [json.loads(line) for line in (tmp_path / "r.jsonl").read_text().splitlines()]
+        assert first == report["flagged"]
+        assert sorted(first) == ["Msf1", "Msf2"]
+
 
 class TestEvaluate:
     def test_single_row_metrics(self, tmp_path, config_file, suite_file):
@@ -276,7 +303,7 @@ class TestEvaluate:
         suite, inputs = harness.load_suite(suite_file)
         bank = harness.ResidualBank.from_suite(suite, plant.PlantParams(), inputs)
         kernel = fuzzy.DetectorKernel(fuzzy.load_config(config_file))
-        for i, rows in enumerate(bank.residuals):
+        for i, (_, rows) in enumerate(oracle.bank_traces(bank)):
             final = kernel.degrees(rows)[-1]
             dot = (out_dir / f"scenario_{i:03d}.dot").read_text()
             colors = dict(re.findall(r'"(\w+)" \[fillcolor="(#[0-9A-F]{6})"', dot))
@@ -533,6 +560,14 @@ MALFORMED_INPUTS = {
                       "plant config field 'R1' must be a number"),
     "scenario_schema_bool": ("scenario", {"schema": True, "duration": 2.0},
                              "unsupported scenario schema True"),
+    # a step count that overflows to inf, on the per-scenario and suite paths
+    "scenario_dt_tiny": ("scenario", {"schema": 1, "duration": 20.0, "dt": 5e-324},
+                         "FaultScenario.duration / dt must be finite"),
+    "scenario_duration_huge": ("scenario", {"schema": 1, "duration": 1e308, "dt": 0.1},
+                               "FaultScenario.duration / dt must be finite"),
+    "suite_scenario_dt_tiny": ("suite", {"schema": 1, "scenarios": [
+        {"schema": 1, "duration": 20.0, "dt": 5e-324}]},
+        "FaultScenario.duration / dt must be finite"),
 }
 
 
@@ -621,6 +656,19 @@ class TestMalformedInput:
             main(argv + ["--generate", "3", flag, "-1"])
         assert exc.value.code == 2
         assert f"argument {flag}: must be non-negative, got -1" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["cfg.json"]
+
+    @pytest.mark.parametrize("value", ["0", "8"])
+    def test_max_fault_order_out_of_range_exits_2_naming_the_flag(
+            self, tmp_path, config_file, value, monkeypatch, capsys):
+        # rejected while the arguments are parsed, before a suite is built
+        monkeypatch.setattr(harness, "generate_suite", None)
+        argv = suite_command("tune", tmp_path, config_file)
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--generate", "3", "--max-fault-order", value])
+        assert exc.value.code == 2
+        assert (f"argument --max-fault-order: max_fault_order must be in [1, 7], got {value}"
+                in capsys.readouterr().err)
         assert sorted(os.listdir(tmp_path)) == ["cfg.json"]
 
     @pytest.mark.parametrize("command,flag,kind", [("tune", "--seed", "int"),

@@ -476,7 +476,7 @@ class TestDetector:
         kernel = DetectorKernel(cfg)
         degrees = kernel.degrees(rows)
         assert degrees.max() <= 1.0
-        flags = kernel.flags(np.clip(degrees, None, 0.9998))
+        flags = kernel._debounce(np.clip(degrees, None, 0.9998) > cfg.alarm_threshold)
         assert not flags.any()
 
     def test_streaming_matches_batch(self, tuned_cfg, rng):

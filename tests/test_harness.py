@@ -260,7 +260,7 @@ class TestEvaluate:
                  for i, v in enumerate(plant.VARIABLES)]
         bank = ResidualBank.from_suite(suite, params, OPERATING_INPUTS)
         debounce = tuned_cfg.debounce
-        for scenario, times in zip(bank.scenarios, bank.times):
+        for scenario, (times, _) in zip(bank.scenarios, oracle.bank_traces(bank)):
             flags = np.zeros((len(times), 7), dtype=bool)
             for ev in scenario.events:
                 j = plant.VARIABLES.index(ev.target)
@@ -304,9 +304,10 @@ class TestEvaluate:
                                        OPERATING_INPUTS)
         kernel = fuzzy.DetectorKernel(tuned_cfg)
         per_trace = []
-        for idx, scenario in enumerate(bank.scenarios):
-            degrees, flags = kernel.run(bank.residuals[idx])
-            flag_times = harness._first_flag_times(bank.times[idx], flags)
+        for idx, (scenario, (times, rows)) in enumerate(zip(bank.scenarios,
+                                                            oracle.bank_traces(bank))):
+            degrees, flags = kernel.run(rows)
+            flag_times = harness._first_flag_times(times, flags)
             per_trace.append(harness.DetectionReport(
                 idx, scenario.injected, flag_times,
                 *classify(scenario.events, flag_times), tuple(degrees[-1].tolist())))
@@ -356,13 +357,11 @@ def pinned_bank():
 
 class TestScoreBank:
     @pytest.mark.parametrize("debounce", [1, fuzzy.DEFAULT_DEBOUNCE, 201])
-    def test_block_flags_match_run_block(self, pinned_bank, debounce):
+    def test_score_bank_matches_evaluate_bank(self, pinned_bank, debounce):
         # 201 rows is longer than any pinned trace, so nothing may flag.
-        # Besides random vectors, two where noise reads nonZ. On r1..r3,
-        # most traces start with no rule firing, after a trace that ended
-        # above threshold: the hold must restart at trace starts. On all
-        # residuals, some traces start above threshold: so must the
-        # debounce windows.
+        # Besides random vectors, two where noise reads nonZ: on r1..r3 most
+        # traces start with no rule firing, after a trace that ended above
+        # threshold, and on all residuals some traces start above threshold.
         rng = np.random.default_rng(7)
         lo, hi = tuner.default_bounds().T
         vectors = [fuzzy.EXAMPLE_SWARM_TUNED, fuzzy.EXAMPLE_GENETIC_TUNED,
@@ -371,17 +370,11 @@ class TestScoreBank:
             x = fuzzy.EXAMPLE_SWARM_TUNED.copy()
             x[0:4 * noisy:4], x[1:4 * noisy:4] = 1e-4, 1e-3
             vectors.append(x)
-        starts, offsets = pinned_bank.offsets[:-1], pinned_bank.offsets
         all_defined = set()
         for x in vectors:
             cfg = dataclasses.replace(fuzzy.params_to_config(x)[0], debounce=debounce)
             kernel = fuzzy.DetectorKernel(cfg)
             all_defined.add(bool(kernel._defuzzify(pinned_bank.block)[1].all()))
-            _, want = kernel.run_block(pinned_bank.block, starts)
-            got = kernel.block_flags(pinned_bank.block, starts)
-            np.testing.assert_array_equal(harness._first_flag_rows(got, offsets),
-                                          harness._first_flag_rows(want, offsets))
-            np.testing.assert_array_equal(got, want)
             _, metrics = evaluate_bank(cfg, pinned_bank)
             np.testing.assert_array_equal(harness.score_bank(cfg, pinned_bank),
                                           (metrics.proper_rate, metrics.mean_delay))
@@ -417,8 +410,9 @@ class TestResidualBank:
         bank = ResidualBank.from_suite(suite, params, OPERATING_INPUTS)
         expected = [harness._simulate_residuals(sc, params, OPERATING_INPUTS)
                     for sc in suite]
-        assert len(bank.times) == len(bank.residuals) == len(suite)
-        for (times, resid), got_t, got_r in zip(expected, bank.times, bank.residuals):
+        traces = oracle.bank_traces(bank)
+        assert len(traces) == len(suite)
+        for (times, resid), (got_t, got_r) in zip(expected, traces):
             assert got_t.tobytes() == times.tobytes()
             assert got_r.tobytes() == resid.tobytes()
         block_rows = np.vstack([resid for _, resid in expected])
@@ -439,10 +433,11 @@ class TestResidualBank:
     def test_bank_arrays_are_read_only(self, params):
         bank = ResidualBank.from_suite(generate_suite(3, seed=2), params,
                                        OPERATING_INPUTS)
+        times, rows = oracle.bank_traces(bank)[0]
         with pytest.raises(ValueError):
-            bank.residuals[0][0, 0] = 1.0
+            rows[0, 0] = 1.0
         with pytest.raises(ValueError):
-            bank.times[0][0] = 1.0
+            times[0] = 1.0
         for arr in (bank.row_times, bank.injected, bank.fault_starts):
             with pytest.raises(ValueError):
                 arr[0] = 1

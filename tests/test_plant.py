@@ -8,11 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tankfdi import harness, plant
-from tankfdi.plant import (FaultEvent, FaultScenario, PlantParams,
-                           PlantState, SimulationDiverged)
+from tankfdi.plant import FaultEvent, FaultScenario, PlantParams, SimulationDiverged
 
 from conftest import OPERATING_INPUTS
-from oracle import column, frame_vector, measure, perturb_params, plant_params_dict
+from oracle import (PlantState, column, coupling_flows, measure, perturb_params,
+                    plant_params_dict, simulate, step)
 
 
 class TestParams:
@@ -37,11 +37,11 @@ class TestParams:
 class TestStep:
     def test_zero_equilibrium(self, params):
         state = PlantState(0, 0, 0, 0)
-        nxt = plant.step(state, (0.0, 0.0), params, dt=0.5)
+        nxt = step(state, (0.0, 0.0), params, dt=0.5)
         assert (nxt.De1, nxt.De2, nxt.De3) == (0.0, 0.0, 0.0)
 
     def test_nonlinear_zero_coupling_at_equal_pressures(self, params):
-        df1, df2 = plant.coupling_flows(2.0, 0.5, 0.5, params, mode="nonlinear")
+        df1, df2 = coupling_flows(2.0, 0.5, 0.5, params, mode="nonlinear")
         assert df2 == 0.0
         assert df1 > 0.0
 
@@ -49,20 +49,20 @@ class TestStep:
     @settings(max_examples=60, deadline=None)
     def test_nonlinear_coupling_is_odd(self, a, b):
         p = PlantParams()
-        q_ab, _ = plant.coupling_flows(a, b, 0.0, p, mode="nonlinear")
-        q_ba, _ = plant.coupling_flows(b, a, 0.0, p, mode="nonlinear")
+        q_ab, _ = coupling_flows(a, b, 0.0, p, mode="nonlinear")
+        q_ba, _ = coupling_flows(b, a, 0.0, p, mode="nonlinear")
         assert q_ab == -q_ba
 
     def test_divergence_reports_variable_and_time(self, params):
         state = PlantState(1e308, 0, 0, 41.5)
         with pytest.raises(SimulationDiverged) as err:
-            plant.step(state, (0.0, 0.0), params, dt=1e6)
+            step(state, (0.0, 0.0), params, dt=1e6)
         assert "De" in str(err.value)
         assert err.value.t > 41.5
 
     def test_unknown_mode_rejected(self, params):
         with pytest.raises(ValueError):
-            plant.step(PlantState(), (0, 0), params, 0.1, mode="quadratic")
+            step(PlantState(), (0, 0), params, 0.1, mode="quadratic")
 
 
 class TestMeasure:
@@ -176,16 +176,15 @@ class TestRun:
     def test_starts_at_operating_point(self, params):
         sc = FaultScenario(seed=0, duration=2.0, dt=0.1)
         trace = plant.run(sc, params, OPERATING_INPUTS)
-        ss = plant.steady_state(OPERATING_INPUTS, params)
+        ss = PlantState(*plant.steady_state(OPERATING_INPUTS, params))
         assert trace.frame(0).De1 == pytest.approx(ss.De1)
         # equilibrium start: signals stay flat without faults or noise
         assert np.ptp(column(trace, "De2")) < 1e-12
 
     def test_bounded_approach_to_steady_state(self, params):
         sc = FaultScenario(seed=0, duration=60.0, dt=0.1)
-        trace = plant.run(sc, params, OPERATING_INPUTS,
-                          x0=PlantState(0, 0, 0, 0))
-        ss = plant.steady_state(OPERATING_INPUTS, params)
+        trace = simulate(sc, params, OPERATING_INPUTS, PlantState(0, 0, 0, 0))
+        ss = PlantState(*plant.steady_state(OPERATING_INPUTS, params))
         for name in ("De1", "De2", "De3"):
             col = column(trace, name)
             assert col.max() <= max(0.0, getattr(ss, name)) + 1e-9
@@ -200,26 +199,22 @@ class TestRun:
 
     @pytest.mark.parametrize("mode", ["linear", "nonlinear"])
     def test_equals_per_frame_loop(self, mode):
-        # the loop run replaces: per-step perturbed params, a measured frame
-        # with the active offsets, then one RK4 step from that frame's time
+        # the loop run replaces, oracle.simulate from the steady state:
+        # per-step perturbed params, a measured frame with the active
+        # offsets, then one RK4 step from that frame's time
         params = PlantParams(R2=3.0, C3=0.7)
         sc = FaultScenario(seed=12, duration=4.0, dt=0.1,
                            noise_std_R=0.03, noise_std_C=0.04,
                            events=(FaultEvent("De2", 1.0, 0.5),
                                    FaultEvent("Df1", 2.0, -0.3, "ramp"),
                                    FaultEvent("De2", 3.0, -0.5)))
-        x0 = PlantState(0.2, -0.0, 1.1, 0.0)
-        trace = plant.run(sc, params, OPERATING_INPUTS, x0=x0, mode=mode)
-        rng = np.random.default_rng(sc.seed)
-        state = x0
+        trace = plant.run(sc, params, OPERATING_INPUTS, mode=mode)
+        frames = simulate(sc, params, OPERATING_INPUTS,
+                          PlantState(*plant.steady_state(OPERATING_INPUTS, params)), mode)
         for k in range(len(trace)):
             t = k * sc.dt
-            p = perturb_params(params, sc.noise_std_R, sc.noise_std_C, rng)
-            frame = measure(state, OPERATING_INPUTS, p, sc.events, t, mode)
             assert trace.times[k] == t
-            assert trace.signals[k].tobytes() == frame_vector(frame).tobytes()
-            state = plant.step(PlantState(state.De1, state.De2, state.De3, t),
-                               OPERATING_INPUTS, p, sc.dt, mode)
+            assert trace.signals[k].tobytes() == frames.signals[k].tobytes()
 
     def test_scenario_validation(self):
         with pytest.raises(ValueError):

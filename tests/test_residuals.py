@@ -8,12 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tankfdi import plant, residuals
-from tankfdi.plant import FaultEvent, FaultScenario, MeasurementFrame, PlantState
+from tankfdi.plant import FaultEvent, FaultScenario, MeasurementFrame
 from tankfdi.residuals import (InsufficientHistory, ResidualEvaluator,
                                residual_batch, residual_trace, signature_matrix)
 
 from conftest import OPERATING_INPUTS
-from oracle import fault_direction
+from oracle import PlantState, fault_direction, simulate
 
 
 def frame_at(t, msf1, msf2, de1, de2, de3, df1, df2):
@@ -89,8 +89,7 @@ class TestEvaluateArrs:
         # starting off-equilibrium exposes the backward-difference bias,
         # which is bounded by the derivative truncation error, not tiny
         sc = FaultScenario(seed=0, duration=30.0, dt=0.1)
-        trace = plant.run(sc, params, OPERATING_INPUTS,
-                          x0=PlantState(0, 0, 0, 0))
+        trace = simulate(sc, params, OPERATING_INPUTS, PlantState(0, 0, 0, 0))
         _, resid = residual_trace(trace, params)
         assert np.abs(resid).max() < 0.1
         assert np.abs(resid[-50:]).max() < 1e-6
@@ -230,13 +229,12 @@ class TestLinearity:
         params = plant.PlantParams()
         sc = FaultScenario(seed=0, duration=5.0, dt=0.1,
                            events=(FaultEvent("Msf1", 1.0, 0.5),))
-        base = plant.run(sc, params, OPERATING_INPUTS,
-                         x0=PlantState(0.1, 0.2, 0.3, 0.0))
+        base = simulate(sc, params, OPERATING_INPUTS, PlantState(0.1, 0.2, 0.3, 0.0))
         scaled_inputs = (OPERATING_INPUTS[0] * lam, OPERATING_INPUTS[1] * lam)
         sc2 = FaultScenario(seed=0, duration=5.0, dt=0.1,
                             events=(FaultEvent("Msf1", 1.0, 0.5 * lam),))
-        scaled = plant.run(sc2, params, scaled_inputs,
-                           x0=PlantState(0.1 * lam, 0.2 * lam, 0.3 * lam, 0.0))
+        scaled = simulate(sc2, params, scaled_inputs,
+                          PlantState(0.1 * lam, 0.2 * lam, 0.3 * lam, 0.0))
         _, r1 = residual_trace(base, params)
         _, r2 = residual_trace(scaled, params)
         np.testing.assert_allclose(r2, lam * r1, rtol=1e-9, atol=1e-12)
