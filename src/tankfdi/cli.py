@@ -80,8 +80,10 @@ def _resolve_suite(args, params: plant.PlantParams,
     return suite, plant.OPERATING_POINT, seed
 
 
-#: ``tune --method`` choices: each tuner's settings dataclass and optimizer.
-_TUNERS = {"pso": (tuner.PsoParams, tuner.pso_tune), "ga": (tuner.GaParams, tuner.ga_tune)}
+#: ``tune --method`` choices: each tuner's settings dataclass, optimizer and
+#: population size field.
+_TUNERS = {"pso": (tuner.PsoParams, tuner.pso_tune, "swarm_size"),
+           "ga": (tuner.GaParams, tuner.ga_tune, "population")}
 
 
 def _optimizer_fields(settings) -> list[dataclasses.Field]:
@@ -112,9 +114,9 @@ def cmd_simulate(args) -> int:
 
 def cmd_tune(args) -> int:
     _check_outputs([args.out_config, args.out_history, args.out_config + ".run.json"])
-    settings_type, optimize = _TUNERS[args.method]
+    settings_type, optimize, size_field = _TUNERS[args.method]
     names = [f.name for f in _optimizer_fields(settings_type)]
-    given = {f.name: getattr(args, f.name) for other, _ in _TUNERS.values()
+    given = {f.name: getattr(args, f.name) for other, *_ in _TUNERS.values()
              for f in _optimizer_fields(other) if getattr(args, f.name) is not None}
     foreign = ["--" + name.replace("_", "-") for name in given if name not in names]
     if foreign:
@@ -124,7 +126,9 @@ def cmd_tune(args) -> int:
     suite, inputs, suite_seed = _resolve_suite(args, params)
     objective = tuner.make_fitness(suite, params, inputs,
                                    max_fault_order=args.max_fault_order)
-    best, history, mean_history = optimize(objective, settings)
+    workers = tuner.worker_count(getattr(settings, size_field))
+    with tuner.pooled(objective, workers) as scored:
+        best, history, mean_history = optimize(scored, settings)
 
     cfg, _ = fuzzy.params_to_config(best, max_fault_order=args.max_fault_order)
     fuzzy.save_config(cfg, args.out_config)
@@ -135,7 +139,8 @@ def cmd_tune(args) -> int:
         "seed": args.seed, "suite": args.suite,
         "generate": args.generate, "suite_seed": suite_seed,
         "plant": args.plant, "max_fault_order": args.max_fault_order,
-        "out_config": args.out_config, "out_history": args.out_history,
+        "workers": workers, "out_config": args.out_config,
+        "out_history": args.out_history,
     })
     print(f"final fitness: {history[-1]!r}")
     print(f"wrote tuned config to {args.out_config}, history to {args.out_history}")
@@ -312,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_non_negative_int, default=42, help="optimizer seed")
     p.add_argument("--max-fault-order", type=_checked(int, fuzzy.check_max_fault_order),
                    default=fuzzy.DEFAULT_MAX_FAULT_ORDER)
-    for settings, _ in _TUNERS.values():
+    for settings, *_ in _TUNERS.values():
         for f in _optimizer_fields(settings):
             # default None: a flag not given takes the dataclass default,
             # and a given flag of the other method can be named

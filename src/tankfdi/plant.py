@@ -265,6 +265,11 @@ class FaultEvent:
                 raise ValueError(f"FaultEvent.{name} must be finite")
 
 
+#: Most time steps, ``duration / dt``, of one scenario. A run keeps every
+#: step's noise row and pressures, so a longer one would fill memory.
+MAX_STEPS = 10**6
+
+
 @dataclass(frozen=True)
 class FaultScenario:
     """One simulation run: horizon, noise levels and injected fault events."""
@@ -285,6 +290,9 @@ class FaultScenario:
         if not math.isfinite(self.duration / self.dt):
             raise ValueError("FaultScenario.duration / dt must be finite, got "
                              f"{self.duration!r} / {self.dt!r}")
+        if self.duration / self.dt > MAX_STEPS:
+            raise ValueError(f"FaultScenario.duration / dt must be at most {MAX_STEPS} "
+                             f"steps, got {self.duration!r} / {self.dt!r}")
         if self.duration < self.dt:
             raise ValueError("FaultScenario.duration must be at least one step")
         if self.seed < 0:

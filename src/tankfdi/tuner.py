@@ -5,20 +5,27 @@ membership parameters (or any user-supplied box). The swarm uses the
 constriction-factor velocity update, valid for c1 + c2 > 4; the GA uses
 rank scaling, stochastic parent selection, elitism, intermediate crossover
 and uniform mutation. All randomness flows from one seeded generator per
-run, so results are bit-reproducible.
+run, so results are bit-reproducible. ``pooled`` scores each population
+across forked worker processes; the values, and so the results, do not
+change.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from . import fuzzy
 from .harness import DetectionReport, ResidualBank, evaluate_bank, score_bank
 from .plant import OPERATING_POINT, FaultScenario, PlantParams
+
+if TYPE_CHECKING:
+    import multiprocessing.pool
 
 
 def default_bounds() -> np.ndarray:
@@ -133,18 +140,133 @@ def update_particle(p: Particle, gbest: np.ndarray, k: float, c1: float,
 _BIG = 1e30  # sentinel "not evaluated yet" fitness
 
 
-def _score(fitness: Callable[[np.ndarray], float], rows: np.ndarray,
-           name: Callable[[int], str], prefix: str = "") -> np.ndarray:
-    """Fitness of each row, in order. A failing call raises a RuntimeError
-    ``{prefix}fitness evaluation failed for {name(i)}: ...``."""
-    values = np.empty(len(rows))
+def _evaluate(fitness: Callable[[np.ndarray], float], rows: np.ndarray):
+    """Score ``rows`` in order up to the first row whose call raises:
+    (values, None), or (values so far, (row index, error text, exception))."""
+    values = []
     for i, x in enumerate(rows):
         try:
-            values[i] = float(fitness(x))
+            values.append(float(fitness(x)))
         except Exception as exc:
-            raise RuntimeError(
-                f"{prefix}fitness evaluation failed for {name(i)}: {exc}") from exc
-    return values
+            return values, (i, str(exc), exc)
+    return values, None
+
+
+def _score(fitness: Callable[[np.ndarray], float], rows: np.ndarray,
+           name: Callable[[int], str], prefix: str = "") -> np.ndarray:
+    """Fitness of each row, in order. The first failing row i raises a
+    RuntimeError ``{prefix}fitness evaluation failed for {name(i)}: ...``.
+    A ``PooledObjective`` scores the rows in its workers, one contiguous
+    chunk each; any other callable is called here, row by row."""
+    if isinstance(fitness, PooledObjective):
+        parts = fitness.map(rows)
+    else:
+        parts = [_evaluate(fitness, rows)]
+    values = []
+    for part, failure in parts:
+        if failure:
+            i, text, cause = failure
+            raise RuntimeError(f"{prefix}fitness evaluation failed for "
+                               f"{name(len(values) + i)}: {text}") from cause
+        values += part
+    return np.array(values)
+
+
+# ---------------------------------------------------------------------------
+# Population scoring across forked workers
+
+# The modules the pool needs are imported by the functions below, not at
+# module level: the commands that never tune would otherwise load them, and
+# they add about 1.9 MB to every process.
+
+def worker_count(population: int) -> int:
+    """Processes to score a population across: the CPUs this process may
+    run on (``os.sched_getaffinity``), at most ``population``. It is 1,
+    scoring in this process, where the platform lacks ``sched_getaffinity``
+    or the ``fork`` start method; ``taskset -c 0`` also makes it 1."""
+    import multiprocessing
+
+    if (not hasattr(os, "sched_getaffinity")
+            or "fork" not in multiprocessing.get_all_start_methods()):
+        return 1
+    return min(len(os.sched_getaffinity(0)), population)
+
+
+#: The objective a pool worker scores with; set in worker processes only.
+_worker_objective: Callable[[np.ndarray], float] | None = None
+
+
+def _start_worker(objective: Callable[[np.ndarray], float]) -> None:
+    """Pool initializer. A forked worker receives ``objective`` without
+    pickling. It ignores SIGINT: an interrupted parent terminates it."""
+    global _worker_objective
+    import signal
+
+    _worker_objective = objective
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+
+
+def _evaluate_in_worker(rows: np.ndarray):
+    """``_evaluate`` with the worker's objective. The objective's exception
+    might not survive pickling, so a failure is sent as text: the error's,
+    and its traceback's as the cause the parent raises from."""
+    import traceback
+    from multiprocessing.pool import RemoteTraceback
+
+    values, failure = _evaluate(_worker_objective, rows)
+    if failure:
+        i, text, exc = failure
+        tb = "".join(traceback.format_exception(type(exc), exc, exc.__traceback__))
+        failure = (i, text, RemoteTraceback(tb))
+    return values, failure
+
+
+@dataclass(frozen=True)
+class PooledObjective:
+    """An objective whose populations ``_score`` splits across the workers
+    of ``pool``; made by ``pooled``. A call scores one vector here."""
+
+    objective: Callable[[np.ndarray], float]
+    pool: multiprocessing.pool.Pool
+    workers: int
+
+    def __call__(self, x: np.ndarray) -> float:
+        return self.objective(x)
+
+    def map(self, rows: np.ndarray) -> list:
+        """``_evaluate`` of one contiguous chunk of rows per worker, in row order."""
+        return self.pool.map(_evaluate_in_worker,
+                             np.array_split(rows, self.workers), chunksize=1)
+
+
+@contextlib.contextmanager
+def pooled(objective: Callable[[np.ndarray], float], workers: int):
+    """``objective`` for ``pso_tune``/``ga_tune``, scoring each population
+    across ``workers`` processes forked on entry.
+
+    The workers inherit ``objective``, and the residual bank it holds, at
+    fork, so only particle rows and fitness values cross between
+    processes. ``objective`` must be deterministic and independent of
+    evaluation order; then no split changes a value or the history. With
+    one worker, ``objective`` itself is yielded and nothing is forked. On
+    exit the pool is closed, or terminated if the block raised (an
+    interrupt included), and then joined, so no worker outlives the block.
+    """
+    if workers == 1:
+        yield objective
+        return
+    import multiprocessing
+
+    pool = multiprocessing.get_context("fork").Pool(workers, _start_worker, (objective,))
+    try:
+        yield PooledObjective(objective, pool, workers)
+    except BaseException:
+        pool.terminate()
+        raise
+    else:
+        pool.close()
+    finally:
+        pool.join()
 
 
 def pso_tune(fitness: Callable[[np.ndarray], float], params: PsoParams,

@@ -40,23 +40,27 @@ def pinned_bank(pinned_suite, params):
     return harness.ResidualBank.from_suite(pinned_suite, params, OPERATING_INPUTS)
 
 
+def _tune(optimize, objective, settings, population):
+    """``optimize`` scoring each generation across worker processes, as
+    ``tankfdi tune`` does; returns (best, history, seconds)."""
+    t0 = time.time()
+    with tuner.pooled(objective, tuner.worker_count(population)) as scored:
+        best, history, _ = optimize(scored, settings)
+    return best, history, time.time() - t0
+
+
 @pytest.fixture(scope="module")
 def swarm_tuned(pinned_suite, params):
     objective = tuner.make_fitness(pinned_suite, params, OPERATING_INPUTS)
-    t0 = time.time()
-    best, history, _ = tuner.pso_tune(
-        objective, tuner.PsoParams(swarm_size=30, iterations=200, seed=PINNED_SEED))
-    return best, history, time.time() - t0
+    settings = tuner.PsoParams(swarm_size=30, iterations=200, seed=PINNED_SEED)
+    return _tune(tuner.pso_tune, objective, settings, settings.swarm_size)
 
 
 @pytest.fixture(scope="module")
 def genetic_tuned(pinned_suite, params):
     objective = tuner.make_fitness(pinned_suite, params, OPERATING_INPUTS)
-    t0 = time.time()
-    best, history, _ = tuner.ga_tune(
-        objective, tuner.GaParams(population=30, max_generations=100,
-                                  seed=PINNED_SEED))
-    return best, history, time.time() - t0
+    settings = tuner.GaParams(population=30, max_generations=100, seed=PINNED_SEED)
+    return _tune(tuner.ga_tune, objective, settings, settings.population)
 
 
 def test_criterion_1_residual_nullity(params):

@@ -1,6 +1,7 @@
 """Command-line interface: artifact plumbing, exit codes, determinism."""
 
 import json
+import multiprocessing
 import os
 import re
 import shutil
@@ -233,6 +234,68 @@ class TestTune:
                      "--out-config", str(tmp_path / "cfg.json"),
                      "--out-history", str(tmp_path / "hist.csv")])
         assert code == 0
+
+
+class TestTunePool:
+    """``tune`` scores each generation across one forked worker per usable
+    CPU. Three CPUs are claimed, so the pool runs on any host."""
+
+    SIZE = {"pso": ["--swarm-size", "7", "--iterations", "3"],
+            "ga": ["--population", "7", "--max-generations", "3",
+                   "--stall-generations", "3"]}
+
+    def tune(self, method, suite_file, tmp_path, monkeypatch, cpus):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        cfg, hist = tmp_path / "c.json", tmp_path / "h.csv"
+        return main(["tune", "--method", method, "--suite", suite_file, "--seed", "3",
+                     *self.SIZE[method], "--out-config", str(cfg), "--out-history", str(hist)])
+
+    @pytest.mark.parametrize("method", ["pso", "ga"])
+    def test_pooled_equals_one_cpu(self, tmp_path, suite_file, monkeypatch, capsys, method):
+        runs = []
+        for cpus in ({0, 1, 2}, {0}):
+            assert self.tune(method, suite_file, tmp_path, monkeypatch, cpus) == 0
+            assert multiprocessing.active_children() == []
+            run = json.loads((tmp_path / "c.json.run.json").read_text())
+            assert run["options"]["workers"] == len(cpus)
+            runs.append([(tmp_path / "c.json").read_bytes(), (tmp_path / "h.csv").read_bytes(),
+                         capsys.readouterr().out])
+        assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("cpus, workers", [({0}, 0), ({0, 1, 2}, 3)])
+    def test_forks_one_worker_per_cpu(self, tmp_path, suite_file, monkeypatch, cpus,
+                                      workers):
+        # a one-CPU run forks nothing
+        forks, fork = [], os.fork
+
+        def counted():
+            forks.append(1)
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counted)
+        assert self.tune("pso", suite_file, tmp_path, monkeypatch, cpus) == 0
+        assert len(forks) == workers
+
+    def test_failing_objective_keeps_the_serial_error(self, tmp_path, suite_file,
+                                                      monkeypatch):
+        # particles 3, 4 and 6 of generation 0 fail: the second and third of
+        # the three chunks, so the first failing row must win over the others
+        params_to_config = fuzzy.params_to_config
+
+        def flaky(x, **kwargs):
+            if 0.36 < x[0] < 0.5:
+                raise ValueError(f"a1 = {x[0]!r} rejected")
+            return params_to_config(x, **kwargs)
+
+        monkeypatch.setattr(fuzzy, "params_to_config", flaky)
+        errors = []
+        for cpus in ({0, 1, 2}, {0}):
+            with pytest.raises(RuntimeError) as err:
+                self.tune("pso", suite_file, tmp_path, monkeypatch, cpus)
+            assert multiprocessing.active_children() == []
+            errors.append(str(err.value))
+        assert errors[0] == errors[1]
+        assert errors[0].startswith("fitness evaluation failed for particle 3: a1 = ")
 
 
 class TestDetect:

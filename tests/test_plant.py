@@ -223,6 +223,15 @@ class TestRun:
             FaultScenario(duration=1.0, dt=0.1,
                           events=(FaultEvent("De1", 5.0, 1.0),))
 
+    @pytest.mark.parametrize("duration, dt", [(20.0, 1e-9), (1.0, 1e-6 - 1e-12)])
+    def test_step_count_capped(self, duration, dt):
+        # construct only: a run of 2e10 steps would fill memory
+        with pytest.raises(ValueError, match=r"duration / dt must be at most 1000000 steps"):
+            FaultScenario(duration=duration, dt=dt)
+
+    def test_step_count_at_the_cap_accepted(self):
+        assert FaultScenario(duration=1.0, dt=1e-6).dt == 1e-6
+
 
 class TestSimulateSuite:
     def test_rows_equal_scalar_runs(self, params):

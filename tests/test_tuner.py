@@ -2,6 +2,8 @@
 
 import dataclasses
 import math
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -238,6 +240,68 @@ class TestGa:
             GaParams(stall_generations=200, max_generations=100)
         with pytest.raises(ValueError):
             GaParams(crossover_fraction=1.5)
+
+
+class TestPooled:
+    """``tuner.pooled`` scores a population across forked workers."""
+
+    ROWS = np.arange(14.0).reshape(7, 2)
+
+    def test_values_in_row_order(self):
+        with tuner.pooled(sphere, 3) as scored:
+            pooled = tuner._score(scored, self.ROWS, "particle {}".format)
+        serial = tuner._score(sphere, self.ROWS, "particle {}".format)
+        assert pooled.tobytes() == serial.tobytes()
+        assert multiprocessing.active_children() == []
+
+    def test_first_failing_row_wins(self):
+        # rows 4 and 6 fail, in the second and third of three chunks
+        def picky(x):
+            if x[0] in (8.0, 12.0):
+                raise FloatingPointError(f"row at {x[0]}")
+            return sphere(x)
+
+        name = "particle {}".format
+        with pytest.raises(RuntimeError) as serial:
+            tuner._score(picky, self.ROWS, name, "iteration 2: ")
+        with pytest.raises(RuntimeError) as pooled, tuner.pooled(picky, 3) as scored:
+            tuner._score(scored, self.ROWS, name, "iteration 2: ")
+        assert (str(pooled.value) == str(serial.value)
+                == "iteration 2: fitness evaluation failed for particle 4: row at 8.0")
+        assert "FloatingPointError: row at 8.0" in str(pooled.value.__cause__)
+        assert multiprocessing.active_children() == []
+
+    def test_interrupt_terminates_the_workers(self):
+        with pytest.raises(KeyboardInterrupt):
+            with tuner.pooled(sphere, 2) as scored:
+                tuner._score(scored, self.ROWS, "particle {}".format)
+                raise KeyboardInterrupt
+        assert multiprocessing.active_children() == []
+
+    def test_one_worker_is_the_objective_itself(self):
+        with tuner.pooled(sphere, 1) as scored:
+            assert scored is sphere
+
+    @pytest.mark.parametrize("optimize, settings", [
+        (pso_tune, PsoParams(swarm_size=7, iterations=15, bounds=SPHERE_BOUNDS, seed=5)),
+        (ga_tune, GaParams(population=7, max_generations=15, stall_generations=15,
+                           bounds=SPHERE_BOUNDS, seed=5))])
+    def test_history_bit_identical(self, optimize, settings):
+        with tuner.pooled(sphere, 3) as scored:
+            pooled = optimize(scored, settings)
+        serial = optimize(sphere, settings)
+        assert pooled[0].tobytes() == serial[0].tobytes()
+        assert pooled[1:] == serial[1:]
+
+    def test_worker_count(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+        assert tuner.worker_count(30) == 4
+        assert tuner.worker_count(3) == 3
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        assert tuner.worker_count(30) == 1
+        monkeypatch.undo()
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert tuner.worker_count(30) == 1
 
 
 class TestDefaultBounds:
