@@ -2,8 +2,8 @@
 
 Subcommands: simulate, tune, detect, evaluate, compare, render. All
 randomness flows from explicit --seed flags so runs are replayable; every
-file-writing subcommand also drops a ``<output>.run.json`` with the
-resolved options. Each subcommand checks its output paths before it
+file-writing subcommand also drops a ``<output>.run.json`` with its parsed
+options, as resolved. Each subcommand checks its output paths before it
 simulates or writes anything, so an output that is a directory or lies in
 no directory fails the command without a partial output. Exit codes: 0
 success, 2 usage/config error, 3 simulation divergence.
@@ -32,9 +32,13 @@ def _load_plant(path: str | None) -> plant.PlantParams:
     return plant.PlantParams.from_dict(plant.read_json(path, "plant config"))
 
 
-def _write_run_config(path: str, command: str, options: dict) -> None:
-    plant.write_json({"schema": 1, "command": command, "options": options},
-                     path + ".run.json")
+def _write_run_config(args, path: str, omit=(), **resolved) -> None:
+    """Write ``<path>.run.json``: every parsed option but those in ``omit``,
+    with the values the command resolved in place of the parsed ones."""
+    options = {name: value for name, value in vars(args).items()
+               if name not in ("command", "func", *omit)}
+    plant.write_json({"schema": 1, "command": args.command,
+                      "options": {**options, **resolved}}, path + ".run.json")
 
 
 def _check_outputs(files=(), dirs=()) -> None:
@@ -80,10 +84,11 @@ def _resolve_suite(args, params: plant.PlantParams,
     return suite, plant.OPERATING_POINT, seed
 
 
-#: ``tune --method`` choices: each tuner's settings dataclass, optimizer and
-#: population size field.
-_TUNERS = {"pso": (tuner.PsoParams, tuner.pso_tune, "swarm_size"),
-           "ga": (tuner.GaParams, tuner.ga_tune, "population")}
+#: ``tune --method`` choices: each tuner's settings dataclass, the name of
+#: its optimizer in ``tuner`` (looked up when ``tune`` runs, so a wrapped
+#: optimizer is the one called) and its population size field.
+_TUNERS = {"pso": (tuner.PsoParams, "pso_tune", "swarm_size"),
+           "ga": (tuner.GaParams, "ga_tune", "population")}
 
 
 def _optimizer_fields(settings) -> list[dataclasses.Field]:
@@ -101,12 +106,8 @@ def cmd_simulate(args) -> int:
     trace = plant.run(scenario, params, inputs, mode=args.mode)
     plant.write_trace_csv(trace, args.out_trace)
     times, resid = residuals.residual_trace(trace, params, tau=args.tau)
-    residuals.write_residual_csv(times, resid, args.out_residuals, t0=float(trace.times[0]))
-    _write_run_config(args.out_trace, "simulate", {
-        "scenario": args.scenario, "plant": args.plant, "mode": args.mode,
-        "tau": args.tau, "out_trace": args.out_trace,
-        "out_residuals": args.out_residuals,
-    })
+    residuals.write_residual_csv(times, resid, args.out_residuals)
+    _write_run_config(args, args.out_trace)
     print(f"wrote {len(trace)} frames to {args.out_trace} "
           f"and residuals to {args.out_residuals}")
     return EXIT_OK
@@ -114,10 +115,10 @@ def cmd_simulate(args) -> int:
 
 def cmd_tune(args) -> int:
     _check_outputs([args.out_config, args.out_history, args.out_config + ".run.json"])
-    settings_type, optimize, size_field = _TUNERS[args.method]
+    settings_type, optimizer, size_field = _TUNERS[args.method]
     names = [f.name for f in _optimizer_fields(settings_type)]
-    given = {f.name: getattr(args, f.name) for other, *_ in _TUNERS.values()
-             for f in _optimizer_fields(other) if getattr(args, f.name) is not None}
+    flags = [f.name for other, *_ in _TUNERS.values() for f in _optimizer_fields(other)]
+    given = {name: getattr(args, name) for name in flags if getattr(args, name) is not None}
     foreign = ["--" + name.replace("_", "-") for name in given if name not in names]
     if foreign:
         raise plant.SchemaError(f"--method {args.method} does not take {', '.join(foreign)}")
@@ -128,20 +129,15 @@ def cmd_tune(args) -> int:
                                    max_fault_order=args.max_fault_order)
     workers = tuner.worker_count(getattr(settings, size_field))
     with tuner.pooled(objective, workers) as scored:
-        best, history, mean_history = optimize(scored, settings)
+        best, history, mean_history = getattr(tuner, optimizer)(scored, settings)
 
     cfg, _ = fuzzy.params_to_config(best, max_fault_order=args.max_fault_order)
     fuzzy.save_config(cfg, args.out_config)
     plant.write_csv(("iteration", "best_fitness", "mean_fitness"),
                     zip(range(len(history)), history, mean_history), args.out_history)
-    _write_run_config(args.out_config, "tune", {
-        "method": args.method, **{name: getattr(settings, name) for name in names},
-        "seed": args.seed, "suite": args.suite,
-        "generate": args.generate, "suite_seed": suite_seed,
-        "plant": args.plant, "max_fault_order": args.max_fault_order,
-        "workers": workers, "out_config": args.out_config,
-        "out_history": args.out_history,
-    })
+    _write_run_config(args, args.out_config, set(flags) - set(names),
+                      **{name: getattr(settings, name) for name in names},
+                      suite_seed=suite_seed, workers=workers)
     print(f"final fitness: {history[-1]!r}")
     print(f"wrote tuned config to {args.out_config}, history to {args.out_history}")
     return EXIT_OK
@@ -161,10 +157,7 @@ def cmd_detect(args) -> int:
     if args.dot:
         with open(args.dot, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(render.emit_dot(degrees[-1]))
-    _write_run_config(args.out, "detect", {
-        "config": args.config, "scenario": args.scenario,
-        "plant": args.plant, "out": args.out, "dot": args.dot,
-    })
+    _write_run_config(args, args.out)
     print(f"wrote degrees for {len(times)} samples to {args.out}")
     return EXIT_OK
 
@@ -193,12 +186,7 @@ def cmd_evaluate(args) -> int:
         harness.write_reports_jsonl(reports, args.reports)
     if args.render:
         _render_reports(args.render, reports)
-    _write_run_config(args.out, "evaluate", {
-        "config": args.config, "suite": args.suite, "generate": args.generate,
-        "suite_seed": suite_seed, "plant": args.plant, "name": name,
-        "jobs": args.jobs, "out": args.out, "reports": args.reports,
-        "render": args.render,
-    })
+    _write_run_config(args, args.out, suite_seed=suite_seed, name=name)
     print(harness.format_table([harness.metrics_row(name, metrics)]))
     return EXIT_OK
 
@@ -206,7 +194,7 @@ def cmd_evaluate(args) -> int:
 def cmd_compare(args) -> int:
     params = _load_plant(args.plant)
     configs = []
-    for spec in args.config:
+    for spec in args.configs:
         if "=" not in spec:
             raise plant.SchemaError(
                 f"--config expects NAME=PATH, got {spec!r}")
@@ -224,11 +212,7 @@ def cmd_compare(args) -> int:
         for (name, _), config_reports in zip(configs, reports):
             _render_reports(os.path.join(args.render, name), config_reports)
     harness.write_metrics_csv(rows, args.out)
-    _write_run_config(args.out, "compare", {
-        "configs": list(args.config), "suite": args.suite,
-        "generate": args.generate, "suite_seed": suite_seed,
-        "plant": args.plant, "out": args.out, "render": args.render,
-    })
+    _write_run_config(args, args.out, suite_seed=suite_seed)
     print(harness.format_table(rows))
     return EXIT_OK
 
@@ -347,7 +331,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("compare", help="side-by-side metrics for two or more configs")
-    p.add_argument("--config", action="append", required=True, metavar="NAME=PATH",
+    p.add_argument("--config", action="append", required=True, dest="configs",
+                   metavar="NAME=PATH",
                    help="give it twice or more; e.g. --config tuned=cfg.json "
                         "(score a single config with evaluate)")
     _add_suite_options(p)

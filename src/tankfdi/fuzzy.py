@@ -332,35 +332,16 @@ def build_rulebase(max_fault_order: int = DEFAULT_MAX_FAULT_ORDER) -> RuleBase:
     share one cache key.
     """
     check_max_fault_order(max_fault_order)
-    sig = signature_matrix()
-    rows = {v: sig.row(v) for v in VARIABLES}
+    matrix = signature_matrix().matrix
     rules = []
     for order in range(1, max_fault_order + 1):
-        for fault_set in itertools.combinations(VARIABLES, order):
-            support: set[int] = set()
-            touch_count = {arr: 0 for arr in range(1, 6)}
-            for v in fault_set:
-                support |= rows[v]
-                for arr in rows[v]:
-                    touch_count[arr] += 1
-            premise = []
-            for arr in range(1, 6):
-                if arr not in support:
-                    premise.append("Z")
-                elif touch_count[arr] == 1:
-                    premise.append("nonZ")
-                else:
-                    premise.append("any")
-            al = []
-            for v in fault_set:
-                covered_by_others = set()
-                for w in fault_set:
-                    if w != v:
-                        covered_by_others |= rows[w]
-                if rows[v] - covered_by_others:
-                    al.append(v)
-            ok = tuple(v for v in VARIABLES if v not in fault_set)
-            rules.append(Rule(tuple(premise), tuple(al), ok, fault_set))
+        for members in itertools.combinations(range(7), order):
+            # how many candidates touch each residual: 0 -> Z, 1 -> nonZ, 2+ -> any
+            counts = matrix[list(members)].sum(axis=0)
+            premise = tuple(CONSTRAINTS[min(n, 2)] for n in counts.tolist())
+            al = tuple(VARIABLES[i] for i in members if (matrix[i] & (counts == 1)).any())
+            ok = tuple(v for i, v in enumerate(VARIABLES) if i not in members)
+            rules.append(Rule(premise, al, ok, tuple(VARIABLES[i] for i in members)))
     rules.append(Rule(("Z",) * 5, (), VARIABLES, ()))
     return RuleBase(tuple(rules), max_fault_order)
 
@@ -396,7 +377,6 @@ PARAM_COUNT = 48
 
 def params_to_config(x: Sequence[float],
                      max_fault_order: int = DEFAULT_MAX_FAULT_ORDER,
-                     rulebase: RuleBase | None = None,
                      ) -> tuple[DetectorConfig, bool]:
     """Build a DetectorConfig from a 48-entry parameter vector.
 
@@ -437,9 +417,8 @@ def params_to_config(x: Sequence[float],
             repaired = True
         outputs.append(OutputPartition(a, b, c, d))
 
-    if rulebase is None:
-        rulebase = build_rulebase(max_fault_order=max_fault_order)
-    cfg = DetectorConfig(tuple(inputs), tuple(outputs), rulebase)
+    cfg = DetectorConfig(tuple(inputs), tuple(outputs),
+                         build_rulebase(max_fault_order=max_fault_order))
     return cfg, repaired
 
 

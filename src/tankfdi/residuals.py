@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .plant import VARIABLES, MeasurementFrame, PlantParams, Trace, write_csv
+from .plant import MeasurementFrame, PlantParams, Trace, write_csv
 
 RESIDUAL_NAMES = ("r1", "r2", "r3", "r4", "r5")
 
@@ -205,18 +205,6 @@ def residual_trace(trace: Trace, params: PlantParams, tau: float | None = None,
 # ---------------------------------------------------------------------------
 # Fault-signature structure
 
-#: Which residuals each supervised variable enters, rows in VARIABLES order.
-_SIGNATURE_ROWS = {
-    "Msf1": (1,),
-    "Msf2": (3,),
-    "De1": (1, 5),
-    "De2": (2, 4, 5),
-    "De3": (3, 4),
-    "Df1": (1, 2, 5),
-    "Df2": (2, 3, 4),
-}
-
-
 @dataclass(frozen=True)
 class SignatureMatrix:
     """7x5 boolean incidence of supervised variables vs residuals."""
@@ -226,27 +214,23 @@ class SignatureMatrix:
     def __post_init__(self):
         self.matrix.setflags(write=False)
 
-    def row(self, variable: str) -> frozenset[int]:
-        """Residual indices (1-based) affected by a fault on ``variable``."""
-        i = VARIABLES.index(variable)
-        return frozenset(int(j) + 1 for j in np.flatnonzero(self.matrix[i]))
-
 
 def signature_matrix() -> SignatureMatrix:
-    m = np.zeros((7, 5), dtype=bool)
-    for i, name in enumerate(VARIABLES):
-        for j in _SIGNATURE_ROWS[name]:
-            m[i, j - 1] = True
-    return SignatureMatrix(m)
+    """Which residuals a fault on each variable enters: where
+    ``arr_residuals`` responds to a unit offset on that variable alone,
+    rows in VARIABLES order. Every coefficient of the equations is a
+    positive plant constant, so the default plant's pattern is every
+    plant's."""
+    response = np.stack(arr_residuals(np.eye(7), np.zeros((3, 7)), PlantParams()), axis=1)
+    return SignatureMatrix(response != 0)
 
 
-def write_residual_csv(times: np.ndarray, residuals: np.ndarray, path: str,
-                       t0: float = 0.0) -> None:
+def write_residual_csv(times: np.ndarray, residuals: np.ndarray, path: str) -> None:
     """Write `t,r1,r2,r3,r4,r5` rows at full float precision.
 
-    A leading zero row at ``t0`` stands in for the first trace frame, which
+    A leading zero row at t = 0 stands in for the first trace frame, which
     precedes any derivative history.
     """
     rows = np.column_stack([times, residuals]).tolist()
-    rows.insert(0, [float(t0)] + [0.0] * 5)
+    rows.insert(0, [0.0] * 6)
     write_csv(("t",) + RESIDUAL_NAMES, rows, path)

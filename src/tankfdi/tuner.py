@@ -223,15 +223,12 @@ def _evaluate_in_worker(rows: np.ndarray):
 
 @dataclass(frozen=True)
 class PooledObjective:
-    """An objective whose populations ``_score`` splits across the workers
-    of ``pool``; made by ``pooled``. A call scores one vector here."""
+    """The ``workers`` processes of ``pool``, each holding the objective it
+    was forked with, across which ``_score`` splits a population; made by
+    ``pooled``."""
 
-    objective: Callable[[np.ndarray], float]
     pool: multiprocessing.pool.Pool
     workers: int
-
-    def __call__(self, x: np.ndarray) -> float:
-        return self.objective(x)
 
     def map(self, rows: np.ndarray) -> list:
         """``_evaluate`` of one contiguous chunk of rows per worker, in row order."""
@@ -259,7 +256,7 @@ def pooled(objective: Callable[[np.ndarray], float], workers: int):
 
     pool = multiprocessing.get_context("fork").Pool(workers, _start_worker, (objective,))
     try:
-        yield PooledObjective(objective, pool, workers)
+        yield PooledObjective(pool, workers)
     except BaseException:
         pool.terminate()
         raise
@@ -433,10 +430,11 @@ def make_fitness(suite: Sequence[FaultScenario], plant: PlantParams,
     deterministic and evaluation-order independent.
     """
     bank = ResidualBank.from_suite(suite, plant, inputs)
-    rulebase = fuzzy.build_rulebase(max_fault_order=max_fault_order)
+    # checks the order, and caches its rule base before any worker forks
+    fuzzy.build_rulebase(max_fault_order=max_fault_order)
 
     def objective(x: np.ndarray) -> float:
-        cfg, _ = fuzzy.params_to_config(x, rulebase=rulebase)
+        cfg, _ = fuzzy.params_to_config(x, max_fault_order=max_fault_order)
         proper_rate, mean_delay = score_bank(cfg, bank)
         return _objective(1.0 - proper_rate, mean_delay)
 

@@ -3,8 +3,9 @@
 The fuzzy detector one residual value at a time, written from the paper's
 definitions: five trapezoid memberships per residual, MIN-MAX inference
 rule by rule, and defuzzification as the AL share of the clipped output
-areas. The vectorized ``tankfdi.fuzzy.DetectorKernel`` must agree with it
-bit for bit; its hold, which fills each gap from its source sample, must
+areas; the rule base itself by set algebra on the fault directions. The
+vectorized ``tankfdi.fuzzy.DetectorKernel`` must agree with it bit for
+bit; its hold, which fills each gap from its source sample, must
 equal ``hold`` here, a running maximum over whole rows. Likewise the plant
 one step at a time: a ``PlantState`` advanced by one RK4 ``step``, R/C
 noise drawn step by step, the ``coupling_flows`` and sensor frames with
@@ -12,25 +13,28 @@ each event's ``offset_at``, which ``simulate`` runs from any initial
 state and ``tankfdi.plant.run`` must reproduce row for row from the
 steady state. The DOT graph line by line, as ``tankfdi.render.emit_dot``
 must write it. Last, the accessors and fixtures only tests use: the
-residual fault directions, a de-tuned detector, a bank's per-scenario
-rows, and plain forms of plant parameters, frames and trace columns.
+residual fault directions, a variable's signature row, a de-tuned
+detector, a bank's per-scenario rows, and plain forms of plant
+parameters, frames and trace columns.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from tankfdi.fuzzy import (DetectorConfig, InputPartition, OutputPartition, RuleBase,
-                          params_to_config)
+from tankfdi.fuzzy import (DetectorConfig, InputPartition, OutputPartition, Rule,
+                          RuleBase, params_to_config)
 from tankfdi.harness import ResidualBank
 from tankfdi.plant import (NOISY_PARAMS, VARIABLE_INDEX, VARIABLES, FaultEvent,
                            FaultScenario, MeasurementFrame, PlantParams, Trace,
                            _advance, _flows)
 from tankfdi.render import EDGES, _degree_map, color_index
+from tankfdi.residuals import SignatureMatrix
 
 
 class Memberships(NamedTuple):
@@ -131,6 +135,30 @@ def defuzzify(activation: dict[str, float], p: OutputPartition,
     if total <= 0.0:
         return fallback
     return al_mass / total
+
+
+def rules(max_fault_order: int) -> tuple[Rule, ...]:
+    """The rule base by set algebra on each variable's residual support,
+    the non-zero entries of its ``fault_direction``: per candidate fault
+    set, Z outside the union of its members' supports, nonZ on a residual
+    one member touches and any on a shared one; AL for each member owning
+    a residual no other member touches, OK for every variable outside the
+    set. Last, the all-Z rule concludes OK for all seven."""
+    support = {v: {i + 1 for i in np.flatnonzero(fault_direction(v, PlantParams()))}
+               for v in VARIABLES}
+    out = []
+    for order in range(1, max_fault_order + 1):
+        for members in itertools.combinations(VARIABLES, order):
+            union = set().union(*(support[v] for v in members))
+            premise = tuple("Z" if arr not in union
+                            else "nonZ" if sum(arr in support[v] for v in members) == 1
+                            else "any" for arr in range(1, 6))
+            al = tuple(v for v in members if support[v] - set().union(
+                *(support[w] for w in members if w != v)))
+            ok = tuple(v for v in VARIABLES if v not in members)
+            out.append(Rule(premise, al, ok, members))
+    out.append(Rule(("Z",) * 5, (), VARIABLES, ()))
+    return tuple(out)
 
 
 def ideal_flag_set(support: Iterable[int], rulebase: RuleBase) -> frozenset[str]:
@@ -294,6 +322,12 @@ def fault_direction(variable: str, params: PlantParams) -> np.ndarray:
         "Df2": (0.0, -1.0, -1.0, -1.0, 0.0),
     }
     return np.array(directions[variable])
+
+
+def signature_row(sig: SignatureMatrix, variable: str) -> frozenset[int]:
+    """Residual indices (1-based) affected by a fault on ``variable``."""
+    i = VARIABLES.index(variable)
+    return frozenset(int(j) + 1 for j in np.flatnonzero(sig.matrix[i]))
 
 
 def detuned_config() -> DetectorConfig:

@@ -99,7 +99,7 @@ def test_criterion_3_signature_activation(params):
         _, resid = harness._simulate_residuals(scenario, params, OPERATING_INPUTS)
         post = np.abs(resid[80:]).max(axis=0)  # settled: t > 8 s
         perturbed = {i + 1 for i in range(5) if post[i] > 3.0 * floor[i]}
-        assert perturbed == sig.row(var), f"{var}: {perturbed}"
+        assert perturbed == oracle.signature_row(sig, var), f"{var}: {perturbed}"
     runtime = time.time() - t0
     assert runtime < 10.0
     report("criterion 3 signature activation", runtime,

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tankfdi import cli, fuzzy, harness, plant, render
+from tankfdi import cli, fuzzy, harness, plant, render, tuner
 from tankfdi.cli import main
 
 import oracle
@@ -226,6 +226,26 @@ class TestTune:
         assert code == 2
         assert f"--method {method} does not take {flag}" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("method, size", [
+        ("pso", ["--swarm-size", "2", "--iterations", "1"]),
+        ("ga", ["--population", "3", "--max-generations", "1", "--stall-generations", "1"])])
+    def test_optimizer_looked_up_when_tune_runs(self, tmp_path, suite_file, monkeypatch,
+                                                method, size):
+        # an optimizer wrapped after cli is imported, as a tracer wraps it,
+        # is the one tune calls
+        optimizer = {"pso": "pso_tune", "ga": "ga_tune"}[method]
+        calls, original = [], getattr(tuner, optimizer)
+
+        def recording(*args):
+            calls.append(method)
+            return original(*args)
+
+        monkeypatch.setattr(tuner, optimizer, recording)
+        assert main(["tune", "--method", method, "--suite", suite_file, *size,
+                     "--out-config", str(tmp_path / "c.json"),
+                     "--out-history", str(tmp_path / "h.csv")]) == 0
+        assert calls == [method]
 
     def test_generate_flag_builds_suite(self, tmp_path):
         code = main(["tune", "--method", "pso", "--generate", "4",
@@ -817,6 +837,60 @@ def test_run_json_records_the_suite_seed_used(tmp_path, config_file, suite_file,
         run = json.loads((tmp_path / "out.csv.run.json").read_text())
         seeds.append(run["options"]["suite_seed"])
     assert seeds == [42, None]
+
+
+#: Each subcommand's run.json option keys; tune records its own method's
+#: settings only.
+RUN_JSON_KEYS = {
+    "simulate": {"scenario", "plant", "mode", "tau", "out_trace", "out_residuals"},
+    "tune pso": {"method", "swarm_size", "iterations", "c1", "c2", "seed", "suite",
+                 "generate", "suite_seed", "plant", "max_fault_order", "workers",
+                 "out_config", "out_history"},
+    "tune ga": {"method", "population", "max_generations", "stall_generations",
+                "elite_count", "crossover_fraction", "mutation_rate", "seed", "suite",
+                "generate", "suite_seed", "plant", "max_fault_order", "workers",
+                "out_config", "out_history"},
+    "detect": {"config", "scenario", "plant", "out", "dot"},
+    "evaluate": {"config", "suite", "generate", "suite_seed", "plant", "name", "jobs",
+                 "out", "reports", "render"},
+    "compare": {"configs", "suite", "generate", "suite_seed", "plant", "out", "render"},
+}
+
+
+@pytest.mark.parametrize("case", RUN_JSON_KEYS)
+def test_run_json_option_keys(tmp_path, scenario_file, config_file, suite_file, case):
+    out = str(tmp_path / "out.csv")
+    argv = {
+        "simulate": ["simulate", "--scenario", scenario_file, "--out-trace", out,
+                     "--out-residuals", str(tmp_path / "r.csv")],
+        "tune pso": ["tune", "--method", "pso", "--suite", suite_file, "--swarm-size", "2",
+                     "--iterations", "1", "--out-config", out,
+                     "--out-history", str(tmp_path / "h.csv")],
+        "tune ga": ["tune", "--method", "ga", "--suite", suite_file, "--population", "3",
+                    "--max-generations", "1", "--stall-generations", "1",
+                    "--out-config", out, "--out-history", str(tmp_path / "h.csv")],
+        "detect": ["detect", "--config", config_file, "--scenario", scenario_file,
+                   "--out", out],
+        "evaluate": ["evaluate", "--config", config_file, "--suite", suite_file,
+                     "--out", out],
+        "compare": ["compare", "--config", f"a={config_file}", "--config",
+                    f"b={config_file}", "--suite", suite_file, "--out", out],
+    }[case]
+    assert main(argv) == 0
+    run = json.loads(Path(out + ".run.json").read_text())
+    assert run["command"] == argv[0]
+    assert set(run["options"]) == RUN_JSON_KEYS[case]
+
+
+def test_run_json_records_resolved_values(tmp_path, config_file, suite_file):
+    # tune's unset settings take their dataclass defaults, evaluate's name
+    # the config file stem
+    out = str(tmp_path / "out.csv")
+    assert main(suite_command("tune", tmp_path, config_file) + ["--suite", suite_file]) == 0
+    options = json.loads(Path(out + ".run.json").read_text())["options"]
+    assert (options["swarm_size"], options["c1"], options["c2"]) == (2, 2.8, 1.3)
+    assert main(suite_command("evaluate", tmp_path, config_file) + ["--suite", suite_file]) == 0
+    assert json.loads(Path(out + ".run.json").read_text())["options"]["name"] == "cfg"
 
 
 def test_generated_suite_uses_the_loaded_plant(tmp_path):

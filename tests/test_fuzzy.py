@@ -218,6 +218,10 @@ class TestRuleBase:
         assert al == set(VARIABLES)
         assert ok == set(VARIABLES)
 
+    @pytest.mark.parametrize("order", range(1, 8))
+    def test_matches_set_algebra(self, order):
+        assert build_rulebase(max_fault_order=order).rules == oracle.rules(order)
+
     def test_signed_premise_rejected(self):
         # the kernel tabulates Z and nonZ only, so a signed premise fails here
         with pytest.raises(ValueError):

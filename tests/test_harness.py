@@ -50,7 +50,8 @@ class TestIsolability:
         sig = residuals.signature_matrix()
         expected = {
             m: [combo for combo in itertools.combinations(plant.VARIABLES, m)
-                if oracle.ideal_flag_set(set().union(*(sig.row(v) for v in combo)), rb)
+                if oracle.ideal_flag_set(
+                    set().union(*(oracle.signature_row(sig, v) for v in combo)), rb)
                 == frozenset(combo)]
             for m in range(1, multiplicity + 1)}
         assert isolable_combinations(rb, multiplicity) == expected

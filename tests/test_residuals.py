@@ -13,7 +13,7 @@ from tankfdi.residuals import (InsufficientHistory, ResidualEvaluator,
                                residual_batch, residual_trace, signature_matrix)
 
 from conftest import OPERATING_INPUTS
-from oracle import PlantState, fault_direction, simulate
+from oracle import PlantState, fault_direction, signature_row, simulate
 
 
 def frame_at(t, msf1, msf2, de1, de2, de3, df1, df2):
@@ -243,13 +243,26 @@ class TestLinearity:
 class TestSignatureMatrix:
     def test_rows(self):
         sig = signature_matrix()
-        assert sig.row("Msf1") == {1}
-        assert sig.row("Msf2") == {3}
-        assert sig.row("De1") == {1, 5}
-        assert sig.row("De2") == {2, 4, 5}
-        assert sig.row("De3") == {3, 4}
-        assert sig.row("Df1") == {1, 2, 5}
-        assert sig.row("Df2") == {2, 3, 4}
+        assert signature_row(sig, "Msf1") == {1}
+        assert signature_row(sig, "Msf2") == {3}
+        assert signature_row(sig, "De1") == {1, 5}
+        assert signature_row(sig, "De2") == {2, 4, 5}
+        assert signature_row(sig, "De3") == {3, 4}
+        assert signature_row(sig, "Df1") == {1, 2, 5}
+        assert signature_row(sig, "Df2") == {2, 3, 4}
+
+    @given(st.lists(st.floats(1e-3, 1e3), min_size=8, max_size=8))
+    @settings(max_examples=50, deadline=None)
+    def test_same_for_any_positive_plant(self, values):
+        # the pattern is read off the default plant; every plant has it
+        params = plant.PlantParams(**dict(zip(
+            ("C1", "C2", "C3", "R1", "R2", "R3", "R12", "R23"), values)))
+        response = np.stack(residuals.arr_residuals(np.eye(7), np.zeros((3, 7)), params),
+                            axis=1)
+        directions = np.array([fault_direction(v, params) for v in plant.VARIABLES])
+        matrix = signature_matrix().matrix
+        np.testing.assert_array_equal(response != 0, matrix)
+        np.testing.assert_array_equal(directions != 0, matrix)
 
     def test_rows_pairwise_distinct(self):
         sig = signature_matrix()
@@ -272,7 +285,7 @@ class TestSignatureMatrix:
             np.testing.assert_allclose(resid[-1], delta * fault_direction(var, params),
                                        atol=1e-9)
             support = {i + 1 for i in np.flatnonzero(np.abs(resid[-1]) > 1e-9)}
-            assert support == signature_matrix().row(var)
+            assert support == signature_row(signature_matrix(), var)
 
 
 class TestResidualCsv:
@@ -281,7 +294,7 @@ class TestResidualCsv:
         trace = plant.run(sc, params, OPERATING_INPUTS)
         times, resid = residual_trace(trace, params)
         path = tmp_path / "resid.csv"
-        residuals.write_residual_csv(times, resid, str(path), t0=0.0)
+        residuals.write_residual_csv(times, resid, str(path))
         lines = path.read_text().splitlines()
         assert lines[0] == "t,r1,r2,r3,r4,r5"
         assert len(lines) == len(trace) + 1
