@@ -125,13 +125,12 @@ def cmd_tune(args) -> int:
     settings = settings_type(**given, seed=args.seed)
     params = _load_plant(args.plant)
     suite, inputs, suite_seed = _resolve_suite(args, params)
-    objective = tuner.make_fitness(suite, params, inputs,
-                                   max_fault_order=args.max_fault_order)
+    objective = tuner.make_fitness(suite, params, inputs)
     workers = tuner.worker_count(getattr(settings, size_field))
     with tuner.pooled(objective, workers) as scored:
         best, history, mean_history = getattr(tuner, optimizer)(scored, settings)
 
-    cfg, _ = fuzzy.params_to_config(best, max_fault_order=args.max_fault_order)
+    cfg, _ = fuzzy.params_to_config(best)
     fuzzy.save_config(cfg, args.out_config)
     plant.write_csv(("iteration", "best_fitness", "mean_fitness"),
                     zip(range(len(history)), history, mean_history), args.out_history)
@@ -257,8 +256,8 @@ def _non_negative_int(text: str) -> int:
 
 def _checked(kind, check):
     """argparse type applying ``check`` to a ``kind`` value while parsing
-    (``residuals.check_tau``, ``fuzzy.check_max_fault_order``), so its
-    error names the flag before anything is simulated."""
+    (``residuals.check_tau``), so its error names the flag before anything
+    is simulated."""
     def parse(text: str):
         try:
             return check(_number(kind, text))
@@ -299,8 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_suite_options(p)
     p.add_argument("--plant", help="plant parameter JSON file")
     p.add_argument("--seed", type=_non_negative_int, default=42, help="optimizer seed")
-    p.add_argument("--max-fault-order", type=_checked(int, fuzzy.check_max_fault_order),
-                   default=fuzzy.DEFAULT_MAX_FAULT_ORDER)
     for settings, *_ in _TUNERS.values():
         for f in _optimizer_fields(settings):
             # default None: a flag not given takes the dataclass default,

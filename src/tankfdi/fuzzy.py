@@ -16,14 +16,14 @@ suites; the streaming ``Detector`` runs it one row at a time on the hold
 and debounce state it carries.
 
 The rule base is generated mechanically from the fault-signature matrix:
-one rule per candidate fault set, with residuals shared by several
-candidate faults left unconstrained so that mutually canceling faults
-(compensation) still fire their rule. A rule only concludes AL for the
-candidates it actually evidences (those with at least one exclusively
-owned residual in the premise) and vouches OK for everything outside its
-fault set; without both restrictions, superset hypotheses of the true
-fault set would raise false alarms on variables the pattern cannot
-implicate.
+one rule per candidate fault set (each single fault and each pair), with
+residuals shared by several candidate faults left unconstrained so that
+mutually canceling faults (compensation) still fire their rule. A rule
+only concludes AL for the candidates it actually evidences (those with at
+least one exclusively owned residual in the premise) and vouches OK for
+everything outside its fault set; without both restrictions, superset
+hypotheses of the true fault set would raise false alarms on variables
+the pattern cannot implicate.
 """
 
 from __future__ import annotations
@@ -45,7 +45,8 @@ CONSTRAINTS = ("Z", "nonZ", "any")
 DEFAULT_BETA = 25.0
 DEFAULT_ALARM_THRESHOLD = 0.5
 DEFAULT_DEBOUNCE = 3
-DEFAULT_MAX_FAULT_ORDER = 2
+#: Largest candidate fault set of the rule base, recorded in config files.
+FAULT_ORDER = 2
 
 
 @dataclass(frozen=True)
@@ -121,7 +122,6 @@ class Rule:
 @dataclass(frozen=True)
 class RuleBase:
     rules: tuple[Rule, ...]
-    max_fault_order: int
 
     def __post_init__(self):
         al_covered = set()
@@ -303,47 +303,34 @@ def compile_rules(rules: tuple[Rule, ...]) -> RuleProgram:
     return RuleProgram(rows, tuple(program), ones)
 
 
-def check_max_fault_order(max_fault_order: int) -> int:
-    """``max_fault_order`` if a rule base can be built for it: 1 to 7
-    simultaneous faults, one per supervised variable. Otherwise ValueError."""
-    if not 1 <= max_fault_order <= 7:
-        raise ValueError(f"max_fault_order must be in [1, 7], got {max_fault_order}")
-    return max_fault_order
+def fault_set_rule(members: tuple[str, ...]) -> Rule:
+    """The rule for one candidate fault set, read off the signature matrix:
+    Z on the residuals no member touches, nonZ on those exactly one member
+    touches and ``any`` on shared ones, so that canceling faults still fire
+    it. It concludes AL for each member that alone touches a residual, and
+    OK for every variable outside the set (see the module docstring)."""
+    rows = signature_matrix().matrix[[VARIABLES.index(v) for v in members]]
+    # how many candidates touch each residual: 0 -> Z, 1 -> nonZ, 2+ -> any
+    counts = rows.sum(axis=0)
+    premise = tuple(CONSTRAINTS[min(n, 2)] for n in counts.tolist())
+    al = tuple(v for v, row in zip(members, rows) if (row & (counts == 1)).any())
+    ok = tuple(v for v in VARIABLES if v not in members)
+    return Rule(premise, al, ok, members)
 
 
 @cache
-def build_rulebase(max_fault_order: int = DEFAULT_MAX_FAULT_ORDER) -> RuleBase:
-    """Generate the rule base from the fault-signature structure.
-
-    For every candidate fault set F (up to ``max_fault_order`` simultaneous
-    faults): residuals outside the set's combined signature must be Z,
-    residuals touched by exactly one candidate must be nonZ, and residuals
-    shared by several candidates are unconstrained (``any``) so that
-    canceling fault combinations still fire. The rule concludes AL only for
-    candidates owning at least one of the nonZ residuals exclusively, and
-    OK for every excluded variable: a firing explanation of the pattern
-    vouches for everything outside it, so weak overlap rules cannot raise
-    an alarm against a strong competing hypothesis. A final all-Z rule
-    concludes OK for all seven variables.
-
-    Built once per order and shared by every caller and loaded config: the
-    rule base is frozen and its program is compiled on first use. Callers
-    pass the order by keyword, as ``config_from_dict`` does, so that they
-    share one cache key.
-    """
-    check_max_fault_order(max_fault_order)
-    matrix = signature_matrix().matrix
-    rules = []
-    for order in range(1, max_fault_order + 1):
-        for members in itertools.combinations(range(7), order):
-            # how many candidates touch each residual: 0 -> Z, 1 -> nonZ, 2+ -> any
-            counts = matrix[list(members)].sum(axis=0)
-            premise = tuple(CONSTRAINTS[min(n, 2)] for n in counts.tolist())
-            al = tuple(VARIABLES[i] for i in members if (matrix[i] & (counts == 1)).any())
-            ok = tuple(v for i, v in enumerate(VARIABLES) if i not in members)
-            rules.append(Rule(premise, al, ok, tuple(VARIABLES[i] for i in members)))
+def build_rulebase() -> RuleBase:
+    """The detector's rule base: a ``fault_set_rule`` for each set of at
+    most ``FAULT_ORDER`` faults, then an all-Z rule concluding OK for all
+    seven variables. Sets of three or more faults would explain most
+    single-fault patterns by cancellation and isolate fewer faults
+    (README). Built once per process and shared by every caller and loaded
+    config: the rule base is frozen and its program is compiled on first
+    use."""
+    rules = [fault_set_rule(members) for order in range(1, FAULT_ORDER + 1)
+             for members in itertools.combinations(VARIABLES, order)]
     rules.append(Rule(("Z",) * 5, (), VARIABLES, ()))
-    return RuleBase(tuple(rules), max_fault_order)
+    return RuleBase(tuple(rules))
 
 
 # ---------------------------------------------------------------------------
@@ -375,9 +362,7 @@ class DetectorConfig:
 PARAM_COUNT = 48
 
 
-def params_to_config(x: Sequence[float],
-                     max_fault_order: int = DEFAULT_MAX_FAULT_ORDER,
-                     ) -> tuple[DetectorConfig, bool]:
+def params_to_config(x: Sequence[float]) -> tuple[DetectorConfig, bool]:
     """Build a DetectorConfig from a 48-entry parameter vector.
 
     Ordering violations are repaired (inputs: sort ascending plus epsilon
@@ -417,9 +402,7 @@ def params_to_config(x: Sequence[float],
             repaired = True
         outputs.append(OutputPartition(a, b, c, d))
 
-    cfg = DetectorConfig(tuple(inputs), tuple(outputs),
-                         build_rulebase(max_fault_order=max_fault_order))
-    return cfg, repaired
+    return DetectorConfig(tuple(inputs), tuple(outputs), build_rulebase()), repaired
 
 
 def config_to_params(cfg: DetectorConfig) -> np.ndarray:
@@ -433,18 +416,26 @@ def config_to_params(cfg: DetectorConfig) -> np.ndarray:
 
 
 def config_to_dict(cfg: DetectorConfig) -> dict:
-    """A config's JSON object; the rule base is stored as its
-    ``max_fault_order``."""
+    """A config's JSON object; the rule base is stored as its fault order,
+    ``"max_fault_order": FAULT_ORDER``."""
     obj = to_json(cfg)
-    obj["max_fault_order"] = obj.pop("rulebase").max_fault_order
+    del obj["rulebase"]
+    obj["max_fault_order"] = FAULT_ORDER
     return obj
 
 
+def _stored_rulebase(max_fault_order: int = FAULT_ORDER) -> RuleBase:
+    """The rule base of a config file's fault order, which must be
+    ``FAULT_ORDER`` where the file gives one."""
+    if max_fault_order != FAULT_ORDER:
+        raise ValueError(f"max_fault_order must be {FAULT_ORDER}, got {max_fault_order}")
+    return build_rulebase()
+
+
 def config_from_dict(obj: dict) -> DetectorConfig:
-    """The config a JSON object holds; the rule base is regenerated from
-    its ``max_fault_order``."""
+    """The config a JSON object holds; the rule base is ``build_rulebase()``."""
     return from_json(DetectorConfig, obj, "detector config",
-                     rulebase=("max_fault_order", int, build_rulebase))
+                     rulebase=("max_fault_order", int, _stored_rulebase))
 
 
 def save_config(cfg: DetectorConfig, path: str) -> None:

@@ -135,8 +135,7 @@ def generate_suite(n: int, seed: int,
     rng = np.random.default_rng(seed)
 
     mults = sorted(SUITE_MULTIPLICITY)
-    catalog = isolable_combinations(
-        fuzzy.build_rulebase(max_fault_order=fuzzy.DEFAULT_MAX_FAULT_ORDER), max(mults))
+    catalog = isolable_combinations(fuzzy.build_rulebase(), max(mults))
     weights = np.array([SUITE_MULTIPLICITY[m] for m in mults])
 
     comp_indices = {i for i in range(n) if (i + 1) % SUITE_COMPENSATION_EVERY == 0}

@@ -399,9 +399,7 @@ class FitnessReport:
 
 def fitness(x: np.ndarray, suite: Sequence[FaultScenario], plant: PlantParams,
             inputs: tuple[float, float] = OPERATING_POINT,
-            bank: ResidualBank | None = None,
-            max_fault_order: int = fuzzy.DEFAULT_MAX_FAULT_ORDER,
-            ) -> FitnessReport:
+            bank: ResidualBank | None = None) -> FitnessReport:
     """Detection-error rate of the detector built from ``x`` over a suite.
 
     A scenario counts improper when an injected fault is never flagged after
@@ -412,16 +410,14 @@ def fitness(x: np.ndarray, suite: Sequence[FaultScenario], plant: PlantParams,
     """
     if bank is None:
         bank = ResidualBank.from_suite(suite, plant, inputs)
-    cfg, _ = fuzzy.params_to_config(x, max_fault_order=max_fault_order)
+    cfg, _ = fuzzy.params_to_config(x)
     reports, metrics = evaluate_bank(cfg, bank)
     return FitnessReport(1.0 - metrics.proper_rate, metrics.mean_delay,
                          tuple(reports))
 
 
 def make_fitness(suite: Sequence[FaultScenario], plant: PlantParams,
-                 inputs: tuple[float, float] = OPERATING_POINT,
-                 max_fault_order: int = fuzzy.DEFAULT_MAX_FAULT_ORDER,
-                 ) -> Callable[[np.ndarray], float]:
+                 inputs: tuple[float, float] = OPERATING_POINT) -> Callable[[np.ndarray], float]:
     """Bind a suite into a scalar evaluator for the optimizers.
 
     Precomputes the residual bank once. Each call scores the detector with
@@ -430,11 +426,11 @@ def make_fitness(suite: Sequence[FaultScenario], plant: PlantParams,
     deterministic and evaluation-order independent.
     """
     bank = ResidualBank.from_suite(suite, plant, inputs)
-    # checks the order, and caches its rule base before any worker forks
-    fuzzy.build_rulebase(max_fault_order=max_fault_order)
+    # compiles the rule program before any worker forks, so none compiles it again
+    fuzzy.build_rulebase().program
 
     def objective(x: np.ndarray) -> float:
-        cfg, _ = fuzzy.params_to_config(x, max_fault_order=max_fault_order)
+        cfg, _ = fuzzy.params_to_config(x)
         proper_rate, mean_delay = score_bank(cfg, bank)
         return _objective(1.0 - proper_rate, mean_delay)
 

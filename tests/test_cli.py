@@ -741,18 +741,30 @@ class TestMalformedInput:
         assert f"argument {flag}: must be non-negative, got -1" in capsys.readouterr().err
         assert sorted(os.listdir(tmp_path)) == ["cfg.json"]
 
-    @pytest.mark.parametrize("value", ["0", "8"])
-    def test_max_fault_order_out_of_range_exits_2_naming_the_flag(
-            self, tmp_path, config_file, value, monkeypatch, capsys):
-        # rejected while the arguments are parsed, before a suite is built
+    def test_max_fault_order_flag_is_unrecognized(self, tmp_path, config_file,
+                                                  monkeypatch, capsys):
+        # the rule base has one fault order, so tune takes no flag for it
         monkeypatch.setattr(harness, "generate_suite", None)
         argv = suite_command("tune", tmp_path, config_file)
         with pytest.raises(SystemExit) as exc:
-            main(argv + ["--generate", "3", "--max-fault-order", value])
+            main(argv + ["--generate", "3", "--max-fault-order", "2"])
         assert exc.value.code == 2
-        assert (f"argument --max-fault-order: max_fault_order must be in [1, 7], got {value}"
-                in capsys.readouterr().err)
+        assert "unrecognized arguments: --max-fault-order 2" in capsys.readouterr().err
         assert sorted(os.listdir(tmp_path)) == ["cfg.json"]
+
+    @pytest.mark.parametrize("order", [1, 3, 7])
+    @pytest.mark.parametrize("command", ["evaluate", "detect"])
+    def test_config_fault_order_other_than_2_exits_2(self, tmp_path, scenario_file,
+                                                     command, order, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**fuzzy.config_to_dict(
+            fuzzy.example_tuned_config("swarm")), "max_fault_order": order}))
+        out = tmp_path / "out.csv"
+        source = ["--generate", "3"] if command == "evaluate" else ["--scenario", scenario_file]
+        assert main([command, "--config", str(path), *source, "--out", str(out)]) == 2
+        assert (f"invalid detector config: max_fault_order must be 2, got {order}"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
     @pytest.mark.parametrize("command,flag,kind", [("tune", "--seed", "int"),
                                                    ("evaluate", "--suite-seed", "int"),
@@ -844,12 +856,10 @@ def test_run_json_records_the_suite_seed_used(tmp_path, config_file, suite_file,
 RUN_JSON_KEYS = {
     "simulate": {"scenario", "plant", "mode", "tau", "out_trace", "out_residuals"},
     "tune pso": {"method", "swarm_size", "iterations", "c1", "c2", "seed", "suite",
-                 "generate", "suite_seed", "plant", "max_fault_order", "workers",
-                 "out_config", "out_history"},
+                 "generate", "suite_seed", "plant", "workers", "out_config", "out_history"},
     "tune ga": {"method", "population", "max_generations", "stall_generations",
                 "elite_count", "crossover_fraction", "mutation_rate", "seed", "suite",
-                "generate", "suite_seed", "plant", "max_fault_order", "workers",
-                "out_config", "out_history"},
+                "generate", "suite_seed", "plant", "workers", "out_config", "out_history"},
     "detect": {"config", "scenario", "plant", "out", "dot"},
     "evaluate": {"config", "suite", "generate", "suite_seed", "plant", "name", "jobs",
                  "out", "reports", "render"},

@@ -72,11 +72,12 @@ HAND_BUILT_RULEBASE = fuzzy.RuleBase((
     Rule(("nonZ", "any", "any", "any", "any"), VARIABLES[:2], ()),
     Rule(("Z", "Z", "nonZ", "any", "nonZ"), VARIABLES[2:], ()),
     Rule(("any",) * 5, (), VARIABLES),
-), max_fault_order=1)
+))
 
 
 every_rulebase = pytest.mark.parametrize(
-    "rb", [build_rulebase(max_fault_order=k) for k in (1, 2, 3, 7)] + [HAND_BUILT_RULEBASE],
+    "rb", [build_rulebase() if k == 2 else fuzzy.RuleBase(oracle.rules(k)) for k in (1, 2, 3, 7)]
+    + [HAND_BUILT_RULEBASE],
     ids=["order1", "generated", "order3", "order7", "hand_built"])
 
 
@@ -177,21 +178,21 @@ class TestFuzzify:
 
 class TestRuleBase:
     def test_single_fault_order_counts(self):
-        rb = build_rulebase(max_fault_order=1)
-        assert len(rb.rules) == 8  # seven single-fault rules plus all-clear
+        rb = build_rulebase()
+        assert sum(len(r.members) == 1 for r in rb.rules) == 7  # one per variable
 
     def test_default_order_counts(self):
-        rb = build_rulebase(max_fault_order=2)
+        rb = build_rulebase()
         assert len(rb.rules) == 7 + 21 + 1
 
     def test_single_de1_rule(self):
-        rb = build_rulebase(max_fault_order=1)
+        rb = build_rulebase()
         rule = next(r for r in rb.rules if r.members == ("De1",))
         assert rule.premise == ("nonZ", "Z", "Z", "Z", "nonZ")
         assert rule.al == ("De1",)
 
     def test_compensation_pair_rule(self):
-        rb = build_rulebase(max_fault_order=2)
+        rb = build_rulebase()
         rule = next(r for r in rb.rules if set(r.members) == {"De2", "Df2"})
         # r2 and r4 shared (cancelable), r3 evidences Df2, r5 evidences De2
         assert rule.premise == ("Z", "any", "nonZ", "any", "nonZ")
@@ -201,18 +202,18 @@ class TestRuleBase:
         # Msf1's residual is inside De1's signature, so the pair rule can
         # never evidence Msf1 on its own; as a hypothesis member it is not
         # vouched OK either, it simply gets no assignment from this rule
-        rb = build_rulebase(max_fault_order=2)
+        rb = build_rulebase()
         rule = next(r for r in rb.rules if set(r.members) == {"Msf1", "De1"})
         assert rule.al == ("De1",)
         assert "Msf1" not in rule.ok
 
     def test_fault_rules_vouch_for_excluded_variables(self):
-        rb = build_rulebase(max_fault_order=2)
+        rb = build_rulebase()
         rule = next(r for r in rb.rules if r.members == ("Msf1",))
         assert set(rule.ok) == set(VARIABLES) - {"Msf1"}
 
     def test_every_variable_covered(self):
-        rb = build_rulebase(max_fault_order=2)
+        rb = build_rulebase()
         al = set().union(*(r.al for r in rb.rules))
         ok = set().union(*(r.ok for r in rb.rules))
         assert al == set(VARIABLES)
@@ -220,25 +221,37 @@ class TestRuleBase:
 
     @pytest.mark.parametrize("order", range(1, 8))
     def test_matches_set_algebra(self, order):
-        assert build_rulebase(max_fault_order=order).rules == oracle.rules(order)
+        # the signature-count rule of every candidate fault set, of any size
+        expected = oracle.rules(order)[:-1]
+        assert tuple(fuzzy.fault_set_rule(rule.members) for rule in expected) == expected
+
+    def test_is_the_order_2_set_algebra(self):
+        assert build_rulebase().rules == oracle.rules(2)
 
     def test_signed_premise_rejected(self):
         # the kernel tabulates Z and nonZ only, so a signed premise fails here
         with pytest.raises(ValueError):
             Rule(("P", "any", "any", "any", "any"), ("De1",), ())
 
-    def test_invalid_order_rejected(self):
-        with pytest.raises(ValueError):
-            build_rulebase(max_fault_order=0)
-        with pytest.raises(ValueError):
-            build_rulebase(max_fault_order=8)
+    def test_invalid_order_rejected(self, tuned_cfg):
+        # a config file records the one fault order, 2, or none
+        for order in (0, 1, 3, 8):
+            obj = {**fuzzy.config_to_dict(tuned_cfg), "max_fault_order": order}
+            with pytest.raises(fuzzy.SchemaError,
+                               match=f"max_fault_order must be 2, got {order}"):
+                fuzzy.config_from_dict(obj)
 
     def test_one_rule_base_per_order(self, tmp_path, tuned_cfg):
-        assert build_rulebase(2) is build_rulebase(2)
+        assert build_rulebase() is build_rulebase()
         path = str(tmp_path / "cfg.json")
         fuzzy.save_config(tuned_cfg, path)
         loaded = fuzzy.load_config(path).rulebase
-        assert loaded is fuzzy.load_config(path).rulebase is build_rulebase(max_fault_order=2)
+        assert loaded is fuzzy.load_config(path).rulebase is build_rulebase()
+
+    def test_config_without_fault_order_loads_the_rule_base(self, tuned_cfg):
+        obj = fuzzy.config_to_dict(tuned_cfg)
+        assert obj.pop("max_fault_order") == 2
+        assert fuzzy.config_from_dict(obj).rulebase is build_rulebase()
 
 
 class TestInfer:
@@ -261,7 +274,7 @@ class TestInfer:
     @given(data=st.data())
     @settings(max_examples=40, deadline=None)
     def test_matches_brute_force(self, data):
-        rb = build_rulebase(max_fault_order=2)
+        rb = build_rulebase()
         vals = data.draw(st.lists(
             st.floats(0, 1).map(lambda x: round(x, 3)),
             min_size=25, max_size=25))
@@ -332,11 +345,11 @@ class TestInfer:
         # calls over 53 rows (table, rule firings, AL/OK); absorption
         # leaves 126 of the 197 (output, rule) terms
         sizes = {k: (len(p.ops), p.rows) for k in (1, 2, 3, 7)
-                 for p in [build_rulebase(max_fault_order=k).program]}
+                 for p in [fuzzy.compile_rules(oracle.rules(k))]}
         assert sizes == {1: (35, 25), 2: (101, 40), 3: (128, 48), 7: (53, 31)}
-        assert build_rulebase(max_fault_order=2).program.ones == ()
+        assert build_rulebase().program.ones == ()
         # the [order7] and [hand_built] kernel cases reach the constant rows
-        assert build_rulebase(max_fault_order=7).program.ones == tuple(range(7, 14))
+        assert fuzzy.compile_rules(oracle.rules(7)).ones == tuple(range(7, 14))
 
     @given(bump=st.floats(0.0, 0.5))
     @settings(max_examples=30, deadline=None)
@@ -441,7 +454,7 @@ class TestParamsConfig:
         np.testing.assert_array_equal(config_to_params(loaded),
                                       config_to_params(cfg))
         assert loaded.alarm_threshold == cfg.alarm_threshold
-        assert loaded.rulebase.max_fault_order == cfg.rulebase.max_fault_order
+        assert loaded.rulebase is cfg.rulebase
 
     def test_config_json_schema_errors(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -46,7 +46,7 @@ class TestIsolability:
     @pytest.mark.parametrize("order", [1, 2, 3])
     @pytest.mark.parametrize("multiplicity", [1, 2, 3])
     def test_catalog_matches_scalar_oracle(self, order, multiplicity):
-        rb = fuzzy.build_rulebase(max_fault_order=order)
+        rb = fuzzy.RuleBase(oracle.rules(order))
         sig = residuals.signature_matrix()
         expected = {
             m: [combo for combo in itertools.combinations(plant.VARIABLES, m)
@@ -55,6 +55,14 @@ class TestIsolability:
                 == frozenset(combo)]
             for m in range(1, multiplicity + 1)}
         assert isolable_combinations(rb, multiplicity) == expected
+
+    @pytest.mark.parametrize("order,counts", [(1, (7, 0)), (2, (7, 5)), (3, (3, 0)),
+                                              (4, (0, 0)), (7, (0, 0))])
+    def test_fault_order_2_isolates_the_most(self, order, counts):
+        # why the rule base stops at pairs: candidate sets of three or more
+        # faults break the exact pattern of most single faults
+        catalog = isolable_combinations(fuzzy.RuleBase(oracle.rules(order)), 2)
+        assert (len(catalog[1]), len(catalog[2])) == counts
 
     def test_compensated_pair_pattern_is_isolable(self):
         rb = fuzzy.build_rulebase()

@@ -388,6 +388,14 @@ class TestFitness:
                 ._defuzzify(bank.block)[1].all()]
         assert held
 
+    def test_make_fitness_compiles_the_rule_program(self, params):
+        # compiled before the pool forks, so no worker compiles it again
+        fuzzy.build_rulebase.cache_clear()
+        suite = [plant.FaultScenario(duration=2.0),
+                 plant.FaultScenario(duration=2.0, events=(plant.FaultEvent("De1", 1.0, 1.5),))]
+        tuner.make_fitness(suite, params, OPERATING_INPUTS)
+        assert "program" in vars(fuzzy.build_rulebase())
+
     def test_delay_breaks_error_ties(self):
         fast = tuner.FitnessReport(0.2, 0.5, ())
         slow = tuner.FitnessReport(0.2, 4.0, ())
