@@ -5,8 +5,10 @@ randomness flows from explicit --seed flags so runs are replayable; every
 file-writing subcommand also drops a ``<output>.run.json`` with its parsed
 options, as resolved. Each subcommand checks its output paths before it
 simulates or writes anything, so an output that is a directory or lies in
-no directory fails the command without a partial output. Exit codes: 0
-success, 2 usage/config error, 3 simulation divergence.
+no directory, or an output path that resolves to the same file or
+directory as another output or as one of the command's inputs, fails the
+command without a partial output. Exit codes: 0 success, 2 usage/config
+error, 3 simulation divergence.
 """
 
 from __future__ import annotations
@@ -41,10 +43,12 @@ def _write_run_config(args, path: str, omit=(), **resolved) -> None:
                       "options": {**options, **resolved}}, path + ".run.json")
 
 
-def _check_outputs(files=(), dirs=()) -> None:
+def _check_outputs(files=(), dirs=(), inputs=()) -> None:
     """Raise the OSError that writing an output would raise, before any
     output is written: for a file path that is a directory or lies in no
-    directory, or a directory path that is a file or lies under one. None
+    directory, or a directory path that is a file or lies under one. Then
+    raise a SchemaError naming both paths if an output resolves to the same
+    file or directory as another output or as one of the ``inputs``. None
     entries (options not given) are skipped."""
     for path in filter(None, files):
         if os.path.isdir(path):
@@ -61,6 +65,14 @@ def _check_outputs(files=(), dirs=()) -> None:
         if not os.path.isdir(head):
             code = errno.EEXIST if head == os.path.abspath(path) else errno.ENOTDIR
             raise OSError(code, os.strerror(code), path)
+    # inputs may share a file; an output may share none
+    seen = {os.path.realpath(path): path for path in filter(None, inputs)}
+    for path in filter(None, [*files, *dirs]):
+        real = os.path.realpath(path)
+        if real in seen:
+            raise plant.SchemaError(f"{seen[real]!r} and {path!r} are the same path; an "
+                                    "output must not overwrite an input or another output")
+        seen[real] = path
 
 
 #: Seed of ``--generate`` when ``--suite-seed`` is not given.
@@ -100,7 +112,8 @@ def _optimizer_fields(settings) -> list[dataclasses.Field]:
 # Subcommands
 
 def cmd_simulate(args) -> int:
-    _check_outputs([args.out_trace, args.out_residuals, args.out_trace + ".run.json"])
+    _check_outputs([args.out_trace, args.out_residuals, args.out_trace + ".run.json"],
+                   inputs=[args.scenario, args.plant])
     params = _load_plant(args.plant)
     scenario, inputs = plant.load_scenario(args.scenario)
     trace = plant.run(scenario, params, inputs, mode=args.mode)
@@ -114,7 +127,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_tune(args) -> int:
-    _check_outputs([args.out_config, args.out_history, args.out_config + ".run.json"])
+    _check_outputs([args.out_config, args.out_history, args.out_config + ".run.json"],
+                   inputs=[args.suite, args.plant])
     settings_type, optimizer, size_field = _TUNERS[args.method]
     names = [f.name for f in _optimizer_fields(settings_type)]
     flags = [f.name for other, *_ in _TUNERS.values() for f in _optimizer_fields(other)]
@@ -143,7 +157,8 @@ def cmd_tune(args) -> int:
 
 
 def cmd_detect(args) -> int:
-    _check_outputs([args.out, args.dot, args.out + ".run.json"])
+    _check_outputs([args.out, args.dot, args.out + ".run.json"],
+                   inputs=[args.config, args.scenario, args.plant])
     params = _load_plant(args.plant)
     cfg = fuzzy.load_config(args.config)
     scenario, inputs = plant.load_scenario(args.scenario)
@@ -173,7 +188,8 @@ def cmd_evaluate(args) -> int:
     if args.jobs != 1:
         raise plant.SchemaError(
             f"--jobs must be 1: a suite is built in one process, got {args.jobs}")
-    _check_outputs([args.out, args.reports, args.out + ".run.json"], [args.render])
+    _check_outputs([args.out, args.reports, args.out + ".run.json"], [args.render],
+                   [args.config, args.suite, args.plant])
     params = _load_plant(args.plant)
     cfg = fuzzy.load_config(args.config)
     suite, inputs, suite_seed = _resolve_suite(args, params)
@@ -204,7 +220,8 @@ def cmd_compare(args) -> int:
             raise plant.SchemaError(f"--config NAME {name!r} is given twice")
         configs.append((name, fuzzy.load_config(path)))
     _check_outputs([args.out, args.out + ".run.json"],
-                   [os.path.join(args.render, name) for name, _ in configs] if args.render else [])
+                   [os.path.join(args.render, name) for name, _ in configs] if args.render else [],
+                   [*(spec.split("=", 1)[1] for spec in args.configs), args.suite, args.plant])
     suite, inputs, suite_seed = _resolve_suite(args, params)
     rows, reports = harness.compare(configs, suite, params, inputs)
     if args.render:

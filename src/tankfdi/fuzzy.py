@@ -309,7 +309,7 @@ def fault_set_rule(members: tuple[str, ...]) -> Rule:
     touches and ``any`` on shared ones, so that canceling faults still fire
     it. It concludes AL for each member that alone touches a residual, and
     OK for every variable outside the set (see the module docstring)."""
-    rows = signature_matrix().matrix[[VARIABLES.index(v) for v in members]]
+    rows = signature_matrix()[[VARIABLES.index(v) for v in members]]
     # how many candidates touch each residual: 0 -> Z, 1 -> nonZ, 2+ -> any
     counts = rows.sum(axis=0)
     premise = tuple(CONSTRAINTS[min(n, 2)] for n in counts.tolist())
@@ -324,9 +324,9 @@ def build_rulebase() -> RuleBase:
     most ``FAULT_ORDER`` faults, then an all-Z rule concluding OK for all
     seven variables. Sets of three or more faults would explain most
     single-fault patterns by cancellation and isolate fewer faults
-    (README). Built once per process and shared by every caller and loaded
-    config: the rule base is frozen and its program is compiled on first
-    use."""
+    (README). Built once per process and shared by every caller and
+    ``DetectorKernel``: the rule base is frozen and its program is compiled
+    on first use."""
     rules = [fault_set_rule(members) for order in range(1, FAULT_ORDER + 1)
              for members in itertools.combinations(VARIABLES, order)]
     rules.append(Rule(("Z",) * 5, (), VARIABLES, ()))
@@ -338,15 +338,23 @@ def build_rulebase() -> RuleBase:
 
 @dataclass(frozen=True)
 class DetectorConfig:
-    """The full 48-parameter detector plus rule and decision settings."""
+    """The full 48-parameter detector plus decision settings.
+
+    The rule base is ``build_rulebase()``, which no config carries;
+    ``max_fault_order`` records it in config files and has one legal
+    value, ``FAULT_ORDER``.
+    """
 
     input_partitions: tuple[InputPartition, ...]
     output_partitions: tuple[OutputPartition, ...]
-    rulebase: RuleBase
     alarm_threshold: float = DEFAULT_ALARM_THRESHOLD
     debounce: int = DEFAULT_DEBOUNCE
+    max_fault_order: int = FAULT_ORDER
 
     def __post_init__(self):
+        if self.max_fault_order != FAULT_ORDER:
+            raise ValueError(
+                f"max_fault_order must be {FAULT_ORDER}, got {self.max_fault_order}")
         if len(self.input_partitions) != 5:
             raise ValueError("exactly 5 input partitions required")
         if len(self.output_partitions) != 7:
@@ -402,7 +410,7 @@ def params_to_config(x: Sequence[float]) -> tuple[DetectorConfig, bool]:
             repaired = True
         outputs.append(OutputPartition(a, b, c, d))
 
-    return DetectorConfig(tuple(inputs), tuple(outputs), build_rulebase()), repaired
+    return DetectorConfig(tuple(inputs), tuple(outputs)), repaired
 
 
 def config_to_params(cfg: DetectorConfig) -> np.ndarray:
@@ -416,26 +424,11 @@ def config_to_params(cfg: DetectorConfig) -> np.ndarray:
 
 
 def config_to_dict(cfg: DetectorConfig) -> dict:
-    """A config's JSON object; the rule base is stored as its fault order,
-    ``"max_fault_order": FAULT_ORDER``."""
-    obj = to_json(cfg)
-    del obj["rulebase"]
-    obj["max_fault_order"] = FAULT_ORDER
-    return obj
-
-
-def _stored_rulebase(max_fault_order: int = FAULT_ORDER) -> RuleBase:
-    """The rule base of a config file's fault order, which must be
-    ``FAULT_ORDER`` where the file gives one."""
-    if max_fault_order != FAULT_ORDER:
-        raise ValueError(f"max_fault_order must be {FAULT_ORDER}, got {max_fault_order}")
-    return build_rulebase()
+    return to_json(cfg)
 
 
 def config_from_dict(obj: dict) -> DetectorConfig:
-    """The config a JSON object holds; the rule base is ``build_rulebase()``."""
-    return from_json(DetectorConfig, obj, "detector config",
-                     rulebase=("max_fault_order", int, _stored_rulebase))
+    return from_json(DetectorConfig, obj, "detector config")
 
 
 def save_config(cfg: DetectorConfig, path: str) -> None:
@@ -511,7 +504,7 @@ class DetectorKernel:
 
     def __init__(self, cfg: DetectorConfig):
         self.cfg = cfg
-        self.program = cfg.rulebase.program
+        self.program = build_rulebase().program
         parts = cfg.input_partitions
         self._a = [np.array([getattr(p, f) for p in parts])[:, None]
                    for f in ("a1", "a2", "a3", "a4")]

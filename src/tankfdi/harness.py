@@ -83,7 +83,7 @@ def isolable_combinations(rulebase: RuleBase, max_multiplicity: int = 2,
     combos = [c for m in range(1, max_multiplicity + 1)
               for c in itertools.combinations(VARIABLES, m)]
     chosen = np.array([[v in c for v in VARIABLES] for c in combos]).reshape(-1, 7).T
-    support = residuals.signature_matrix().matrix.T @ chosen
+    support = residuals.signature_matrix().T @ chosen
     work = rulebase.program.work(len(combos))
     work[:5], work[5:10] = ~support, support
     al, ok = rulebase.program.run(work)

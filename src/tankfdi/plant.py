@@ -120,23 +120,17 @@ def to_json(obj, schema: bool = True) -> dict:
     return out
 
 
-def from_json(cls, obj, owner: str, extra: Sequence[str] = (), **stored):
+def from_json(cls, obj, owner: str, extra: Sequence[str] = ()):
     """The instance of dataclass ``cls`` that JSON object ``obj`` holds.
 
     ``obj`` follows ``check_fields`` with the fields of ``cls``: those with
     no default are required, and a tuple field is a list of objects read
     the same way. Values follow ``json_value``. ``obj`` may also hold the
-    keys in ``extra``, which the caller reads. ``stored`` maps a field that
-    JSON holds in another form to (key, type, build): the field is
-    ``build(key=value)``, or ``build()`` when ``obj`` has no ``key``.
+    keys in ``extra``, which the caller reads. A ``ValueError`` from
+    ``cls`` is a SchemaError naming ``owner``.
     """
     fields, required, lists = _layout(cls)
-    names = fields
-    if extra or stored:
-        names = [*(name for name in fields if name not in stored), *extra,
-                 *(key for key, _, _ in stored.values())]
-        required = [name for name in required if name not in stored]
-    check_fields(obj, owner, names, required, lists)
+    check_fields(obj, owner, [*fields, *extra] if extra else fields, required, lists)
     kwargs = {}
     for name, (tp, item) in fields.items():
         if name in obj:
@@ -148,12 +142,7 @@ def from_json(cls, obj, owner: str, extra: Sequence[str] = (), **stored):
                 value = json_value(value, tp, owner, name)
             kwargs[name] = value
     try:
-        for name, (key, tp, build) in stored.items():
-            kwargs[name] = build(**{key: json_value(obj[key], tp, owner, key)}
-                                 if key in obj else {})
         return cls(**kwargs)
-    except SchemaError:
-        raise
     except ValueError as exc:
         raise SchemaError(f"invalid {owner}: {exc}") from exc
 

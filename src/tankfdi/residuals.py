@@ -205,24 +205,16 @@ def residual_trace(trace: Trace, params: PlantParams, tau: float | None = None,
 # ---------------------------------------------------------------------------
 # Fault-signature structure
 
-@dataclass(frozen=True)
-class SignatureMatrix:
-    """7x5 boolean incidence of supervised variables vs residuals."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        self.matrix.setflags(write=False)
-
-
-def signature_matrix() -> SignatureMatrix:
-    """Which residuals a fault on each variable enters: where
-    ``arr_residuals`` responds to a unit offset on that variable alone,
-    rows in VARIABLES order. Every coefficient of the equations is a
-    positive plant constant, so the default plant's pattern is every
-    plant's."""
+def signature_matrix() -> np.ndarray:
+    """Which residuals a fault on each variable enters: a read-only (7, 5)
+    bool array, True where ``arr_residuals`` responds to a unit offset on
+    that variable alone, rows in VARIABLES order. Every coefficient of the
+    equations is a positive plant constant, so the default plant's pattern
+    is every plant's."""
     response = np.stack(arr_residuals(np.eye(7), np.zeros((3, 7)), PlantParams()), axis=1)
-    return SignatureMatrix(response != 0)
+    matrix = response != 0
+    matrix.setflags(write=False)
+    return matrix
 
 
 def write_residual_csv(times: np.ndarray, residuals: np.ndarray, path: str) -> None:

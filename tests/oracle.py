@@ -34,7 +34,6 @@ from tankfdi.plant import (NOISY_PARAMS, VARIABLE_INDEX, VARIABLES, FaultEvent,
                            FaultScenario, MeasurementFrame, PlantParams, Trace,
                            _advance, _flows)
 from tankfdi.render import EDGES, _degree_map, color_index
-from tankfdi.residuals import SignatureMatrix
 
 
 class Memberships(NamedTuple):
@@ -324,10 +323,10 @@ def fault_direction(variable: str, params: PlantParams) -> np.ndarray:
     return np.array(directions[variable])
 
 
-def signature_row(sig: SignatureMatrix, variable: str) -> frozenset[int]:
+def signature_row(sig: np.ndarray, variable: str) -> frozenset[int]:
     """Residual indices (1-based) affected by a fault on ``variable``."""
     i = VARIABLES.index(variable)
-    return frozenset(int(j) + 1 for j in np.flatnonzero(sig.matrix[i]))
+    return frozenset(int(j) + 1 for j in np.flatnonzero(sig[i]))
 
 
 def detuned_config() -> DetectorConfig:

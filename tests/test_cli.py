@@ -838,6 +838,33 @@ class TestOutputErrors:
         assert dots in capsys.readouterr().err
         assert sorted(os.listdir(tmp_path)) == ["cfg.json", "taken"]
 
+    @pytest.mark.parametrize("case", ["simulate_both_outputs", "reports_on_run_json",
+                                      "out_on_config", "compare_render_dirs"])
+    def test_paths_on_one_file_write_nothing(self, tmp_path, scenario_file, config_file,
+                                             case, capsys):
+        # in each case one output would overwrite another output or an input
+        before = Path(config_file).read_bytes()
+        out = str(tmp_path / "m.csv")
+        argv, paths = {
+            "simulate_both_outputs": (
+                ["simulate", "--scenario", scenario_file, "--out-trace", out,
+                 "--out-residuals", out], (out, out)),
+            "reports_on_run_json": (
+                ["evaluate", "--config", config_file, "--generate", "3", "--out", out,
+                 "--reports", out + ".run.json"], (out + ".run.json",) * 2),
+            "out_on_config": (
+                ["evaluate", "--config", config_file, "--generate", "3",
+                 "--out", config_file], (config_file, config_file)),
+            "compare_render_dirs": (
+                ["compare", "--config", f"a={config_file}", "--config", f"./a={config_file}",
+                 "--generate", "3", "--out", out, "--render", str(tmp_path / "R")],
+                (str(tmp_path / "R" / "a"), os.path.join(tmp_path, "R", "./a"))),
+        }[case]
+        assert main(argv) == 2
+        assert f"{paths[0]!r} and {paths[1]!r}" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["cfg.json", "scenario.json"]
+        assert Path(config_file).read_bytes() == before
+
 
 @pytest.mark.parametrize("command", ["tune", "evaluate", "compare"])
 def test_run_json_records_the_suite_seed_used(tmp_path, config_file, suite_file, command):

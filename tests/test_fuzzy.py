@@ -1,6 +1,7 @@
 """Fuzzy detector: membership functions, rule base, inference, defuzzify."""
 
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -245,13 +246,12 @@ class TestRuleBase:
         assert build_rulebase() is build_rulebase()
         path = str(tmp_path / "cfg.json")
         fuzzy.save_config(tuned_cfg, path)
-        loaded = fuzzy.load_config(path).rulebase
-        assert loaded is fuzzy.load_config(path).rulebase is build_rulebase()
+        assert DetectorKernel(fuzzy.load_config(path)).program is build_rulebase().program
 
     def test_config_without_fault_order_loads_the_rule_base(self, tuned_cfg):
         obj = fuzzy.config_to_dict(tuned_cfg)
         assert obj.pop("max_fault_order") == 2
-        assert fuzzy.config_from_dict(obj).rulebase is build_rulebase()
+        assert DetectorKernel(fuzzy.config_from_dict(obj)).program is build_rulebase().program
 
 
 class TestInfer:
@@ -292,7 +292,8 @@ class TestInfer:
         parts = tuple(data.draw(input_partitions()) for _ in range(5))
         outputs = tuple(data.draw(output_partitions()) for _ in range(7))
         rows = data.draw(residual_rows(parts))
-        kernel = DetectorKernel(DetectorConfig(parts, outputs, rb))
+        kernel = DetectorKernel(DetectorConfig(parts, outputs))
+        kernel.program = rb.program
         al, ok = kernel.activations(rows)
         degrees = kernel.degrees(rows)
         held = [0.0] * 7
@@ -316,7 +317,7 @@ class TestInfer:
         parts = tuple(data.draw(input_partitions(scale)) for _ in range(5))
         rows = data.draw(residual_rows(parts))
         outputs = (OutputPartition(-1, -0.3, 0.3, 1),) * 7
-        kernel = DetectorKernel(DetectorConfig(parts, outputs, build_rulebase()))
+        kernel = DetectorKernel(DetectorConfig(parts, outputs))
         table = np.empty((10, len(rows)))
         kernel._memberships(rows, table)
         assert not np.isnan(table).any()
@@ -454,7 +455,24 @@ class TestParamsConfig:
         np.testing.assert_array_equal(config_to_params(loaded),
                                       config_to_params(cfg))
         assert loaded.alarm_threshold == cfg.alarm_threshold
-        assert loaded.rulebase is cfg.rulebase
+        assert loaded == cfg
+
+    @pytest.mark.parametrize("kind, sha256", [
+        ("swarm", "90681d8fc67e81d77a12851bbbf23fded91c595b68933061aab22ead1572fbbb"),
+        ("genetic", "78ac8ea837c26ab5aaed67228227fcbfe006f6793b88c1bd8e9dc77c15f77b47"),
+    ])
+    def test_config_file_bytes_pinned(self, tmp_path, kind, sha256):
+        # the file format is plain JSON of the dataclass, "max_fault_order": 2
+        # included; any change to its bytes is a change to the format
+        path = tmp_path / "cfg.json"
+        fuzzy.save_config(fuzzy.example_tuned_config(kind), str(path))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
+
+    def test_config_without_fault_order_loads_equal(self, tuned_cfg):
+        obj = fuzzy.config_to_dict(tuned_cfg)
+        assert obj["max_fault_order"] == 2
+        without = {key: value for key, value in obj.items() if key != "max_fault_order"}
+        assert fuzzy.config_from_dict(without) == fuzzy.config_from_dict(obj) == tuned_cfg
 
     def test_config_json_schema_errors(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -614,7 +632,7 @@ class TestDetector:
         held = np.zeros(7)
         for t, row in enumerate(rows):
             act = infer([fuzzify(r, p) for r, p in zip(row, parts)],
-                        tuned_cfg.rulebase)
+                        build_rulebase())
             expected = [defuzzify(act[v], p, fallback=held[j])
                         for j, (v, p) in enumerate(zip(VARIABLES,
                                                        tuned_cfg.output_partitions))]
@@ -650,15 +668,14 @@ class TestDetector:
         assert np.all(deg == 0.0)
 
     def test_config_validation(self):
-        rb = build_rulebase()
         with pytest.raises(ValueError):
             DetectorConfig((InputPartition(1, 2, 3, 4),) * 4,
-                           (OutputPartition(-1, -0.3, 0.3, 1),) * 7, rb)
+                           (OutputPartition(-1, -0.3, 0.3, 1),) * 7)
         with pytest.raises(ValueError):
             DetectorConfig((InputPartition(1, 2, 3, 4),) * 5,
-                           (OutputPartition(-1, -0.3, 0.3, 1),) * 7, rb,
+                           (OutputPartition(-1, -0.3, 0.3, 1),) * 7,
                            alarm_threshold=1.0)
         with pytest.raises(ValueError):
             DetectorConfig((InputPartition(1, 2, 3, 4),) * 5,
-                           (OutputPartition(-1, -0.3, 0.3, 1),) * 7, rb,
+                           (OutputPartition(-1, -0.3, 0.3, 1),) * 7,
                            debounce=0)

@@ -260,19 +260,19 @@ class TestSignatureMatrix:
         response = np.stack(residuals.arr_residuals(np.eye(7), np.zeros((3, 7)), params),
                             axis=1)
         directions = np.array([fault_direction(v, params) for v in plant.VARIABLES])
-        matrix = signature_matrix().matrix
+        matrix = signature_matrix()
         np.testing.assert_array_equal(response != 0, matrix)
         np.testing.assert_array_equal(directions != 0, matrix)
 
     def test_rows_pairwise_distinct(self):
         sig = signature_matrix()
-        rows = [tuple(sig.matrix[i]) for i in range(7)]
+        rows = [tuple(sig[i]) for i in range(7)]
         assert len(set(rows)) == 7
 
     def test_matrix_is_immutable(self):
         sig = signature_matrix()
         with pytest.raises(ValueError):
-            sig.matrix[0, 0] = False
+            sig[0, 0] = False
 
     def test_fault_directions_match_simulation(self, params):
         # independent route: inject each fault, measure settled residual shift
