@@ -5,10 +5,10 @@ randomness flows from explicit --seed flags so runs are replayable; every
 file-writing subcommand also drops a ``<output>.run.json`` with its parsed
 options, as resolved. Each subcommand checks its output paths before it
 simulates or writes anything, so an output that is a directory or lies in
-no directory, or an output path that resolves to the same file or
-directory as another output or as one of the command's inputs, fails the
-command without a partial output. Exit codes: 0 success, 2 usage/config
-error, 3 simulation divergence.
+no directory, or an output path or ``--render`` DOT file that resolves to
+the same file or directory as another output or as one of the command's
+inputs, fails the command without a partial output. Exit codes: 0
+success, 2 usage/config error, 3 simulation divergence.
 """
 
 from __future__ import annotations
@@ -43,13 +43,18 @@ def _write_run_config(args, path: str, omit=(), **resolved) -> None:
                       "options": {**options, **resolved}}, path + ".run.json")
 
 
-def _check_outputs(files=(), dirs=(), inputs=()) -> None:
+def _dot_paths(out_dir: str, n: int) -> list[str]:
+    """The DOT files of n scenarios that ``--render out_dir`` writes."""
+    return [os.path.join(out_dir, f"scenario_{i:03d}.dot") for i in range(n)]
+
+
+def _check_outputs(files=(), dirs=(), inputs=(), n_dots=0) -> None:
     """Raise the OSError that writing an output would raise, before any
     output is written: for a file path that is a directory or lies in no
     directory, or a directory path that is a file or lies under one. Then
-    raise a SchemaError naming both paths if an output resolves to the same
-    file or directory as another output or as one of the ``inputs``. None
-    entries (options not given) are skipped."""
+    raise a SchemaError naming both paths if an output, or one of the
+    ``n_dots`` DOT files in each of ``dirs``, resolves to the same file or
+    directory as another output or as an input; None entries are skipped."""
     for path in filter(None, files):
         if os.path.isdir(path):
             code = errno.EISDIR
@@ -65,10 +70,15 @@ def _check_outputs(files=(), dirs=(), inputs=()) -> None:
         if not os.path.isdir(head):
             code = errno.EEXIST if head == os.path.abspath(path) else errno.ENOTDIR
             raise OSError(code, os.strerror(code), path)
-    # inputs may share a file; an output may share none
+    # inputs may share a file; an output may share none. A DOT file that is
+    # no symlink resolves into its directory's real path.
     seen = {os.path.realpath(path): path for path in filter(None, inputs)}
-    for path in filter(None, [*files, *dirs]):
-        real = os.path.realpath(path)
+    resolved = [(path, os.path.realpath(path)) for path in filter(None, [*files, *dirs])]
+    for out_dir in filter(None, dirs):
+        real_dots = _dot_paths(os.path.realpath(out_dir), n_dots)
+        resolved += [(path, os.path.realpath(path) if os.path.islink(path) else real)
+                     for path, real in zip(_dot_paths(out_dir, n_dots), real_dots)]
+    for path, real in resolved:
         if real in seen:
             raise plant.SchemaError(f"{seen[real]!r} and {path!r} are the same path; an "
                                     "output must not overwrite an input or another output")
@@ -178,8 +188,7 @@ def cmd_detect(args) -> int:
 
 def _render_reports(out_dir: str, reports: list[harness.DetectionReport]) -> None:
     os.makedirs(out_dir, exist_ok=True)
-    for rep in reports:
-        path = os.path.join(out_dir, f"scenario_{rep.scenario_id:03d}.dot")
+    for path, rep in zip(_dot_paths(out_dir, len(reports)), reports):
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(render.emit_dot(rep.final_degrees))
 
@@ -187,12 +196,12 @@ def _render_reports(out_dir: str, reports: list[harness.DetectionReport]) -> Non
 def cmd_evaluate(args) -> int:
     if args.jobs != 1:
         raise plant.SchemaError(
-            f"--jobs must be 1: a suite is built in one process, got {args.jobs}")
-    _check_outputs([args.out, args.reports, args.out + ".run.json"], [args.render],
-                   [args.config, args.suite, args.plant])
+            f"--jobs must be 1: a suite is built in one process, got {plant.shown(args.jobs)}")
     params = _load_plant(args.plant)
     cfg = fuzzy.load_config(args.config)
     suite, inputs, suite_seed = _resolve_suite(args, params)
+    _check_outputs([args.out, args.reports, args.out + ".run.json"], [args.render],
+                   [args.config, args.suite, args.plant], len(suite))
     bank = harness.ResidualBank.from_suite(suite, params, inputs)
     reports, metrics = harness.evaluate_bank(cfg, bank)
     name = args.name or os.path.splitext(os.path.basename(args.config))[0]
@@ -212,21 +221,21 @@ def cmd_compare(args) -> int:
     for spec in args.configs:
         if "=" not in spec:
             raise plant.SchemaError(
-                f"--config expects NAME=PATH, got {spec!r}")
+                f"--config expects NAME=PATH, got {plant.shown(spec)}")
         name, path = spec.split("=", 1)
         if not name:
-            raise plant.SchemaError(f"--config NAME is empty in {spec!r}")
+            raise plant.SchemaError(f"--config NAME is empty in {plant.shown(spec)}")
         if any(name == seen for seen, _ in configs):
-            raise plant.SchemaError(f"--config NAME {name!r} is given twice")
+            raise plant.SchemaError(f"--config NAME {plant.shown(name)} is given twice")
         configs.append((name, fuzzy.load_config(path)))
-    _check_outputs([args.out, args.out + ".run.json"],
-                   [os.path.join(args.render, name) for name, _ in configs] if args.render else [],
-                   [*(spec.split("=", 1)[1] for spec in args.configs), args.suite, args.plant])
     suite, inputs, suite_seed = _resolve_suite(args, params)
+    dirs = [os.path.join(args.render, name) for name, _ in configs] if args.render else []
+    _check_outputs([args.out, args.out + ".run.json"], dirs,
+                   [*(spec.split("=", 1)[1] for spec in args.configs), args.suite, args.plant],
+                   len(suite))
     rows, reports = harness.compare(configs, suite, params, inputs)
-    if args.render:
-        for (name, _), config_reports in zip(configs, reports):
-            _render_reports(os.path.join(args.render, name), config_reports)
+    for out_dir, config_reports in zip(dirs, reports):
+        _render_reports(out_dir, config_reports)
     harness.write_metrics_csv(rows, args.out)
     _write_run_config(args, args.out, suite_seed=suite_seed)
     print(harness.format_table(rows))
@@ -260,14 +269,15 @@ def _number(kind, text: str):
     try:
         return kind(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {text!r}") from None
+        raise argparse.ArgumentTypeError(
+            f"invalid {kind.__name__} value: {plant.shown(text)}") from None
 
 
 def _non_negative_int(text: str) -> int:
     """argparse type of a seed: an integer >= 0, so the error names the flag."""
     value = _number(int, text)
     if value < 0:
-        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {plant.shown(value)}")
     return value
 
 

@@ -36,7 +36,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .plant import VARIABLES, SchemaError, from_json, read_json, to_json, write_json
+from .plant import VARIABLES, SchemaError, from_json, read_json, shown, to_json, write_json
 from .residuals import signature_matrix
 
 #: Premise constraints a rule may place on one residual.
@@ -354,7 +354,7 @@ class DetectorConfig:
     def __post_init__(self):
         if self.max_fault_order != FAULT_ORDER:
             raise ValueError(
-                f"max_fault_order must be {FAULT_ORDER}, got {self.max_fault_order}")
+                f"max_fault_order must be {FAULT_ORDER}, got {shown(self.max_fault_order)}")
         if len(self.input_partitions) != 5:
             raise ValueError("exactly 5 input partitions required")
         if len(self.output_partitions) != 7:

@@ -96,12 +96,14 @@ def compensation_pair(magnitude: float, params: PlantParams,
                       start: float) -> tuple[FaultEvent, FaultEvent]:
     """Step faults on De2 and Df2 whose contributions to r2 cancel exactly.
 
-    A settled De2 offset m shifts r2 by -m/R2; the Df2 offset is chosen as
-    -m/R2 so the two contributions sum to zero while r3, r4 and r5 remain
-    perturbed.
+    The Df2 offset is the settled r2 response of ``arr_residuals`` to the
+    De2 offset over the negated r2 response to a unit Df2 offset, so the two
+    sum to zero while r3, r4 and r5 remain perturbed.
     """
+    de2, df2 = (residuals.arr_residuals(offsets, (0.0, 0.0, 0.0), params)[1] for offsets in
+                ((0.0, 0.0, 0.0, magnitude, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0)))
     return (FaultEvent("De2", start, magnitude, "step"),
-            FaultEvent("Df2", start, -magnitude / params.R2, "step"))
+            FaultEvent("Df2", start, de2 / -df2, "step"))
 
 
 # ---------------------------------------------------------------------------

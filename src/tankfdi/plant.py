@@ -4,14 +4,17 @@ The plant carries three pressure states (effort variables De1, De2, De3) and
 exposes seven supervised signals per timestep: the two source flows, the
 three pressures, and the two coupling flows. Faults are additive offsets on
 the *measured* channels (sensor/actuator reading faults); parameter noise
-perturbs the physical R and C values each step.
+perturbs the physical R and C values each step. The model is stated once,
+in ``_derivatives`` and ``_flows``, and ``steady_state`` is its zero.
+``run`` (floats, either mode) and ``simulate_suite`` (a suite's arrays,
+linear mode) differ only in their RK4 time loop: ``_signals`` measures both.
 
 Every module's file handling is also here: ``check_fields`` (the rule of
 every JSON input object), ``json_value`` (the type rule of every JSON
-value), ``read_json``, ``write_json`` and ``write_csv``. Each JSON file
-format is declared once, by its dataclass: ``to_json`` writes and
-``from_json`` reads any of them from ``dataclasses.fields`` and the fields'
-type hints.
+value), ``shown`` (how an error echoes a value), ``read_json``,
+``write_json`` and ``write_csv``. Each JSON file format is declared once,
+by its dataclass: ``to_json`` writes and ``from_json`` reads any of them
+from ``dataclasses.fields`` and the fields' type hints.
 """
 
 from __future__ import annotations
@@ -65,16 +68,23 @@ def check_fields(obj, owner: str, fields, required=(), lists=()) -> None:
         raise SchemaError(f"{owner} must be a JSON object")
     schema = obj.get("schema", 1)
     if type(schema) is not int or schema != 1:   # neither true nor 1.0 is schema 1
-        raise SchemaError(f"unsupported {owner} schema {schema!r}")
+        raise SchemaError(f"unsupported {owner} schema {shown(schema)}")
     unknown = [key for key in obj if key not in fields and key != "schema"]
     if unknown:
-        raise SchemaError(f"unknown field(s) in {owner}: {sorted(unknown)}")
+        raise SchemaError(f"unknown field(s) in {owner}: {shown(sorted(unknown))}")
     for key in required:
         if key not in obj:
             raise SchemaError(f"{owner} is missing required field {key!r}")
     for key in lists:
         if not isinstance(obj.get(key, []), list):
             raise SchemaError(f"{owner} field {key!r} must be a list")
+
+
+def shown(value) -> str:
+    """``repr(value)`` as error messages echo it: past 80 characters its
+    middle is cut to "...", so that no input value makes a message long."""
+    text = repr(value)
+    return text if len(text) <= 80 else f"{text[:40]}...{text[-37:]}"
 
 
 #: The type rule of JSON values: the Python types that a parsed JSON value
@@ -89,7 +99,7 @@ def json_value(value, tp: type, owner: str, key: str):
     to float) and a str field a string; a bool is never a number."""
     accepted, kind = _JSON_TYPES[tp]
     if isinstance(value, bool) or not isinstance(value, accepted):
-        raise SchemaError(f"{owner} field {key!r} must be {kind}, got {value!r}")
+        raise SchemaError(f"{owner} field {key!r} must be {kind}, got {shown(value)}")
     try:
         return float(value) if tp is float else value
     except OverflowError:
@@ -246,7 +256,8 @@ class FaultEvent:
 
     def __post_init__(self):
         if self.target not in VARIABLES:
-            raise ValueError(f"FaultEvent.target must be one of {VARIABLES}, got {self.target!r}")
+            raise ValueError(f"FaultEvent.target must be one of {VARIABLES}, "
+                             f"got {shown(self.target)}")
         if self.profile not in FAULT_PROFILES:
             raise ValueError(f"FaultEvent.profile must be one of {FAULT_PROFILES}")
         for name in ("start", "magnitude"):
@@ -285,7 +296,7 @@ class FaultScenario:
         if self.duration < self.dt:
             raise ValueError("FaultScenario.duration must be at least one step")
         if self.seed < 0:
-            raise ValueError(f"FaultScenario.seed must be non-negative, got {self.seed}")
+            raise ValueError(f"FaultScenario.seed must be non-negative, got {shown(self.seed)}")
         if self.noise_std_R < 0 or self.noise_std_C < 0:
             raise ValueError("noise standard deviations must be non-negative")
         if len(self.events) > 7:
@@ -323,24 +334,24 @@ class Trace:
         return (self.frame(i) for i in range(len(self)))
 
 
-def _flows(de1: float, de2: float, de3: float, r12: float, r23: float,
-           params: PlantParams, mode: str) -> tuple[float, float]:
-    """Coupling flows Df1 (tank1 -> tank2) and Df2 (tank3 -> tank2).
+def _flows(de1, de2, de3, r12, r23, params: PlantParams, mode: str) -> tuple:
+    """Coupling flows Df1 (tank1 -> tank2) and Df2 (tank3 -> tank2) of floats or arrays.
 
     Linear mode divides the pressure difference by the step's (possibly
     noisy) coupling resistance ``r12`` or ``r23``. Nonlinear mode uses the
     sign-preserving square-root valve law
     ``az * S * sgn(hi - hj) * sqrt(2 g |hi - hj|)`` with ``h = De / (rho g)``
-    and the valve constants of ``params``.
+    and the valve constants of ``params``, in numpy ufuncs: a difference of
+    +0.0 or -0.0 gives +0.0, and NaN propagates.
     """
     if mode == "linear":
         return (de1 - de2) / r12, (de3 - de2) / r23
     if mode == "nonlinear":
         k = params.az * params.S_conn
 
-        def q(hi: float, hj: float) -> float:
+        def q(hi, hj):
             d = (hi - hj) / (params.rho * params.g)
-            return k * math.copysign(math.sqrt(2.0 * params.g * abs(d)), d) if d else 0.0
+            return k * np.copysign(np.sqrt(2.0 * params.g * np.abs(d)), d + 0.0)
 
         return q(de1, de2), q(de3, de2)
     raise ValueError(f"unknown plant mode {mode!r}")
@@ -381,17 +392,6 @@ def _rk4(de: tuple, inputs: tuple[float, float], rc: Sequence[float],
     )
 
 
-def _advance(de: tuple, inputs: tuple[float, float], rc: Sequence[float],
-             params: PlantParams, dt: float, mode: str, t: float) -> tuple:
-    """``_rk4`` from time t; raises SimulationDiverged at t + dt for the
-    first pressure that is no longer finite."""
-    new = _rk4(de, inputs, rc, params, dt, mode)
-    for name, value in zip(("De1", "De2", "De3"), new):
-        if not math.isfinite(value):
-            raise SimulationDiverged(name, t + dt)
-    return new
-
-
 def noise_table(scenario: FaultScenario, params: PlantParams, n_rows: int) -> np.ndarray:
     """Per-step R and C of a scenario, (n_rows, 8) in NOISY_PARAMS order.
 
@@ -410,31 +410,45 @@ def noise_table(scenario: FaultScenario, params: PlantParams, n_rows: int) -> np
     return np.maximum(nominal * (1.0 + sigma * z), 0.01 * nominal)
 
 
-def _add_faults(signals: np.ndarray, times: np.ndarray,
-                events: Sequence[FaultEvent]) -> None:
-    """Add each event's offset to its channel of one scenario's (T, 7)
-    signals, in place: 0 before its start, then the step's magnitude or the
-    ramp's slope times the time since the start."""
-    for ev in events:
-        offset = ev.magnitude if ev.profile == "step" else ev.magnitude * (times - ev.start)
-        signals[:, VARIABLE_INDEX[ev.target]] += np.where(times < ev.start, 0.0, offset)
-
-
 def steady_state(inputs: tuple[float, float],
                  params: PlantParams) -> tuple[float, float, float]:
     """Equilibrium pressures (De1, De2, De3) of the linear model for
-    constant source flows."""
-    msf1, msf2 = inputs
-    p = params
-    # Zeros of the three pressure derivatives; note the middle tank sheds
-    # both coupling flows, so the R23 terms enter its balance negatively.
-    a = np.array([
-        [1.0 / p.R1 + 1.0 / p.R12, -1.0 / p.R12, 0.0],
-        [1.0 / p.R12, -(1.0 / p.R2 + 1.0 / p.R12 - 1.0 / p.R23), -1.0 / p.R23],
-        [0.0, -1.0 / p.R23, 1.0 / p.R23 + 1.0 / p.R3],
-    ])
-    b = np.array([msf1, 0.0, msf2])
-    return tuple(float(x) for x in np.linalg.solve(a, b))
+    constant source flows: the zero of ``_derivatives``, which are affine in
+    the pressures. At unit capacitances, which do not move the zero, the
+    Jacobian's columns are the derivatives at unit pressures and no inflow."""
+    rc = [*(getattr(params, name) for name in NOISY_PARAMS[:5]), 1.0, 1.0, 1.0]
+    jacobian = np.array([_derivatives(unit, (0.0, 0.0), rc, params, "linear")
+                         for unit in np.eye(3).tolist()]).T
+    constant = np.array(_derivatives((0.0, 0.0, 0.0), inputs, rc, params, "linear"))
+    return tuple(float(x) for x in np.linalg.solve(jacobian, -constant))
+
+
+def _signals(de: np.ndarray, rc: np.ndarray, inputs: tuple[float, float],
+             params: PlantParams, mode: str, dt: float,
+             suite: Sequence[FaultScenario]) -> tuple[np.ndarray, np.ndarray]:
+    """Times (T,) and signals (S, T, 7) of ``suite`` from its pressures
+    ``de`` (T, 3, S) and R/C rows ``rc`` (T, 8, S), with each scenario's
+    fault offsets; raises SimulationDiverged for the first non-finite
+    pressure by scenario, then step, then tank, at the end of its step."""
+    finite = np.isfinite(de[1:])
+    if not finite.all():
+        bad = ~finite.all(axis=1)                       # (steps, S)
+        i = int(np.argmax(bad.any(axis=0)))
+        k = int(np.argmax(bad[:, i]))
+        j = int(np.argmin(finite[k, :, i]))
+        raise SimulationDiverged(("De1", "De2", "De3")[j], k * dt + dt, scenario=i)
+    times = np.arange(len(de)) * dt
+    signals = np.empty((de.shape[2], len(de), 7))
+    signals[:, :, 0], signals[:, :, 1] = inputs
+    signals[:, :, 2:5] = de.transpose(2, 0, 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        df1, df2 = _flows(de[:, 0], de[:, 1], de[:, 2], rc[:, 3], rc[:, 4], params, mode)
+    signals[:, :, 5], signals[:, :, 6] = df1.T, df2.T
+    for rows, sc in zip(signals, suite):
+        for ev in sc.events:
+            offset = ev.magnitude if ev.profile == "step" else ev.magnitude * (times - ev.start)
+            rows[:, VARIABLE_INDEX[ev.target]] += np.where(times < ev.start, 0.0, offset)
+    return times, signals
 
 
 def run(scenario: FaultScenario, params: PlantParams, inputs: tuple[float, float],
@@ -449,17 +463,18 @@ def run(scenario: FaultScenario, params: PlantParams, inputs: tuple[float, float
     """
     u = (float(inputs[0]), float(inputs[1]))
     dt = scenario.dt
-    n_steps = math.ceil(scenario.duration / dt - 1e-9)
-    de = steady_state(u, params)
-    rows = []
-    for k, rc in enumerate(noise_table(scenario, params, n_steps + 1).tolist()):
-        rows.append((*u, *de, *_flows(*de, rc[3], rc[4], params, mode)))
-        if k < n_steps:
-            de = _advance(de, u, rc, params, dt, mode, k * dt)
-    times = np.arange(n_steps + 1) * dt
-    signals = np.array(rows, dtype=float)
-    _add_faults(signals, times, scenario.events)
-    return Trace(times, signals, dt)
+    rc = noise_table(scenario, params, math.ceil(scenario.duration / dt - 1e-9) + 1)
+    de = [steady_state(u, params)]
+    # past a divergence, nonlinear mode's ufuncs meet inf and NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        for row in rc[:-1].tolist():
+            de.append(_rk4(de[-1], u, row, params, dt, mode))
+    try:
+        times, signals = _signals(np.array(de)[:, :, None], rc[:, :, None], u, params,
+                                  mode, dt, [scenario])
+    except SimulationDiverged as exc:
+        raise SimulationDiverged(exc.variable, exc.t) from None
+    return Trace(times, signals[0], dt)
 
 
 def simulate_suite(suite: Sequence[FaultScenario], params: PlantParams,
@@ -471,19 +486,17 @@ def simulate_suite(suite: Sequence[FaultScenario], params: PlantParams,
     constant inputs). The pressures of all scenarios are one (T, 3, S)
     array and their R/C one (T, 8, S) stack of ``noise_table``s, so each
     RK4 stage is a few whole-array operations on (3, S) buffers, written in
-    ``_derivatives``' operation order. The fault offsets are added after
-    integration. If any scenario diverges, raises the SimulationDiverged
-    that simulating the suite one scenario at a time would raise first.
+    ``_derivatives``' operation order; ``_signals`` measures the result.
+    If any scenario diverges, raises the SimulationDiverged that simulating
+    the suite one scenario at a time would raise first.
     """
     if not suite:
         raise ValueError("simulate_suite needs at least one scenario")
     dt, duration = suite[0].dt, suite[0].duration
     if any(sc.dt != dt or sc.duration != duration for sc in suite):
         raise ValueError("simulate_suite needs scenarios sharing dt and duration")
-    n_steps = math.ceil(duration / dt - 1e-9)
-    n_rows, n_scen = n_steps + 1, len(suite)
+    n_rows, n_scen = math.ceil(duration / dt - 1e-9) + 1, len(suite)
     u = (float(inputs[0]), float(inputs[1]))
-    de1, de2, de3 = steady_state(u, params)
 
     rc = np.empty((n_rows, len(NOISY_PARAMS), n_scen))
     for i, sc in enumerate(suite):
@@ -494,7 +507,7 @@ def simulate_suite(suite: Sequence[FaultScenario], params: PlantParams,
     # C2) and de the pressures (De3, De1, De2) until the loop ends.
     rcp = rc.take([2, 0, 1, 4, 3, 7, 5, 6], axis=1)
     de = np.empty((n_rows, 3, n_scen))
-    de[0] = np.array([de3, de1, de2])[:, None]
+    de[0] = np.array(steady_state(u, params))[[2, 0, 1], None]
 
     k1, k2, k3, k4, stage, q = (np.empty((3, n_scen)) for _ in range(6))
     # terms = [Msf2 - Df2, Msf1, Df1, Df2, Df1]: rows 0:3 are the inflow
@@ -539,24 +552,7 @@ def simulate_suite(suite: Sequence[FaultScenario], params: PlantParams,
             np.add(k1, np.multiply(k3, two, k3), k1)
             np.add(k1, k4, k1)
             np.add(x, np.multiply(k1, sixth, k1), new)
-        de = de.take([1, 2, 0], axis=1)
-        finite = np.isfinite(de[1:])
-        if not finite.all():
-            bad = ~finite.all(axis=1)                       # (steps, S)
-            i = int(np.argmax(bad.any(axis=0)))
-            k = int(np.argmax(bad[:, i]))
-            j = int(np.argmin(finite[k, :, i]))
-            raise SimulationDiverged(("De1", "De2", "De3")[j], k * dt + dt, scenario=i)
-        coupling = (de[:, ::2] - de[:, 1:2]) / rc[:, 3:5]  # (T, 2, S)
-
-    times = np.arange(n_rows) * dt
-    signals = np.empty((n_scen, n_rows, 7))
-    signals[:, :, 0], signals[:, :, 1] = u
-    signals[:, :, 2:5] = de.transpose(2, 0, 1)
-    signals[:, :, 5:7] = coupling.transpose(2, 0, 1)
-    for rows, sc in zip(signals, suite):
-        _add_faults(rows, times, sc.events)
-    return times, signals
+    return _signals(de.take([1, 2, 0], axis=1), rc, u, params, "linear", dt, suite)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ system state at a glance.
 from __future__ import annotations
 
 import colorsys
-from typing import Mapping
 
 from .plant import VARIABLES
 
@@ -44,11 +43,6 @@ def _rgb(degree: float) -> tuple[int, int, int]:
 
 
 def _degree_map(degrees) -> dict[str, float]:
-    if isinstance(degrees, Mapping):
-        missing = [v for v in VARIABLES if v not in degrees]
-        if missing:
-            raise ValueError(f"degrees missing for variables: {missing}")
-        return {v: float(degrees[v]) for v in VARIABLES}
     values = list(degrees)
     if len(values) != 7:
         raise ValueError("expected seven degrees in canonical variable order")
@@ -67,7 +61,7 @@ def emit_dot(degrees) -> str:
 
     Nodes are emitted in canonical variable order and edges sorted
     lexicographically, so identical inputs give identical bytes. Only the
-    node lines depend on ``degrees``.
+    node lines depend on ``degrees``, seven values in VARIABLES order.
     """
     nodes = "".join(f"  \"{name}\" [fillcolor=\"{color_index(d)}\", "
                     f"label=\"{name} ({d:.2f})\"];\n"
@@ -77,10 +71,8 @@ def emit_dot(degrees) -> str:
 
 def emit_ansi(degrees, no_color: bool = False) -> str:
     """One terminal line per variable with a 24-bit colored state cell."""
-    table = _degree_map(degrees)
     lines = []
-    for name in VARIABLES:
-        d = table[name]
+    for name, d in _degree_map(degrees).items():
         if no_color:
             lines.append(f"{name:<5} {d:.2f}")
         else:

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import fuzzy
 from .harness import DetectionReport, ResidualBank, evaluate_bank, score_bank
-from .plant import OPERATING_POINT, FaultScenario, PlantParams
+from .plant import OPERATING_POINT, FaultScenario, PlantParams, shown
 
 if TYPE_CHECKING:
     import multiprocessing.pool
@@ -108,8 +108,8 @@ class GaParams:
         if not 0 <= self.elite_count < self.population:
             raise ValueError("elite_count must satisfy 0 <= elite < population")
         if self.stall_generations > self.max_generations:
-            raise ValueError(f"stall_generations ({self.stall_generations}) must not "
-                             f"exceed max_generations ({self.max_generations})")
+            raise ValueError(f"stall_generations ({shown(self.stall_generations)}) must not "
+                             f"exceed max_generations ({shown(self.max_generations)})")
         if not 0.0 <= self.crossover_fraction <= 1.0:
             raise ValueError("crossover_fraction must lie in [0, 1]")
         if not 0.0 <= self.mutation_rate <= 1.0:

@@ -11,11 +11,13 @@ one step at a time: a ``PlantState`` advanced by one RK4 ``step``, R/C
 noise drawn step by step, the ``coupling_flows`` and sensor frames with
 each event's ``offset_at``, which ``simulate`` runs from any initial
 state and ``tankfdi.plant.run`` must reproduce row for row from the
-steady state. The DOT graph line by line, as ``tankfdi.render.emit_dot``
-must write it. Last, the accessors and fixtures only tests use: the
-residual fault directions, a variable's signature row, a de-tuned
-detector, a bank's per-scenario rows, and plain forms of plant
-parameters, frames and trace columns.
+steady state; and the valve law on ``math`` floats, ``valve_flow``,
+which ``tankfdi.plant._flows`` must equal on floats and on arrays. The
+DOT graph line by line, as ``tankfdi.render.emit_dot`` must write it.
+Last, the accessors and fixtures only tests use: the residual fault
+directions, a variable's signature row, a de-tuned detector, a bank's
+per-scenario rows, and plain forms of plant parameters, frames and trace
+columns.
 """
 
 from __future__ import annotations
@@ -31,8 +33,8 @@ from tankfdi.fuzzy import (DetectorConfig, InputPartition, OutputPartition, Rule
                           RuleBase, params_to_config)
 from tankfdi.harness import ResidualBank
 from tankfdi.plant import (NOISY_PARAMS, VARIABLE_INDEX, VARIABLES, FaultEvent,
-                           FaultScenario, MeasurementFrame, PlantParams, Trace,
-                           _advance, _flows)
+                           FaultScenario, MeasurementFrame, PlantParams,
+                           SimulationDiverged, Trace, _flows, _rk4)
 from tankfdi.render import EDGES, _degree_map, color_index
 
 
@@ -221,13 +223,25 @@ def coupling_flows(De1: float, De2: float, De3: float, params: PlantParams,
     return _flows(De1, De2, De3, params.R12, params.R23, params, mode)
 
 
+def valve_flow(hi: float, hj: float, params: PlantParams) -> float:
+    """The square-root valve law from pressure ``hi`` to ``hj`` on Python
+    floats, through ``math``: 0.0 where the pressures are equal."""
+    k = params.az * params.S_conn
+    d = (hi - hj) / (params.rho * params.g)
+    return k * math.copysign(math.sqrt(2.0 * params.g * abs(d)), d) if d else 0.0
+
+
 def step(state: PlantState, inputs: tuple[float, float], params: PlantParams,
          dt: float, mode: str = "linear") -> PlantState:
-    """Advance the plant one fixed RK4 step."""
+    """Advance the plant one fixed RK4 step; raises SimulationDiverged at the
+    step's end for the first pressure that is no longer finite."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     rc = tuple(getattr(params, name) for name in NOISY_PARAMS)
-    new = _advance((state.De1, state.De2, state.De3), inputs, rc, params, dt, mode, state.t)
+    new = _rk4((state.De1, state.De2, state.De3), inputs, rc, params, dt, mode)
+    for name, value in zip(("De1", "De2", "De3"), new):
+        if not math.isfinite(value):
+            raise SimulationDiverged(name, state.t + dt)
     return PlantState(new[0], new[1], new[2], state.t + dt)
 
 

@@ -643,6 +643,14 @@ MALFORMED_INPUTS = {
                       "plant config field 'R1' must be a number"),
     "scenario_schema_bool": ("scenario", {"schema": True, "duration": 2.0},
                              "unsupported scenario schema True"),
+    # an echoed value is shortened past 80 characters: the message stays short
+    "config_max_fault_order_huge": ("config", {**fuzzy.config_to_dict(
+        fuzzy.example_tuned_config("swarm")), "max_fault_order": 10**400},
+        "max_fault_order must be 2, got 1000"),
+    "scenario_seed_huge": ("scenario", {"schema": 1, "seed": -10**400, "duration": 2.0},
+                           "FaultScenario.seed must be non-negative, got -1000"),
+    "scenario_duration_long_string": ("scenario", {"schema": 1, "duration": "x" * 100000},
+                                      "scenario field 'duration' must be a number, got 'xxx"),
     # a step count that overflows to inf, on the per-scenario and suite paths
     "scenario_dt_tiny": ("scenario", {"schema": 1, "duration": 20.0, "dt": 5e-324},
                          "FaultScenario.duration / dt must be finite"),
@@ -681,7 +689,9 @@ class TestMalformedInput:
             argv = ["detect", "--config", paths["config"], "--scenario", paths["scenario"]]
         code = main(argv + ["--plant", paths["plant"], "--out", str(out)])
         assert code == 2
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert message in err
+        assert len(err) < 300
         assert not out.exists()
 
     def test_empty_suite_exits_2(self, tmp_path, config_file, capsys):
@@ -863,6 +873,41 @@ class TestOutputErrors:
         assert main(argv) == 2
         assert f"{paths[0]!r} and {paths[1]!r}" in capsys.readouterr().err
         assert sorted(os.listdir(tmp_path)) == ["cfg.json", "scenario.json"]
+        assert Path(config_file).read_bytes() == before
+
+    @pytest.mark.parametrize("case", ["evaluate_out", "evaluate_reports", "compare_out"])
+    def test_output_on_a_dot_file_writes_nothing(self, tmp_path, config_file, case,
+                                                 capsys):
+        # --render R writes R/scenario_000.dot, R/scenario_001.dot, ...; compare
+        # writes them in R/<name>
+        render = tmp_path / "R"
+        (render / "a").mkdir(parents=True)
+        out = str(tmp_path / "m.csv")
+        evaluate = ["evaluate", "--config", config_file, "--generate", "3"]
+        taken, argv = {
+            "evaluate_out": (str(render / "scenario_000.dot"), evaluate + ["--out"]),
+            "evaluate_reports": (str(render / "scenario_001.dot"),
+                                 evaluate + ["--out", out, "--reports"]),
+            "compare_out": (str(render / "a" / "scenario_002.dot"),
+                            ["compare", "--config", f"a={config_file}", "--config",
+                             f"b={config_file}", "--generate", "3", "--out"]),
+        }[case]
+        assert main(argv + [taken, "--render", str(render)]) == 2
+        assert f"{taken!r} and {taken!r}" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["R", "cfg.json"]
+        assert [files for _, _, files in os.walk(render)] == [[], []]
+
+    def test_dot_file_linked_to_an_input_writes_nothing(self, tmp_path, config_file,
+                                                       capsys):
+        # rendering would write through the link onto the config
+        dot = tmp_path / "R" / "scenario_001.dot"
+        dot.parent.mkdir()
+        dot.symlink_to(config_file)
+        before = Path(config_file).read_bytes()
+        assert main(["evaluate", "--config", config_file, "--generate", "3",
+                     "--out", str(tmp_path / "m.csv"), "--render", str(dot.parent)]) == 2
+        assert f"{config_file!r} and {str(dot)!r}" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["R", "cfg.json"]
         assert Path(config_file).read_bytes() == before
 
 

@@ -81,6 +81,16 @@ class TestCompensationPair:
         assert np.abs(resid[-1, 2]) > 0.5
         assert np.abs(resid[-1, 4]) > 1.0
 
+    @pytest.mark.parametrize("r2", [2.0, 3.0, 0.7, 1e-3])
+    def test_settled_offsets_cancel_on_r2_alone(self, r2):
+        params = PlantParams(R2=r2)
+        offsets = [0.0] * 7
+        for ev in compensation_pair(1.7, params, start=0.0):
+            offsets[plant.VARIABLE_INDEX[ev.target]] = ev.magnitude
+        r = residuals.arr_residuals(offsets, (0.0, 0.0, 0.0), params)
+        assert r[1] == 0.0
+        assert all(x != 0.0 for x in r[2:])
+
     def test_direction_algebra(self, params):
         ev_de2, ev_df2 = compensation_pair(2.0, params, start=1.0)
         combined = (ev_de2.magnitude * oracle.fault_direction("De2", params)

@@ -1,5 +1,7 @@
 """Plant model: integration, fault injection, parameter noise, traces."""
 
+import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -12,7 +14,7 @@ from tankfdi.plant import FaultEvent, FaultScenario, PlantParams, SimulationDive
 
 from conftest import OPERATING_INPUTS
 from oracle import (PlantState, column, coupling_flows, measure, perturb_params,
-                    plant_params_dict, simulate, step)
+                    plant_params_dict, simulate, step, valve_flow)
 
 
 class TestParams:
@@ -52,6 +54,22 @@ class TestStep:
         q_ab, _ = coupling_flows(a, b, 0.0, p, mode="nonlinear")
         q_ba, _ = coupling_flows(b, a, 0.0, p, mode="nonlinear")
         assert q_ab == -q_ba
+
+    @pytest.mark.parametrize("params", [PlantParams(),
+                                        PlantParams(az=0.5, S_conn=1e-300, rho=1e-3, g=1e3)])
+    def test_valve_law_equal_on_floats_arrays_and_math(self, params):
+        # signed zeros, subnormals, overflow, infinities and NaN, bit for bit;
+        # the tiny valve constant of the second plant underflows the flow
+        values = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 0.3, -1.0, 1e308, -1e308,
+                  math.inf, -math.inf, math.nan]
+        pairs = list(itertools.product(values, values))
+        hi, hj = np.array(pairs).T
+        with np.errstate(over="ignore", invalid="ignore"):
+            on_arrays, _ = plant._flows(hi, hj, hj, 1.0, 1.0, params, "nonlinear")
+            for (a, b), flow in zip(pairs, on_arrays):
+                on_floats, _ = plant._flows(a, b, b, 1.0, 1.0, params, "nonlinear")
+                expected = np.float64(valve_flow(a, b, params)).tobytes()
+                assert np.float64(on_floats).tobytes() == flow.tobytes() == expected, (a, b)
 
     def test_divergence_reports_variable_and_time(self, params):
         state = PlantState(1e308, 0, 0, 41.5)
@@ -216,6 +234,26 @@ class TestRun:
             assert trace.times[k] == t
             assert trace.signals[k].tobytes() == frames.signals[k].tobytes()
 
+    @pytest.mark.parametrize("mode, digest", [
+        ("linear", "955637e3df982dd5b36d47b446e72ba5b18ac953a1fa6cb21f95e7bfd45d81aa"),
+        ("nonlinear", "db613f751764e74242ba4100c0118e290b95bedb752b45f4f5ee5068bfc5109f"),
+    ])
+    def test_signals_pinned(self, mode, digest):
+        # the bytes of a generated suite's runs, recorded before the float and
+        # array integrators shared one output path
+        sha = hashlib.sha256()
+        for sc in harness.generate_suite(10, 7):
+            sha.update(plant.run(sc, PlantParams(), OPERATING_INPUTS, mode).signals.tobytes())
+        assert sha.hexdigest() == digest
+
+    @pytest.mark.parametrize("mode", ["linear", "nonlinear"])
+    def test_stiff_plant_diverges(self, mode):
+        stiff = PlantParams(C1=1e-8, C2=1e-8, C3=1e-8)
+        with pytest.raises(SimulationDiverged) as err:
+            plant.run(FaultScenario(duration=50.0, dt=0.5), stiff, (1e6, 0.0), mode)
+        assert (err.value.variable, err.value.t, err.value.scenario) == ("De1", 5.5, None)
+        assert str(err.value) == "simulation diverged: De1 is non-finite at t=5.5s"
+
     def test_scenario_validation(self):
         with pytest.raises(ValueError):
             FaultScenario(duration=1.0, dt=0.0)
@@ -231,6 +269,23 @@ class TestRun:
 
     def test_step_count_at_the_cap_accepted(self):
         assert FaultScenario(duration=1.0, dt=1e-6).dt == 1e-6
+
+
+class TestSteadyState:
+    def test_default_plant(self):
+        assert plant.steady_state(OPERATING_INPUTS, PlantParams()) == (
+            0.8444444444444444, 0.26666666666666666, 0.7111111111111111)
+
+    def test_derivatives_vanish(self, rng):
+        for _ in range(200):
+            r = np.exp(rng.uniform(-3, 3, 8))
+            params = PlantParams(**dict(zip(plant.NOISY_PARAMS, r.tolist())))
+            inputs = tuple(rng.normal(size=2).tolist())
+            de = plant.steady_state(inputs, params)
+            derivatives = plant._derivatives(de, inputs, r.tolist(), params, "linear")
+            # each tank's flows, to the scale of its largest term
+            scale = max(map(abs, inputs)) + max(map(abs, de)) / r[:5].min()
+            assert all(abs(d) * c <= 1e-12 * scale for d, c in zip(derivatives, r[5:]))
 
 
 class TestSimulateSuite:
@@ -401,3 +456,11 @@ class TestFileHelpers:
             plant.check_fields(obj, "thing", ("a", "b"), required=("a",), lists=("b",))
         plant.check_fields({"schema": 1, "a": 1, "b": []}, "thing", ("a", "b"),
                            required=("a",), lists=("b",))
+
+    def test_shown_cuts_long_values_only(self):
+        for value in (1, -1.5e-300, "De9", ["zz"], True, None, "x" * 78):
+            assert plant.shown(value) == repr(value)
+        for value in (-10**400, "x" * 100_000, list(range(1000)), {"k" * 90: 1}):
+            text, full = plant.shown(value), repr(value)
+            assert text == full[:40] + "..." + full[-37:]
+            assert len(text) == 80
