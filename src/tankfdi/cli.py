@@ -4,11 +4,13 @@ Subcommands: simulate, tune, detect, evaluate, compare, render. All
 randomness flows from explicit --seed flags so runs are replayable; every
 file-writing subcommand also drops a ``<output>.run.json`` with its parsed
 options, as resolved. Each subcommand checks its output paths before it
-simulates or writes anything, so an output that is a directory or lies in
-no directory, or an output path or ``--render`` DOT file that resolves to
-the same file or directory as another output or as one of the command's
-inputs, fails the command without a partial output. Exit codes: 0
-success, 2 usage/config error, 3 simulation divergence.
+simulates or writes anything, so an output or ``--render`` DOT file that
+is a directory, an output that lies in no directory, or an output or DOT
+file that resolves to the same file or directory as another output or as
+one of the command's inputs, fails the command without a partial output.
+Evaluate and compare score their configs through one function on one
+``ResidualBank``; detect reads its scenario's residuals from a bank too.
+Exit codes: 0 success, 2 usage/config error, 3 simulation divergence.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import argparse
 import dataclasses
 import errno
 import functools
+import itertools
 import math
 import os
 import sys
@@ -51,10 +54,12 @@ def _dot_paths(out_dir: str, n: int) -> list[str]:
 def _check_outputs(files=(), dirs=(), inputs=(), n_dots=0) -> None:
     """Raise the OSError that writing an output would raise, before any
     output is written: for a file path that is a directory or lies in no
-    directory, or a directory path that is a file or lies under one. Then
-    raise a SchemaError naming both paths if an output, or one of the
-    ``n_dots`` DOT files in each of ``dirs``, resolves to the same file or
-    directory as another output or as an input; None entries are skipped."""
+    directory, a directory path that is a file or lies under one, or one of
+    the ``n_dots`` DOT files in each of ``dirs`` that is a directory. Then
+    raise a SchemaError naming both paths if an output or DOT file resolves
+    to the same file or directory as another output or as an input; None
+    entries are skipped."""
+    dirs = list(filter(None, dirs))
     for path in filter(None, files):
         if os.path.isdir(path):
             code = errno.EISDIR
@@ -63,26 +68,36 @@ def _check_outputs(files=(), dirs=(), inputs=(), n_dots=0) -> None:
         else:
             continue
         raise OSError(code, os.strerror(code), path)
-    for path in filter(None, dirs):
+    for path in dirs:
         head = os.path.abspath(path)
         while not os.path.exists(head):
             head = os.path.dirname(head)
         if not os.path.isdir(head):
             code = errno.EEXIST if head == os.path.abspath(path) else errno.ENOTDIR
             raise OSError(code, os.strerror(code), path)
+    dots = [_dot_paths(out_dir, n_dots) for out_dir in dirs]
+    for path in itertools.chain(*dots):
+        if os.path.isdir(path):
+            raise OSError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     # inputs may share a file; an output may share none. A DOT file that is
     # no symlink resolves into its directory's real path.
     seen = {os.path.realpath(path): path for path in filter(None, inputs)}
     resolved = [(path, os.path.realpath(path)) for path in filter(None, [*files, *dirs])]
-    for out_dir in filter(None, dirs):
+    for out_dir, dot_paths in zip(dirs, dots):
         real_dots = _dot_paths(os.path.realpath(out_dir), n_dots)
         resolved += [(path, os.path.realpath(path) if os.path.islink(path) else real)
-                     for path, real in zip(_dot_paths(out_dir, n_dots), real_dots)]
+                     for path, real in zip(dot_paths, real_dots)]
     for path, real in resolved:
         if real in seen:
             raise plant.SchemaError(f"{seen[real]!r} and {path!r} are the same path; an "
                                     "output must not overwrite an input or another output")
         seen[real] = path
+
+
+def _write_dot(path: str, degrees) -> None:
+    """Write the DOT graph of seven alarm degrees to ``path``."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(render.emit_dot(degrees))
 
 
 #: Seed of ``--generate`` when ``--suite-seed`` is not given.
@@ -172,51 +187,59 @@ def cmd_detect(args) -> int:
     params = _load_plant(args.plant)
     cfg = fuzzy.load_config(args.config)
     scenario, inputs = plant.load_scenario(args.scenario)
-    times, resid = harness._simulate_residuals(scenario, params, inputs)
-    degrees, flags = fuzzy.DetectorKernel(cfg).run(resid)
+    try:
+        bank = harness.ResidualBank.from_suite([scenario], params, inputs)
+    except plant.SimulationDiverged as exc:
+        raise plant.SimulationDiverged(exc.variable, exc.t) from None
+    degrees, flags = fuzzy.DetectorKernel(cfg).run(bank.block)
     header = (["t"] + [f"deg_{v}" for v in plant.VARIABLES]
               + [f"flag_{v}" for v in plant.VARIABLES])
     plant.write_csv(header, ([t, *d, *f] for t, d, f in zip(
-        times.tolist(), degrees.tolist(), flags.tolist())), args.out)
+        bank.row_times.tolist(), degrees.tolist(), flags.tolist())), args.out)
     if args.dot:
-        with open(args.dot, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(render.emit_dot(degrees[-1]))
+        _write_dot(args.dot, degrees[-1])
     _write_run_config(args, args.out)
-    print(f"wrote degrees for {len(times)} samples to {args.out}")
+    print(f"wrote degrees for {len(bank.row_times)} samples to {args.out}")
     return EXIT_OK
 
 
-def _render_reports(out_dir: str, reports: list[harness.DetectionReport]) -> None:
-    os.makedirs(out_dir, exist_ok=True)
-    for path, rep in zip(_dot_paths(out_dir, len(reports)), reports):
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(render.emit_dot(rep.final_degrees))
+def _score(args, configs: list[tuple[str, str]], dirs: list[str | None],
+           **resolved) -> int:
+    """Score each (name, config file) of ``configs`` on one suite's residual
+    bank: write one metrics row per config to ``--out``, the first config's
+    reports to ``--reports`` (evaluate only), each config's DOT files in its
+    entry of ``dirs`` (None: none) and run.json, then print the table."""
+    params = _load_plant(args.plant)
+    detectors = [(name, fuzzy.load_config(path)) for name, path in configs]
+    suite, inputs, suite_seed = _resolve_suite(args, params)
+    reports_path = getattr(args, "reports", None)
+    _check_outputs([args.out, reports_path, args.out + ".run.json"], dirs,
+                   [*(path for _, path in configs), args.suite, args.plant], len(suite))
+    bank = harness.ResidualBank.from_suite(suite, params, inputs)
+    scored = [(name, *harness.evaluate_bank(cfg, bank)) for name, cfg in detectors]
+    rows = [harness.metrics_row(name, metrics) for name, _, metrics in scored]
+    harness.write_metrics_csv(rows, args.out)
+    if reports_path:
+        harness.write_reports_jsonl(scored[0][1], reports_path)
+    for out_dir, (_, reports, _) in zip(dirs, scored):
+        if out_dir:
+            os.makedirs(out_dir, exist_ok=True)
+            for path, rep in zip(_dot_paths(out_dir, len(reports)), reports):
+                _write_dot(path, rep.final_degrees)
+    _write_run_config(args, args.out, suite_seed=suite_seed, **resolved)
+    print(harness.format_table(rows))
+    return EXIT_OK
 
 
 def cmd_evaluate(args) -> int:
     if args.jobs != 1:
         raise plant.SchemaError(
             f"--jobs must be 1: a suite is built in one process, got {plant.shown(args.jobs)}")
-    params = _load_plant(args.plant)
-    cfg = fuzzy.load_config(args.config)
-    suite, inputs, suite_seed = _resolve_suite(args, params)
-    _check_outputs([args.out, args.reports, args.out + ".run.json"], [args.render],
-                   [args.config, args.suite, args.plant], len(suite))
-    bank = harness.ResidualBank.from_suite(suite, params, inputs)
-    reports, metrics = harness.evaluate_bank(cfg, bank)
     name = args.name or os.path.splitext(os.path.basename(args.config))[0]
-    harness.write_metrics_csv([harness.metrics_row(name, metrics)], args.out)
-    if args.reports:
-        harness.write_reports_jsonl(reports, args.reports)
-    if args.render:
-        _render_reports(args.render, reports)
-    _write_run_config(args, args.out, suite_seed=suite_seed, name=name)
-    print(harness.format_table([harness.metrics_row(name, metrics)]))
-    return EXIT_OK
+    return _score(args, [(name, args.config)], [args.render], name=name)
 
 
 def cmd_compare(args) -> int:
-    params = _load_plant(args.plant)
     configs = []
     for spec in args.configs:
         if "=" not in spec:
@@ -227,19 +250,11 @@ def cmd_compare(args) -> int:
             raise plant.SchemaError(f"--config NAME is empty in {plant.shown(spec)}")
         if any(name == seen for seen, _ in configs):
             raise plant.SchemaError(f"--config NAME {plant.shown(name)} is given twice")
-        configs.append((name, fuzzy.load_config(path)))
-    suite, inputs, suite_seed = _resolve_suite(args, params)
-    dirs = [os.path.join(args.render, name) for name, _ in configs] if args.render else []
-    _check_outputs([args.out, args.out + ".run.json"], dirs,
-                   [*(spec.split("=", 1)[1] for spec in args.configs), args.suite, args.plant],
-                   len(suite))
-    rows, reports = harness.compare(configs, suite, params, inputs)
-    for out_dir, config_reports in zip(dirs, reports):
-        _render_reports(out_dir, config_reports)
-    harness.write_metrics_csv(rows, args.out)
-    _write_run_config(args, args.out, suite_seed=suite_seed)
-    print(harness.format_table(rows))
-    return EXIT_OK
+        configs.append((name, path))
+    if len(configs) < 2:
+        raise plant.SchemaError("compare needs at least two configurations")
+    return _score(args, configs,
+                  [args.render and os.path.join(args.render, name) for name, _ in configs])
 
 
 def cmd_render(args) -> int:
@@ -249,15 +264,14 @@ def cmd_render(args) -> int:
     for i, (name, x) in enumerate(zip(plant.VARIABLES, values), 1):
         if not math.isfinite(x):
             raise plant.SchemaError(f"--degrees value {i} ({name}) is {x!r}, not a finite number")
+    _check_outputs([args.dot])
     no_color = args.no_color or bool(os.environ.get("NO_COLOR"))
     if args.ansi:
         sys.stdout.write(render.emit_ansi(values, no_color=no_color))
-    dot = render.emit_dot(values)
     if args.dot:
-        with open(args.dot, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(dot)
+        _write_dot(args.dot, values)
     elif not args.ansi:
-        sys.stdout.write(dot)
+        sys.stdout.write(render.emit_dot(values))
     return EXIT_OK
 
 

@@ -192,17 +192,6 @@ DERIVATIVE_TAU_FACTOR = 3.0
 DERIVATIVE_SPIKE_WINDOW = 3
 
 
-def _simulate_residuals(scenario: FaultScenario, params: PlantParams,
-                        inputs: tuple[float, float],
-                        ) -> tuple[np.ndarray, np.ndarray]:
-    """One scenario through ``plant.run`` and ``residual_trace``: the
-    per-scenario path that a ResidualBank build equals bit for bit."""
-    trace = plant.run(scenario, params, inputs)
-    return residuals.residual_trace(trace, params,
-                                    tau=DERIVATIVE_TAU_FACTOR * scenario.dt,
-                                    spike_window=DERIVATIVE_SPIKE_WINDOW)
-
-
 #: Scenarios simulated together in one array pass of a bank build. Bigger
 #: blocks amortize the per-step Python overhead further; the cap bounds the
 #: working set of a 1,000+-scenario build to a few MB.
@@ -391,23 +380,6 @@ def evaluate_bank(cfg: DetectorConfig, bank: ResidualBank,
     proper_rate, mean_delay = _rates(labels, delays)
     return reports, SuiteMetrics(proper_rate, mean_delay,
                                  dict(zip(CLASSIFICATIONS, counts)))
-
-
-def compare(configs: Sequence[tuple[str, DetectorConfig]],
-            suite: Sequence[FaultScenario], params: PlantParams,
-            inputs: tuple[float, float] = OPERATING_POINT,
-            ) -> tuple[list[dict], list[list[DetectionReport]]]:
-    """Side-by-side metrics rows of several configurations on one suite,
-    and each configuration's per-scenario reports."""
-    if len(configs) < 2:
-        raise ValueError("compare needs at least two configurations")
-    bank = ResidualBank.from_suite(suite, params, inputs)
-    rows, reports = [], []
-    for name, cfg in configs:
-        config_reports, metrics = evaluate_bank(cfg, bank)
-        rows.append(metrics_row(name, metrics))
-        reports.append(config_reports)
-    return rows, reports
 
 
 #: The columns of the metrics CSV and table: the config's name, the suite

@@ -19,6 +19,7 @@ from ``dataclasses.fields`` and the fields' type hints.
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import json
 import math
@@ -180,11 +181,12 @@ def _cell(x) -> str:
 
 def write_csv(header: Sequence[str], rows: Iterable[Sequence], path: str) -> None:
     """Write ``header`` and ``rows`` as CSV: floats at full precision
-    (``repr``), booleans as 0/1 and anything else as ``str``."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(map(_cell, row)) + "\n")
+    (``repr``), booleans as 0/1 and anything else as ``str``, quoted where
+    it holds a comma, quote or line break."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        out = csv.writer(fh, lineterminator="\n")
+        out.writerow(header)
+        out.writerows(map(_cell, row) for row in rows)
 
 
 @dataclass(frozen=True)
@@ -420,7 +422,8 @@ def steady_state(inputs: tuple[float, float],
     jacobian = np.array([_derivatives(unit, (0.0, 0.0), rc, params, "linear")
                          for unit in np.eye(3).tolist()]).T
     constant = np.array(_derivatives((0.0, 0.0, 0.0), inputs, rc, params, "linear"))
-    return tuple(float(x) for x in np.linalg.solve(jacobian, -constant))
+    # + 0.0: a zero pressure is +0.0 whatever sign LAPACK's pivoting leaves
+    return tuple(float(x) + 0.0 for x in np.linalg.solve(jacobian, -constant))
 
 
 def _signals(de: np.ndarray, rc: np.ndarray, inputs: tuple[float, float],

@@ -14,9 +14,12 @@ state and ``tankfdi.plant.run`` must reproduce row for row from the
 steady state; and the valve law on ``math`` floats, ``valve_flow``,
 which ``tankfdi.plant._flows`` must equal on floats and on arrays. The
 DOT graph line by line, as ``tankfdi.render.emit_dot`` must write it.
-Last, the accessors and fixtures only tests use: the residual fault
-directions, a variable's signature row, a de-tuned detector, a bank's
-per-scenario rows, and plain forms of plant parameters, frames and trace
+One scenario's conditioned residuals through ``tankfdi.plant.run`` and
+``residual_trace``, ``simulate_residuals``, which a ``ResidualBank`` build
+must equal bit for bit. Last, the accessors and fixtures only tests use:
+the residual fault directions, a variable's signature row, a de-tuned
+detector, a bank's per-scenario rows, the metrics rows of several configs
+on one suite, and plain forms of plant parameters, frames and trace
 columns.
 """
 
@@ -29,9 +32,11 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
+from tankfdi import plant, residuals
 from tankfdi.fuzzy import (DetectorConfig, InputPartition, OutputPartition, Rule,
                           RuleBase, params_to_config)
-from tankfdi.harness import ResidualBank
+from tankfdi.harness import (DERIVATIVE_SPIKE_WINDOW, DERIVATIVE_TAU_FACTOR, DetectionReport,
+                             ResidualBank, evaluate_bank, metrics_row)
 from tankfdi.plant import (NOISY_PARAMS, VARIABLE_INDEX, VARIABLES, FaultEvent,
                            FaultScenario, MeasurementFrame, PlantParams,
                            SimulationDiverged, Trace, _flows, _rk4)
@@ -375,3 +380,24 @@ def bank_traces(bank: ResidualBank) -> list[tuple[np.ndarray, np.ndarray]]:
     ``row_times`` and ``block``."""
     bounds = zip(bank.offsets[:-1].tolist(), bank.offsets[1:].tolist())
     return [(bank.row_times[lo:hi], bank.block[lo:hi]) for lo, hi in bounds]
+
+
+def simulate_residuals(scenario: FaultScenario, params: PlantParams,
+                       inputs: tuple[float, float]) -> tuple[np.ndarray, np.ndarray]:
+    """One scenario through ``plant.run`` and ``residual_trace``: the
+    per-scenario path that a ResidualBank build equals bit for bit."""
+    trace = plant.run(scenario, params, inputs)
+    return residuals.residual_trace(trace, params,
+                                    tau=DERIVATIVE_TAU_FACTOR * scenario.dt,
+                                    spike_window=DERIVATIVE_SPIKE_WINDOW)
+
+
+def compare(configs: Sequence[tuple[str, DetectorConfig]], suite: Sequence[FaultScenario],
+            params: PlantParams, inputs: tuple[float, float],
+            ) -> tuple[list[dict], list[list[DetectionReport]]]:
+    """Side-by-side metrics rows of several (name, config) pairs on one
+    suite's bank, and each config's per-scenario reports."""
+    bank = ResidualBank.from_suite(suite, params, inputs)
+    scored = [(name, *evaluate_bank(cfg, bank)) for name, cfg in configs]
+    return ([metrics_row(name, metrics) for name, _, metrics in scored],
+            [reports for _, reports, _ in scored])

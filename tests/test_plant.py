@@ -276,6 +276,14 @@ class TestSteadyState:
         assert plant.steady_state(OPERATING_INPUTS, PlantParams()) == (
             0.8444444444444444, 0.26666666666666666, 0.7111111111111111)
 
+    @pytest.mark.parametrize("params", [PlantParams(), PlantParams(R2=0.5, R3=2.0)],
+                             ids=["default", "other"])
+    def test_zero_inputs_give_positive_zeros(self, params):
+        # LAPACK's pivoting may leave -0.0, which a trace would print
+        pressures = plant.steady_state((0.0, 0.0), params)
+        assert pressures == (0.0, 0.0, 0.0)
+        assert [math.copysign(1.0, p) for p in pressures] == [1.0, 1.0, 1.0]
+
     def test_derivatives_vanish(self, rng):
         for _ in range(200):
             r = np.exp(rng.uniform(-3, 3, 8))

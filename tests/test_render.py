@@ -108,7 +108,7 @@ class TestEmitDot:
         events = (plant.FaultEvent("De2", 5.0, 2.5),
                   plant.FaultEvent("Msf2", 5.0, 2.5))
         sc = plant.FaultScenario(seed=2, duration=15.0, dt=0.1, events=events)
-        _, resid = harness._simulate_residuals(sc, params, OPERATING_INPUTS)
+        _, resid = oracle.simulate_residuals(sc, params, OPERATING_INPUTS)
         degrees, _ = fuzzy.DetectorKernel(tuned_cfg).run(resid)
         dot = emit_dot(degrees[-1])
         assert self.node_red_channel(dot, "De2") == 0xFF
@@ -121,7 +121,7 @@ class TestEmitDot:
         events = (plant.FaultEvent("De1", 5.0, 2.5),
                   plant.FaultEvent("Msf2", 5.0, 2.5))
         sc = plant.FaultScenario(seed=2, duration=15.0, dt=0.1, events=events)
-        _, resid = harness._simulate_residuals(sc, params, OPERATING_INPUTS)
+        _, resid = oracle.simulate_residuals(sc, params, OPERATING_INPUTS)
         degrees, _ = fuzzy.DetectorKernel(tuned_cfg).run(resid)
         dot = emit_dot(degrees[-1])
         assert self.node_red_channel(dot, "De1") == 0xFF
