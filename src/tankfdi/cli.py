@@ -8,6 +8,9 @@ simulates or writes anything, so an output or ``--render`` DOT file that
 is a directory, an output that lies in no directory, or an output or DOT
 file that resolves to the same file or directory as another output or as
 one of the command's inputs, fails the command without a partial output.
+A compare NAME is also its directory under ``--render``, so a NAME that is
+``.`` or ``..`` or holds a path separator fails the command, with or
+without ``--render``.
 Evaluate and compare score their configs through one function on one
 ``ResidualBank``; detect reads its scenario's residuals from a bank too.
 Exit codes: 0 success, 2 usage/config error, 3 simulation divergence.
@@ -34,7 +37,8 @@ EXIT_DIVERGED = 3
 def _load_plant(path: str | None) -> plant.PlantParams:
     if path is None:
         return plant.PlantParams()
-    return plant.PlantParams.from_dict(plant.read_json(path, "plant config"))
+    return plant.from_json(plant.PlantParams, plant.read_json(path, "plant config"),
+                           "plant config")
 
 
 def _write_run_config(args, path: str, omit=(), **resolved) -> None:
@@ -248,6 +252,9 @@ def cmd_compare(args) -> int:
         name, path = spec.split("=", 1)
         if not name:
             raise plant.SchemaError(f"--config NAME is empty in {plant.shown(spec)}")
+        if name in (".", "..") or any(sep and sep in name for sep in ("/", os.sep, os.altsep)):
+            raise plant.SchemaError(f"--config NAME {plant.shown(name)} is not a directory "
+                                    "name: it is '.' or '..' or holds a path separator")
         if any(name == seen for seen, _ in configs):
             raise plant.SchemaError(f"--config NAME {plant.shown(name)} is given twice")
         configs.append((name, path))
@@ -395,9 +402,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except plant.SchemaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except plant.SimulationDiverged as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIVERGED

@@ -423,20 +423,12 @@ def config_to_params(cfg: DetectorConfig) -> np.ndarray:
     return out
 
 
-def config_to_dict(cfg: DetectorConfig) -> dict:
-    return to_json(cfg)
-
-
-def config_from_dict(obj: dict) -> DetectorConfig:
-    return from_json(DetectorConfig, obj, "detector config")
-
-
 def save_config(cfg: DetectorConfig, path: str) -> None:
-    write_json(config_to_dict(cfg), path)
+    write_json(to_json(cfg), path)
 
 
 def load_config(path: str) -> DetectorConfig:
-    return config_from_dict(read_json(path, "detector config"))
+    return from_json(DetectorConfig, read_json(path, "detector config"), "detector config")
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ import numpy as np
 
 from . import fuzzy, plant, residuals
 from .fuzzy import DetectorConfig, DetectorKernel, RuleBase
-from .plant import OPERATING_POINT, FaultEvent, FaultScenario, PlantParams, SchemaError, VARIABLES
+from .plant import OPERATING_POINT, FaultEvent, FaultScenario, Inputs, PlantParams, VARIABLES
 
 CLASSIFICATIONS = ("proper", "missed", "bad", "false_alarm")
 
@@ -429,29 +429,23 @@ def write_reports_jsonl(reports: Sequence[DetectionReport], path: str) -> None:
 # ---------------------------------------------------------------------------
 # Suite files
 
-def suite_to_dict(suite: Sequence[FaultScenario],
-                  inputs: tuple[float, float] = OPERATING_POINT) -> dict:
-    return {
-        "schema": 1,
-        "inputs": plant.inputs_to_dict(inputs),
-        "scenarios": [plant.scenario_to_dict(sc) for sc in suite],
-    }
+@dataclass(frozen=True)
+class SuiteFile:
+    """A suite file: its scenarios and the operating inputs they share."""
 
+    scenarios: tuple[FaultScenario, ...]
+    inputs: Inputs = Inputs(*OPERATING_POINT)
 
-def suite_from_dict(obj: dict) -> tuple[list[FaultScenario], tuple[float, float]]:
-    plant.check_fields(obj, "suite", ("inputs", "scenarios"), required=("scenarios",),
-                       lists=("scenarios",))
-    if not obj["scenarios"]:
-        raise SchemaError("suite has no scenarios")
-    scenarios = [plant.scenario_from_dict(sc, f"suite scenarios[{i}]")
-                 for i, sc in enumerate(obj["scenarios"])]
-    return scenarios, plant.parse_inputs(obj, "suite")
+    def __post_init__(self):
+        if not self.scenarios:
+            raise ValueError("suite has no scenarios")
 
 
 def save_suite(suite: Sequence[FaultScenario], path: str,
                inputs: tuple[float, float] = OPERATING_POINT) -> None:
-    plant.write_json(suite_to_dict(suite, inputs), path)
+    plant.write_json(plant.to_json(SuiteFile(tuple(suite), Inputs(*inputs))), path)
 
 
 def load_suite(path: str) -> tuple[list[FaultScenario], tuple[float, float]]:
-    return suite_from_dict(plant.read_json(path, "suite"))
+    suite = plant.from_json(SuiteFile, plant.read_json(path, "suite"), "suite")
+    return list(suite.scenarios), (suite.inputs.Msf1, suite.inputs.Msf2)

@@ -13,8 +13,10 @@ Every module's file handling is also here: ``check_fields`` (the rule of
 every JSON input object), ``json_value`` (the type rule of every JSON
 value), ``shown`` (how an error echoes a value), ``read_json``,
 ``write_json`` and ``write_csv``. Each JSON file format is declared once,
-by its dataclass: ``to_json`` writes and ``from_json`` reads any of them
-from ``dataclasses.fields`` and the fields' type hints.
+by its dataclass (``Inputs`` is the ``inputs`` object of a scenario or
+suite file): ``to_json`` writes and ``from_json`` reads any of them from
+``dataclasses.fields`` and the fields' type hints. A nested object holds
+no ``schema`` of its own.
 """
 
 from __future__ import annotations
@@ -110,24 +112,30 @@ def json_value(value, tp: type, owner: str, key: str):
 @lru_cache(maxsize=None)
 def _layout(cls) -> tuple[dict, tuple, tuple]:
     """Dataclass ``cls`` as JSON sees it, resolved once per class: (type,
-    item) by field name, with item X for a ``tuple[X, ...]`` field (a list
-    of X objects) else None; the fields with no default; the tuple fields."""
+    form) by field name, with form "list" for a ``tuple[X, ...]`` field (a
+    list of X objects, type X), "object" for a dataclass field (one object)
+    and None for a value; the fields with no default; the tuple fields."""
     hints = typing.get_type_hints(cls)
-    fields = {f.name: (hints[f.name], (typing.get_args(hints[f.name]) or (None,))[0])
-              for f in dataclasses.fields(cls)}
+    fields = {}
+    for f in dataclasses.fields(cls):
+        tp, args = hints[f.name], typing.get_args(hints[f.name])
+        fields[f.name] = ((args[0], "list") if args else
+                          (tp, "object" if dataclasses.is_dataclass(tp) else None))
     required = tuple(f.name for f in dataclasses.fields(cls)
                      if f.default is f.default_factory is dataclasses.MISSING)
-    return fields, required, tuple(name for name, (_, item) in fields.items() if item)
+    return fields, required, tuple(name for name, (_, form) in fields.items() if form == "list")
 
 
 def to_json(obj, schema: bool = True) -> dict:
     """The JSON object of dataclass instance ``obj``: each field under its
-    name, a tuple field as a list of its items' objects (which hold no
-    ``schema``), and ``"schema": 1`` if ``schema``."""
+    name, a tuple field as a list of its items' objects and a dataclass
+    field as its object (neither of which holds a ``schema``), and
+    ``"schema": 1`` if ``schema``."""
     out = {"schema": 1} if schema else {}
-    for name, (_, item) in _layout(type(obj))[0].items():
+    for name, (_, form) in _layout(type(obj))[0].items():
         value = getattr(obj, name)
-        out[name] = [to_json(v, False) for v in value] if item else value
+        out[name] = ([to_json(v, False) for v in value] if form == "list" else
+                     to_json(value, False) if form == "object" else value)
     return out
 
 
@@ -135,20 +143,23 @@ def from_json(cls, obj, owner: str, extra: Sequence[str] = ()):
     """The instance of dataclass ``cls`` that JSON object ``obj`` holds.
 
     ``obj`` follows ``check_fields`` with the fields of ``cls``: those with
-    no default are required, and a tuple field is a list of objects read
-    the same way. Values follow ``json_value``. ``obj`` may also hold the
-    keys in ``extra``, which the caller reads. A ``ValueError`` from
-    ``cls`` is a SchemaError naming ``owner``.
+    no default are required, a tuple field is a list of objects read the
+    same way, and a dataclass field is one such object, read with the owner
+    ``"<owner> field '<name>'"``. Values follow ``json_value``. ``obj`` may
+    also hold the keys in ``extra``, which the caller reads. A
+    ``ValueError`` from ``cls`` is a SchemaError naming ``owner``.
     """
     fields, required, lists = _layout(cls)
     check_fields(obj, owner, [*fields, *extra] if extra else fields, required, lists)
     kwargs = {}
-    for name, (tp, item) in fields.items():
+    for name, (tp, form) in fields.items():
         if name in obj:
             value = obj[name]
-            if item:
-                value = tuple([from_json(item, v, f"{owner} {name}[{i}]")
+            if form == "list":
+                value = tuple([from_json(tp, v, f"{owner} {name}[{i}]")
                                for i, v in enumerate(value)])
+            elif form == "object":
+                value = from_json(tp, value, f"{owner} field {name!r}")
             elif type(value) is not tp:   # a value of type tp passes json_value as it is
                 value = json_value(value, tp, owner, name)
             kwargs[name] = value
@@ -222,10 +233,6 @@ class PlantParams:
             raise ValueError("PlantParams.az must be in (0, 1]")
         if self.S_conn <= 0 or self.g <= 0 or self.rho <= 0:
             raise ValueError("PlantParams S_conn, g and rho must be positive")
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "PlantParams":
-        return from_json(cls, obj, "plant config")
 
 
 @dataclass(frozen=True)
@@ -561,33 +568,18 @@ def simulate_suite(suite: Sequence[FaultScenario], params: PlantParams,
 # ---------------------------------------------------------------------------
 # JSON / CSV interfaces
 
-def scenario_to_dict(scenario: FaultScenario) -> dict:
-    return to_json(scenario)
+@dataclass(frozen=True)
+class Inputs:
+    """The ``inputs`` object of a scenario or suite file: the constant
+    source flows of the operating point."""
 
+    Msf1: float
+    Msf2: float
 
-def scenario_from_dict(obj: dict, owner: str = "scenario") -> FaultScenario:
-    return from_json(FaultScenario, obj, owner)
-
-
-#: The keys of an ``inputs`` object: the source flows, in VARIABLES order.
-_SOURCES = VARIABLES[:2]
-
-
-def inputs_to_dict(inputs: tuple[float, float]) -> dict:
-    """The ``inputs`` object of a scenario or suite file."""
-    return dict(zip(_SOURCES, inputs))
-
-
-def parse_inputs(obj: dict, owner: str) -> tuple[float, float]:
-    """Operating inputs (Msf1, Msf2) of a scenario or suite file object."""
-    if "inputs" not in obj:
-        return OPERATING_POINT
-    inputs, where = obj["inputs"], f"{owner} field 'inputs'"
-    check_fields(inputs, where, _SOURCES, required=_SOURCES)
-    pair = tuple(json_value(inputs[key], float, where, key) for key in _SOURCES)
-    if not all(math.isfinite(v) for v in pair):
-        raise SchemaError(f"{where} must hold finite Msf1 and Msf2")
-    return pair
+    def __post_init__(self):
+        for name in ("Msf1", "Msf2"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"Inputs.{name} must be finite")
 
 
 def load_scenario(path: str) -> tuple[FaultScenario, tuple[float, float]]:
@@ -595,7 +587,10 @@ def load_scenario(path: str) -> tuple[FaultScenario, tuple[float, float]]:
     obj = read_json(path, "scenario")
     # only a file's top level holds ``inputs``, not a scenario in a suite
     scenario = from_json(FaultScenario, obj, "scenario", ("inputs",))
-    return scenario, parse_inputs(obj, "scenario")
+    if "inputs" not in obj:
+        return scenario, OPERATING_POINT
+    inputs = from_json(Inputs, obj["inputs"], "scenario field 'inputs'")
+    return scenario, (inputs.Msf1, inputs.Msf2)
 
 
 def write_trace_csv(trace: Trace, path: str) -> None:

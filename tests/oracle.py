@@ -361,7 +361,7 @@ def detuned_config() -> DetectorConfig:
 
 
 def plant_params_dict(params: PlantParams) -> dict:
-    """A plant config object, as ``PlantParams.from_dict`` reads it."""
+    """A plant config object, as ``plant.from_json`` reads it for ``PlantParams``."""
     return {"schema": 1, **{k: getattr(params, k) for k in params.__dataclass_fields__}}
 
 

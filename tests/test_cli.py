@@ -339,7 +339,7 @@ class TestDetect:
             events=(plant.FaultEvent("Msf1", 4.0, 1.8),
                     plant.FaultEvent("Msf2", 6.0, 0.2, "ramp")))
         scenario_path, suite_path = tmp_path / "scenario.json", tmp_path / "suite.json"
-        scenario_path.write_text(json.dumps(plant.scenario_to_dict(scenario)))
+        scenario_path.write_text(json.dumps(plant.to_json(scenario)))
         harness.save_suite([scenario], str(suite_path))
         out, dot, dots = tmp_path / "d.csv", tmp_path / "d.dot", tmp_path / "dots"
         assert main(["detect", "--config", config_file, "--scenario", str(scenario_path),
@@ -443,6 +443,21 @@ class TestCompare:
         assert code == 2
         assert "NAME is empty" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("name", ["absolute", "..", ".", "a/b"],
+                             ids=["absolute", "dotdot", "dot", "slash"])
+    def test_name_that_leaves_its_render_dir_exits_2(self, tmp_path, config_file,
+                                                     suite_file, name, capsys):
+        # a NAME is its directory under --render: with or without --render,
+        # one that would resolve elsewhere exits 2 before anything is written
+        if name == "absolute":
+            name = str(tmp_path / "outside")
+        argv = ["compare", "--config", f"{name}={config_file}", "--config",
+                f"b={config_file}", "--suite", suite_file, "--out", str(tmp_path / "cmp.csv")]
+        for render_args in ([], ["--render", str(tmp_path / "R" / "sub")]):
+            assert main(argv + render_args) == 2
+            assert "is not a directory name" in capsys.readouterr().err
+            assert sorted(os.listdir(tmp_path)) == ["cfg.json", "suite.json"]
 
     def test_render_flag_writes_per_config_dirs(self, tmp_path, config_file,
                                                 suite_file):
@@ -622,9 +637,9 @@ MALFORMED_INPUTS = {
     "events_not_list": ("scenario", {"schema": 1, "events": 5}, "'events' must be a list"),
     "event_field_typo": ("scenario", {"schema": 1, "events": [
         {"target": "De1", "start": 1.0, "magnitude": 0.5, "profle": "ramp"}]}, "['profle']"),
-    "config_field_typo": ("config", {**fuzzy.config_to_dict(
+    "config_field_typo": ("config", {**plant.to_json(
         fuzzy.example_tuned_config("swarm")), "debouce": 9}, "['debouce']"),
-    "config_rulebase_field": ("config", {**fuzzy.config_to_dict(
+    "config_rulebase_field": ("config", {**plant.to_json(
         fuzzy.example_tuned_config("swarm")), "rulebase": 2}, "['rulebase']"),
     "suite_field_typo": ("suite", {"schema": 1, "input": {"Msf1": 1.2, "Msf2": 0.6},
                                    "scenarios": [{"schema": 1, "duration": 2.0}]}, "['input']"),
@@ -649,13 +664,13 @@ MALFORMED_INPUTS = {
     "event_magnitude_bool": ("scenario", {"schema": 1, "duration": 2.0, "events": [
         {"target": "De1", "start": 1.0, "magnitude": True}]},
         "scenario events[0] field 'magnitude' must be a number"),
-    "config_debounce_fraction": ("config", {**fuzzy.config_to_dict(
+    "config_debounce_fraction": ("config", {**plant.to_json(
         fuzzy.example_tuned_config("swarm")), "debounce": 3.7},
         "detector config field 'debounce' must be an integer"),
-    "config_max_fault_order_fraction": ("config", {**fuzzy.config_to_dict(
+    "config_max_fault_order_fraction": ("config", {**plant.to_json(
         fuzzy.example_tuned_config("swarm")), "max_fault_order": 2.9},
         "detector config field 'max_fault_order' must be an integer"),
-    "config_alarm_threshold_string": ("config", {**fuzzy.config_to_dict(
+    "config_alarm_threshold_string": ("config", {**plant.to_json(
         fuzzy.example_tuned_config("swarm")), "alarm_threshold": "0.5"},
         "detector config field 'alarm_threshold' must be a number"),
     "plant_R1_bool": ("plant", {"schema": 1, "R1": True},
@@ -663,7 +678,7 @@ MALFORMED_INPUTS = {
     "scenario_schema_bool": ("scenario", {"schema": True, "duration": 2.0},
                              "unsupported scenario schema True"),
     # an echoed value is shortened past 80 characters: the message stays short
-    "config_max_fault_order_huge": ("config", {**fuzzy.config_to_dict(
+    "config_max_fault_order_huge": ("config", {**plant.to_json(
         fuzzy.example_tuned_config("swarm")), "max_fault_order": 10**400},
         "max_fault_order must be 2, got 1000"),
     "scenario_seed_huge": ("scenario", {"schema": 1, "seed": -10**400, "duration": 2.0},
@@ -690,8 +705,9 @@ class TestMalformedInput:
         bad_kind, content, message = MALFORMED_INPUTS[case]
         files = {"plant": {"schema": 1, "R2": 2.5},
                  "scenario": {"schema": 1, "duration": 2.0},
-                 "config": fuzzy.config_to_dict(fuzzy.example_tuned_config("swarm")),
-                 "suite": harness.suite_to_dict(harness.generate_suite(2, seed=1)),
+                 "config": plant.to_json(fuzzy.example_tuned_config("swarm")),
+                 "suite": plant.to_json(harness.SuiteFile(
+                     tuple(harness.generate_suite(2, seed=1)))),
                  bad_kind: content}
         paths = {}
         for kind, obj in files.items():
@@ -786,7 +802,7 @@ class TestMalformedInput:
     def test_config_fault_order_other_than_2_exits_2(self, tmp_path, scenario_file,
                                                      command, order, capsys):
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({**fuzzy.config_to_dict(
+        path.write_text(json.dumps({**plant.to_json(
             fuzzy.example_tuned_config("swarm")), "max_fault_order": order}))
         out = tmp_path / "out.csv"
         source = ["--generate", "3"] if command == "evaluate" else ["--scenario", scenario_file]
@@ -873,7 +889,12 @@ class TestOutputErrors:
                                              case, capsys):
         # in each case one output would overwrite another output or an input
         before = Path(config_file).read_bytes()
-        out = str(tmp_path / "m.csv")
+        out, render_dir = str(tmp_path / "m.csv"), tmp_path / "R"
+        if case == "compare_render_dirs":
+            # a NAME holds no path separator, so two render directories
+            # meet only through a link: R/b names R/a
+            render_dir.mkdir()
+            (render_dir / "b").symlink_to("a")
         argv, paths = {
             "simulate_both_outputs": (
                 ["simulate", "--scenario", scenario_file, "--out-trace", out,
@@ -885,12 +906,16 @@ class TestOutputErrors:
                 ["evaluate", "--config", config_file, "--generate", "3",
                  "--out", config_file], (config_file, config_file)),
             "compare_render_dirs": (
-                ["compare", "--config", f"a={config_file}", "--config", f"./a={config_file}",
-                 "--generate", "3", "--out", out, "--render", str(tmp_path / "R")],
-                (str(tmp_path / "R" / "a"), os.path.join(tmp_path, "R", "./a"))),
+                ["compare", "--config", f"a={config_file}", "--config", f"b={config_file}",
+                 "--generate", "3", "--out", out, "--render", str(render_dir)],
+                (str(render_dir / "a"), str(render_dir / "b"))),
         }[case]
         assert main(argv) == 2
         assert f"{paths[0]!r} and {paths[1]!r}" in capsys.readouterr().err
+        if case == "compare_render_dirs":
+            assert os.listdir(render_dir) == ["b"]
+            render_dir.joinpath("b").unlink()
+            render_dir.rmdir()
         assert sorted(os.listdir(tmp_path)) == ["cfg.json", "scenario.json"]
         assert Path(config_file).read_bytes() == before
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from tankfdi import fuzzy
+from tankfdi import fuzzy, plant
 from tankfdi.fuzzy import (DetectorConfig, Detector, DetectorKernel,
                            InputPartition, OutputPartition, Rule,
                            build_rulebase, config_to_params, params_to_config)
@@ -237,10 +237,10 @@ class TestRuleBase:
     def test_invalid_order_rejected(self, tuned_cfg):
         # a config file records the one fault order, 2, or none
         for order in (0, 1, 3, 8):
-            obj = {**fuzzy.config_to_dict(tuned_cfg), "max_fault_order": order}
+            obj = {**plant.to_json(tuned_cfg), "max_fault_order": order}
             with pytest.raises(fuzzy.SchemaError,
                                match=f"max_fault_order must be 2, got {order}"):
-                fuzzy.config_from_dict(obj)
+                plant.from_json(DetectorConfig, obj, "detector config")
 
     def test_one_rule_base_per_order(self, tmp_path, tuned_cfg):
         assert build_rulebase() is build_rulebase()
@@ -249,9 +249,10 @@ class TestRuleBase:
         assert DetectorKernel(fuzzy.load_config(path)).program is build_rulebase().program
 
     def test_config_without_fault_order_loads_the_rule_base(self, tuned_cfg):
-        obj = fuzzy.config_to_dict(tuned_cfg)
+        obj = plant.to_json(tuned_cfg)
         assert obj.pop("max_fault_order") == 2
-        assert DetectorKernel(fuzzy.config_from_dict(obj)).program is build_rulebase().program
+        cfg = plant.from_json(DetectorConfig, obj, "detector config")
+        assert DetectorKernel(cfg).program is build_rulebase().program
 
 
 class TestInfer:
@@ -469,10 +470,11 @@ class TestParamsConfig:
         assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
 
     def test_config_without_fault_order_loads_equal(self, tuned_cfg):
-        obj = fuzzy.config_to_dict(tuned_cfg)
+        obj = plant.to_json(tuned_cfg)
         assert obj["max_fault_order"] == 2
         without = {key: value for key, value in obj.items() if key != "max_fault_order"}
-        assert fuzzy.config_from_dict(without) == fuzzy.config_from_dict(obj) == tuned_cfg
+        assert (plant.from_json(DetectorConfig, without, "detector config")
+                == plant.from_json(DetectorConfig, obj, "detector config") == tuned_cfg)
 
     def test_config_json_schema_errors(self, tmp_path):
         path = tmp_path / "bad.json"

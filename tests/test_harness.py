@@ -522,6 +522,13 @@ class TestSuiteFiles:
         loaded, inputs = harness.load_suite(str(path))
         assert loaded == suite
         assert inputs == (1.0, 0.8)
+        # scenarios that hold their own "schema": 1, as older versions
+        # wrote them, load the same
+        obj = json.loads(path.read_text())
+        assert all("schema" not in sc for sc in obj["scenarios"])
+        obj["scenarios"] = [{"schema": 1, **sc} for sc in obj["scenarios"]]
+        path.write_text(json.dumps(obj))
+        assert harness.load_suite(str(path)) == (loaded, inputs)
 
     @pytest.mark.parametrize("kind", ["swarm", "genetic", "suite"])
     def test_save_load_save_is_byte_identical(self, tmp_path, kind):

@@ -33,7 +33,7 @@ class TestParams:
             PlantParams(az=0.0)
 
     def test_dict_round_trip(self, params):
-        assert PlantParams.from_dict(plant_params_dict(params)) == params
+        assert plant.from_json(PlantParams, plant_params_dict(params), "plant config") == params
 
 
 class TestStep:
@@ -399,23 +399,24 @@ class TestScenarioJson:
                            noise_std_C=0.01,
                            events=(FaultEvent("De2", 4.0, -1.2),
                                    FaultEvent("Df2", 4.0, 0.6, "ramp")))
-        assert plant.scenario_from_dict(plant.scenario_to_dict(sc)) == sc
+        assert plant.from_json(FaultScenario, plant.to_json(sc), "scenario") == sc
 
     def test_missing_event_field_named(self):
         obj = {"schema": 1, "duration": 5, "dt": 0.1,
                "events": [{"target": "De1", "start": 1.0}]}
         with pytest.raises(plant.SchemaError) as err:
-            plant.scenario_from_dict(obj)
+            plant.from_json(FaultScenario, obj, "scenario")
         assert "magnitude" in str(err.value)
 
     def test_unknown_field_rejected(self):
         with pytest.raises(plant.SchemaError) as err:
-            plant.scenario_from_dict({"schema": 1, "durration": 5})
+            plant.from_json(FaultScenario, {"schema": 1, "durration": 5},
+                            "scenario")
         assert "durration" in str(err.value)
 
     def test_bad_schema_version(self):
         with pytest.raises(plant.SchemaError):
-            plant.scenario_from_dict({"schema": 99})
+            plant.from_json(FaultScenario, {"schema": 99}, "scenario")
 
 
 class TestTraceCsv:
