@@ -29,6 +29,7 @@ the pattern cannot implicate.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache, cached_property
@@ -36,39 +37,40 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .plant import VARIABLES, SchemaError, from_json, read_json, shown, to_json, write_json
+from .plant import (MAX_STEPS, VARIABLES, SchemaError, from_json, read_json, shown, to_json,
+                    write_json)
 from .residuals import signature_matrix
 
 #: Premise constraints a rule may place on one residual.
 CONSTRAINTS = ("Z", "nonZ", "any")
 
-DEFAULT_BETA = 25.0
 DEFAULT_ALARM_THRESHOLD = 0.5
 DEFAULT_DEBOUNCE = 3
-#: Largest candidate fault set of the rule base, recorded in config files.
+#: Largest candidate fault set of the rule base.
 FAULT_ORDER = 2
 
 
 @dataclass(frozen=True)
 class InputPartition:
-    """Symmetric trapezoid boundaries for one residual, plus domain bound."""
+    """Symmetric trapezoid boundaries for one residual. PB and NB reach to
+    infinity: the partition needs no domain bound."""
 
     a1: float
     a2: float
     a3: float
     a4: float
-    beta: float = DEFAULT_BETA
 
     def __post_init__(self):
-        if not (0 < self.a1 < self.a2 <= self.a3 < self.a4 <= self.beta):
+        if not 0 < self.a1 < self.a2 <= self.a3 < self.a4 < math.inf:
             raise ValueError(
-                "input partition requires 0 < a1 < a2 <= a3 < a4 <= beta, got "
-                f"({self.a1}, {self.a2}, {self.a3}, {self.a4}, beta={self.beta})")
+                "input partition requires 0 < a1 < a2 <= a3 < a4 < inf, got "
+                f"({self.a1}, {self.a2}, {self.a3}, {self.a4})")
 
 
 @dataclass(frozen=True)
 class OutputPartition:
-    """OK/AL boundaries on one variable's deviation axis: a < b <= 0 <= c < d."""
+    """OK/AL boundaries on one variable's deviation axis: a < b <= 0 <= c < d,
+    with a finite support d - a."""
 
     a: float
     b: float
@@ -76,9 +78,9 @@ class OutputPartition:
     d: float
 
     def __post_init__(self):
-        if not (self.a < self.b <= 0.0 <= self.c < self.d):
+        if not (self.a < self.b <= 0.0 <= self.c < self.d and math.isfinite(self.d - self.a)):
             raise ValueError(
-                f"output partition requires a < b <= 0 <= c < d, got "
+                f"output partition requires a < b <= 0 <= c < d with d - a finite, got "
                 f"({self.a}, {self.b}, {self.c}, {self.d})")
 
     @property
@@ -338,31 +340,28 @@ def build_rulebase() -> RuleBase:
 
 @dataclass(frozen=True)
 class DetectorConfig:
-    """The full 48-parameter detector plus decision settings.
+    """The full 48-parameter detector plus decision settings: 50 values.
 
-    The rule base is ``build_rulebase()``, which no config carries;
-    ``max_fault_order`` records it in config files and has one legal
-    value, ``FAULT_ORDER``.
+    The rule base is ``build_rulebase()``, which no config carries. A
+    ``debounce`` longer than ``MAX_STEPS``, the longest trace, could never
+    flag.
     """
 
     input_partitions: tuple[InputPartition, ...]
     output_partitions: tuple[OutputPartition, ...]
     alarm_threshold: float = DEFAULT_ALARM_THRESHOLD
     debounce: int = DEFAULT_DEBOUNCE
-    max_fault_order: int = FAULT_ORDER
 
     def __post_init__(self):
-        if self.max_fault_order != FAULT_ORDER:
-            raise ValueError(
-                f"max_fault_order must be {FAULT_ORDER}, got {shown(self.max_fault_order)}")
         if len(self.input_partitions) != 5:
             raise ValueError("exactly 5 input partitions required")
         if len(self.output_partitions) != 7:
             raise ValueError("exactly 7 output partitions required")
         if not 0.0 < self.alarm_threshold < 1.0:
             raise ValueError("alarm_threshold must lie strictly between 0 and 1")
-        if self.debounce < 1:
-            raise ValueError("debounce must be at least 1 sample")
+        if not 1 <= self.debounce <= MAX_STEPS:
+            raise ValueError(f"debounce must be between 1 and {MAX_STEPS} samples, "
+                             f"got {shown(self.debounce)}")
 
 
 #: Genome layout: (a1, a2, a3, a4) per residual 1..5, then (a, b, c, d) per
@@ -375,8 +374,8 @@ def params_to_config(x: Sequence[float]) -> tuple[DetectorConfig, bool]:
 
     Ordering violations are repaired (inputs: sort ascending plus epsilon
     separation of strict boundaries; outputs: sign projection and ordering)
-    and reported through the returned flag. Beta, the alarm threshold and
-    the debounce take their DEFAULT_* values.
+    and reported through the returned flag. The alarm threshold and the
+    debounce take their DEFAULT_* values.
     """
     x = np.asarray(x, dtype=float)
     if x.shape != (PARAM_COUNT,):
@@ -392,10 +391,9 @@ def params_to_config(x: Sequence[float]) -> tuple[DetectorConfig, bool]:
         a2 = max(v[1], a1 + eps)
         a3 = max(v[2], a2)
         a4 = max(v[3], a3 + eps)
-        b = max(DEFAULT_BETA, a4)
-        if (a1, a2, a3, a4) != raw or b != DEFAULT_BETA:
+        if (a1, a2, a3, a4) != raw:
             repaired = True
-        inputs.append(InputPartition(a1, a2, a3, a4, b))
+        inputs.append(InputPartition(a1, a2, a3, a4))
 
     outputs = []
     for j in range(7):
@@ -478,14 +476,14 @@ def _hold(values: np.ndarray, defined: np.ndarray, held0: np.ndarray | None = No
 class DetectorKernel:
     """The detector: the whole pipeline over residual rows (T, 5).
 
-    Memberships are closed forms on ``x = |r|``. The partition is symmetric
-    and ``beta >= a4``, so with ``w12 = a2 - a1`` and ``w34 = a4 - a3``
+    Memberships are closed forms on ``x = |r|``. The partition is symmetric,
+    so with ``w12 = a2 - a1`` and ``w34 = a4 - a3``
 
         Z    = clip((a2 - x)/w12, 0, 1)
         nonZ = clip(max(min((x - a1)/w12, (a4 - x)/w34), (x - a3)/w34), 0, 1)
 
-    (nonZ = max(NB, N, P, PB) is the P/PB envelope of the five trapezoids,
-    and clipping x at beta changes neither); a NaN residual reads 0 in
+    (nonZ = max(NB, N, P, PB) is the P/PB envelope of the five
+    trapezoids); a NaN residual reads 0 in
     every set. ``RuleProgram.run`` turns the table into AL/OK rows, and the
     AL share of the clipped output areas is the alarm degree.
 

@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 import numpy as np
 
 from . import fuzzy
-from .harness import DetectionReport, ResidualBank, evaluate_bank, score_bank
+from .harness import ResidualBank, score_bank
 from .plant import OPERATING_POINT, FaultScenario, PlantParams, shown
 
 if TYPE_CHECKING:
@@ -377,24 +377,18 @@ def ga_tune(fitness: Callable[[np.ndarray], float], params: GaParams,
 # ---------------------------------------------------------------------------
 # Detection-error fitness
 
-def _objective(error_rate: float, mean_delay: float) -> float:
-    """Error rate plus 1e-4 times the mean delay; a NaN delay (nothing
-    detected) counts as 0."""
-    delay = mean_delay if math.isfinite(mean_delay) else 0.0
-    return error_rate + 1e-4 * delay
-
-
 @dataclass(frozen=True)
 class FitnessReport:
     """Scenario-suite outcome for one parameter vector."""
 
     error_rate: float
     mean_delay: float
-    per_scenario: tuple[DetectionReport, ...]
 
     def scalar(self) -> float:
-        """Minimization objective: error rate, delay as a tiny tie-break."""
-        return _objective(self.error_rate, self.mean_delay)
+        """Minimization objective: the error rate plus 1e-4 times the mean
+        delay as a tie-break; a NaN delay (nothing detected) counts as 0."""
+        delay = self.mean_delay if math.isfinite(self.mean_delay) else 0.0
+        return self.error_rate + 1e-4 * delay
 
 
 def fitness(x: np.ndarray, suite: Sequence[FaultScenario], plant: PlantParams,
@@ -406,23 +400,22 @@ def fitness(x: np.ndarray, suite: Sequence[FaultScenario], plant: PlantParams,
     its event, an un-faulted variable is flagged, or nothing is flagged at
     all despite injected faults. The residual traces depend only on the
     suite, so they are simulated once (or passed in via ``bank``) and reused
-    across evaluations.
+    across evaluations. ``harness.score_bank`` scores the detector without
+    building per-scenario reports.
     """
     if bank is None:
         bank = ResidualBank.from_suite(suite, plant, inputs)
     cfg, _ = fuzzy.params_to_config(x)
-    reports, metrics = evaluate_bank(cfg, bank)
-    return FitnessReport(1.0 - metrics.proper_rate, metrics.mean_delay,
-                         tuple(reports))
+    proper_rate, mean_delay = score_bank(cfg, bank)
+    return FitnessReport(1.0 - proper_rate, mean_delay)
 
 
 def make_fitness(suite: Sequence[FaultScenario], plant: PlantParams,
                  inputs: tuple[float, float] = OPERATING_POINT) -> Callable[[np.ndarray], float]:
     """Bind a suite into a scalar evaluator for the optimizers.
 
-    Precomputes the residual bank once. Each call scores the detector with
-    ``harness.score_bank``, which builds no per-scenario reports, and
-    returns exactly ``fitness(x, ...).scalar()``. The returned callable is
+    Precomputes the residual bank once; each call returns
+    ``fitness(x, ...).scalar()`` on it. The returned callable is
     deterministic and evaluation-order independent.
     """
     bank = ResidualBank.from_suite(suite, plant, inputs)
@@ -430,8 +423,6 @@ def make_fitness(suite: Sequence[FaultScenario], plant: PlantParams,
     fuzzy.build_rulebase().program
 
     def objective(x: np.ndarray) -> float:
-        cfg, _ = fuzzy.params_to_config(x)
-        proper_rate, mean_delay = score_bank(cfg, bank)
-        return _objective(1.0 - proper_rate, mean_delay)
+        return fitness(x, suite, plant, inputs, bank).scalar()
 
     return objective

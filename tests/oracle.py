@@ -73,21 +73,27 @@ def _trapezoid(x: np.ndarray, a: float, b: float, c: float, d: float) -> np.ndar
     return out
 
 
-def _membership_table(r: np.ndarray, p: InputPartition) -> np.ndarray:
+def _membership_table(r: np.ndarray, p: InputPartition, beta: float) -> np.ndarray:
     """Memberships of residual samples ``r`` -> array (..., 5) in set order."""
-    x = np.clip(np.asarray(r, dtype=float), -p.beta, p.beta)
+    x = np.clip(np.asarray(r, dtype=float), -beta, beta)
     return np.stack([
-        _trapezoid(x, -p.beta, -p.beta, -p.a4, -p.a3),
+        _trapezoid(x, -beta, -beta, -p.a4, -p.a3),
         _trapezoid(x, -p.a4, -p.a3, -p.a2, -p.a1),
         _trapezoid(x, -p.a2, -p.a1, p.a1, p.a2),
         _trapezoid(x, p.a1, p.a2, p.a3, p.a4),
-        _trapezoid(x, p.a3, p.a4, p.beta, p.beta),
+        _trapezoid(x, p.a3, p.a4, beta, beta),
     ], axis=-1)
 
 
-def fuzzify(r: float, p: InputPartition) -> Memberships:
-    """Crisp residual value -> five membership degrees (NB, N, Z, P, PB)."""
-    table = _membership_table(np.array([r]), p)[0]
+def fuzzify(r: float, p: InputPartition, beta: float = math.inf) -> Memberships:
+    """Crisp residual value -> five membership degrees (NB, N, Z, P, PB).
+
+    ``beta`` >= a4 is the paper's domain bound: NB and PB end at -beta and
+    beta, and a residual beyond it is clipped to it. Neither changes a
+    degree, which is why the detector has no beta; by default there is no
+    bound."""
+    assert beta >= p.a4
+    table = _membership_table(np.array([r]), p, beta)[0]
     return Memberships(*(float(v) for v in table))
 
 

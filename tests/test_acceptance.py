@@ -217,9 +217,9 @@ def test_criterion_8_detector_invariants(tmp_path):
     assert golden.read_bytes() == render.emit_dot([0.0] * 7).encode()
 
     # partition of unity on both shoulders
-    p = fuzzy.InputPartition(1.0, 2.0, 3.0, 4.0, beta=10.0)
+    p = fuzzy.InputPartition(1.0, 2.0, 3.0, 4.0)
     for r in np.linspace(-9.9, 9.9, 397):
-        m = oracle.fuzzify(float(r), p)
+        m = oracle.fuzzify(float(r), p, beta=10.0)
         x = abs(r)
         if 1 < x < 2 or 3 < x < 4:
             assert sum(m) == pytest.approx(1.0, abs=1e-12)

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import multiprocessing
 import os
 import re
@@ -629,6 +630,13 @@ def suite_command(command, tmp_path, config_file):
                         "--config", f"b={config_file}", "--out", str(out)]}[command]
 
 
+def _config_json(edit) -> dict:
+    """The swarm config's JSON object after ``edit(obj)`` changed it in place."""
+    obj = plant.to_json(fuzzy.example_tuned_config("swarm"))
+    edit(obj)
+    return obj
+
+
 #: One malformed input file per case: (which file, its JSON content or None
 #: for a directory in its place, text the error message must hold).
 MALFORMED_INPUTS = {
@@ -667,9 +675,6 @@ MALFORMED_INPUTS = {
     "config_debounce_fraction": ("config", {**plant.to_json(
         fuzzy.example_tuned_config("swarm")), "debounce": 3.7},
         "detector config field 'debounce' must be an integer"),
-    "config_max_fault_order_fraction": ("config", {**plant.to_json(
-        fuzzy.example_tuned_config("swarm")), "max_fault_order": 2.9},
-        "detector config field 'max_fault_order' must be an integer"),
     "config_alarm_threshold_string": ("config", {**plant.to_json(
         fuzzy.example_tuned_config("swarm")), "alarm_threshold": "0.5"},
         "detector config field 'alarm_threshold' must be a number"),
@@ -678,9 +683,23 @@ MALFORMED_INPUTS = {
     "scenario_schema_bool": ("scenario", {"schema": True, "duration": 2.0},
                              "unsupported scenario schema True"),
     # an echoed value is shortened past 80 characters: the message stays short
-    "config_max_fault_order_huge": ("config", {**plant.to_json(
-        fuzzy.example_tuned_config("swarm")), "max_fault_order": 10**400},
-        "max_fault_order must be 2, got 1000"),
+    "config_debounce_huge": ("config", {**plant.to_json(
+        fuzzy.example_tuned_config("swarm")), "debounce": 10**400},
+        "debounce must be between 1 and 1000000 samples, got 1000"),
+    # a window longer than any trace never flags, and would fill memory
+    "config_debounce_memory": ("config", {**plant.to_json(
+        fuzzy.example_tuned_config("swarm")), "debounce": 10**12},
+        "debounce must be between 1 and 1000000 samples, got 1000000000000"),
+    # no boundary is infinite and no support overflows: the degrees stay numbers
+    "config_a4_infinite": ("config", _config_json(
+        lambda obj: obj["input_partitions"][0].update(a4=math.inf)),
+        "input partition requires 0 < a1 < a2 <= a3 < a4 < inf, got (0.146, 0.973, 1.57, inf)"),
+    "config_d_infinite": ("config", _config_json(
+        lambda obj: obj["output_partitions"][0].update(d=math.inf)),
+        "output partition requires a < b <= 0 <= c < d with d - a finite"),
+    "config_support_overflow": ("config", _config_json(
+        lambda obj: obj["output_partitions"][0].update(a=-1e308, d=1e308)),
+        "output partition requires a < b <= 0 <= c < d with d - a finite"),
     "scenario_seed_huge": ("scenario", {"schema": 1, "seed": -10**400, "duration": 2.0},
                            "FaultScenario.seed must be non-negative, got -1000"),
     "scenario_duration_long_string": ("scenario", {"schema": 1, "duration": "x" * 100000},
@@ -797,19 +816,25 @@ class TestMalformedInput:
         assert "unrecognized arguments: --max-fault-order 2" in capsys.readouterr().err
         assert sorted(os.listdir(tmp_path)) == ["cfg.json"]
 
-    @pytest.mark.parametrize("order", [1, 3, 7])
+    @pytest.mark.parametrize("key", ["max_fault_order", "beta"])
     @pytest.mark.parametrize("command", ["evaluate", "detect"])
-    def test_config_fault_order_other_than_2_exits_2(self, tmp_path, scenario_file,
-                                                     command, order, capsys):
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({**plant.to_json(
-            fuzzy.example_tuned_config("swarm")), "max_fault_order": order}))
-        out = tmp_path / "out.csv"
-        source = ["--generate", "3"] if command == "evaluate" else ["--scenario", scenario_file]
-        assert main([command, "--config", str(path), *source, "--out", str(out)]) == 2
-        assert (f"invalid detector config: max_fault_order must be 2, got {order}"
-                in capsys.readouterr().err)
-        assert not out.exists()
+    def test_config_key_of_older_files_exits_2(self, tmp_path, scenario_file,
+                                               command, key, capsys):
+        # configs once recorded the fault order, 2, and a domain bound beta
+        # per residual partition; deleting the key converts such a file
+        if key == "beta":
+            old = _config_json(lambda obj: obj["input_partitions"][0].update(beta=25.0))
+            owner = "detector config input_partitions[0]"
+        else:
+            old = _config_json(lambda obj: obj.update(max_fault_order=2))
+            owner = "detector config"
+        (tmp_path / "cfg.json").write_text(json.dumps(old))
+        source = (["--generate", "3", "--render", str(tmp_path / "R")] if command == "evaluate"
+                  else ["--scenario", scenario_file, "--dot", str(tmp_path / "out.dot")])
+        assert main([command, "--config", str(tmp_path / "cfg.json"), *source,
+                     "--out", str(tmp_path / "out.csv")]) == 2
+        assert f"unknown field(s) in {owner}: ['{key}']" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["cfg.json", "scenario.json"]
 
     @pytest.mark.parametrize("command,flag,kind", [("tune", "--seed", "int"),
                                                    ("evaluate", "--suite-seed", "int"),

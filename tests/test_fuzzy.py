@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -84,8 +85,9 @@ every_rulebase = pytest.mark.parametrize(
 
 @st.composite
 def input_partitions(draw, scale=st.just(1.0)):
-    """Valid partitions, including a2 == a3 and beta == a4, with every
-    boundary gap scaled by a draw of ``scale``."""
+    """Valid partitions, including a2 == a3, with every boundary gap scaled
+    by a draw of ``scale``; each paired with an oracle domain bound
+    beta >= a4, beta == a4 included."""
     s = draw(scale)
     gap = st.floats(0.01, 2.0).map(lambda g: g * s)
     a1 = draw(gap)
@@ -93,7 +95,7 @@ def input_partitions(draw, scale=st.just(1.0)):
     a3 = a2 + draw(st.one_of(st.just(0.0), gap))
     a4 = a3 + draw(gap)
     beta = a4 + draw(st.one_of(st.just(0.0), st.floats(0.01, 20.0).map(lambda g: g * s)))
-    return InputPartition(a1, a2, a3, a4, beta)
+    return InputPartition(a1, a2, a3, a4), beta
 
 
 @st.composite
@@ -105,15 +107,16 @@ def output_partitions(draw):
     return OutputPartition(b - draw(gap), b, c, c + draw(gap))
 
 
-def residual_rows(parts):
+def residual_rows(bounded):
     """Rows (T, 5) mixing random values, every partition boundary of its
-    residual (+-a1..a4, +-beta), values beyond beta, infinities, +-0 and NaN."""
-    def column(p):
-        edges = [p.a1, p.a2, p.a3, p.a4, p.beta, 2 * p.beta + 1, np.inf]
+    residual (+-a1..a4, +-beta), values beyond beta, infinities, +-0 and NaN,
+    for the ``input_partitions`` draws ``bounded``."""
+    def column(p, beta):
+        edges = [p.a1, p.a2, p.a3, p.a4, beta, 2 * beta + 1, np.inf]
         special = st.sampled_from([s * e for e in edges for s in (1, -1)]
                                   + [0.0, -0.0, np.nan])
-        return st.one_of(special, st.floats(-1.5 * p.beta, 1.5 * p.beta))
-    row = st.tuples(*(column(p) for p in parts))
+        return st.one_of(special, st.floats(-1.5 * beta, 1.5 * beta))
+    row = st.tuples(*(column(p, beta) for p, beta in bounded))
     return st.lists(row, min_size=1, max_size=12).map(
         lambda rows: np.array(rows, dtype=float))
 
@@ -127,7 +130,7 @@ class TestPartitions:
         with pytest.raises(ValueError):
             InputPartition(0.0, 0.4, 1.0, 2.0)
         with pytest.raises(ValueError):
-            InputPartition(0.1, 0.4, 1.0, 30.0, beta=25.0)
+            InputPartition(0.1, 0.4, 1.0, math.inf)
         InputPartition(0.1, 0.4, 0.4, 2.0)  # a2 == a3 allowed
 
     def test_output_ordering_enforced(self):
@@ -135,38 +138,40 @@ class TestPartitions:
             OutputPartition(-1.0, 0.1, 0.2, 0.5)
         with pytest.raises(ValueError):
             OutputPartition(-1.0, -0.2, 0.3, 0.3)
+        with pytest.raises(ValueError):
+            OutputPartition(-1e308, -0.2, 0.3, 1e308)  # the support overflows
         OutputPartition(-1.0, 0.0, 0.0, 0.5)  # b == 0 == c allowed
 
 
 class TestFuzzify:
     def test_zero_is_fully_z(self):
-        m = fuzzify(0.0, InputPartition(1, 2, 3, 4, beta=10))
+        m = fuzzify(0.0, InputPartition(1, 2, 3, 4), beta=10)
         assert m == Memberships(0, 0, 1, 0, 0)
 
     def test_shoulder_split(self):
-        m = fuzzify(1.5, InputPartition(1, 2, 3, 4, beta=10))
+        m = fuzzify(1.5, InputPartition(1, 2, 3, 4), beta=10)
         assert m.z == pytest.approx(0.5)
         assert m.p == pytest.approx(0.5)
         assert (m.nb, m.n, m.pb) == (0, 0, 0)
 
     def test_clamps_to_extreme_sets(self):
-        p = InputPartition(1, 2, 3, 4, beta=10)
-        assert fuzzify(50.0, p).pb == 1.0
-        assert fuzzify(-50.0, p).nb == 1.0
+        p = InputPartition(1, 2, 3, 4)
+        assert fuzzify(50.0, p, beta=10).pb == 1.0
+        assert fuzzify(-50.0, p, beta=10).nb == 1.0
 
     @given(r=st.floats(-12, 12))
     @settings(max_examples=120, deadline=None)
     def test_negation_reverses_membership_tuple(self, r):
-        p = InputPartition(0.5, 1.0, 2.5, 4.0, beta=12)
-        m_pos = fuzzify(r, p)
-        m_neg = fuzzify(-r, p)
+        p = InputPartition(0.5, 1.0, 2.5, 4.0)
+        m_pos = fuzzify(r, p, beta=12)
+        m_neg = fuzzify(-r, p, beta=12)
         assert m_neg == Memberships(m_pos.pb, m_pos.p, m_pos.z, m_pos.n, m_pos.nb)
 
     @given(r=st.floats(-9.9, 9.9))
     @settings(max_examples=150, deadline=None)
     def test_partition_of_unity_on_shoulders(self, r):
-        p = InputPartition(1, 2, 3, 4, beta=10)
-        m = fuzzify(r, p)
+        p = InputPartition(1, 2, 3, 4)
+        m = fuzzify(r, p, beta=10)
         active = [v for v in m if v > 0]
         assert len(active) <= 2
         x = abs(r)
@@ -234,25 +239,11 @@ class TestRuleBase:
         with pytest.raises(ValueError):
             Rule(("P", "any", "any", "any", "any"), ("De1",), ())
 
-    def test_invalid_order_rejected(self, tuned_cfg):
-        # a config file records the one fault order, 2, or none
-        for order in (0, 1, 3, 8):
-            obj = {**plant.to_json(tuned_cfg), "max_fault_order": order}
-            with pytest.raises(fuzzy.SchemaError,
-                               match=f"max_fault_order must be 2, got {order}"):
-                plant.from_json(DetectorConfig, obj, "detector config")
-
     def test_one_rule_base_per_order(self, tmp_path, tuned_cfg):
         assert build_rulebase() is build_rulebase()
         path = str(tmp_path / "cfg.json")
         fuzzy.save_config(tuned_cfg, path)
         assert DetectorKernel(fuzzy.load_config(path)).program is build_rulebase().program
-
-    def test_config_without_fault_order_loads_the_rule_base(self, tuned_cfg):
-        obj = plant.to_json(tuned_cfg)
-        assert obj.pop("max_fault_order") == 2
-        cfg = plant.from_json(DetectorConfig, obj, "detector config")
-        assert DetectorKernel(cfg).program is build_rulebase().program
 
 
 class TestInfer:
@@ -290,16 +281,18 @@ class TestInfer:
     @given(data=st.data())
     @settings(max_examples=60, deadline=None)
     def test_kernel_matches_brute_force(self, rb, data):
-        parts = tuple(data.draw(input_partitions()) for _ in range(5))
+        # the kernel has no beta; it equals the oracle for every beta >= a4
+        bounded = [data.draw(input_partitions()) for _ in range(5)]
+        parts = tuple(p for p, _ in bounded)
         outputs = tuple(data.draw(output_partitions()) for _ in range(7))
-        rows = data.draw(residual_rows(parts))
+        rows = data.draw(residual_rows(bounded))
         kernel = DetectorKernel(DetectorConfig(parts, outputs))
         kernel.program = rb.program
         al, ok = kernel.activations(rows)
         degrees = kernel.degrees(rows)
         held = [0.0] * 7
         for t, row in enumerate(rows):
-            table = [fuzzify(r, p) for r, p in zip(row, parts)]
+            table = [fuzzify(r, p, beta) for r, (p, beta) in zip(row, bounded)]
             expected = brute_force_activations(table, rb)
             got = infer(table, rb)
             for j, v in enumerate(VARIABLES):
@@ -315,14 +308,31 @@ class TestInfer:
         # the precondition under which the compiled program, with its
         # absorbed rules left out, equals the full rule base bit for bit
         scale = st.one_of(st.sampled_from([1.0, 1e-150, 1e-300]), st.floats(1e-300, 1.0))
-        parts = tuple(data.draw(input_partitions(scale)) for _ in range(5))
-        rows = data.draw(residual_rows(parts))
+        bounded = [data.draw(input_partitions(scale)) for _ in range(5)]
+        parts = tuple(p for p, _ in bounded)
+        rows = data.draw(residual_rows(bounded))
         outputs = (OutputPartition(-1, -0.3, 0.3, 1),) * 7
         kernel = DetectorKernel(DetectorConfig(parts, outputs))
         table = np.empty((10, len(rows)))
         kernel._memberships(rows, table)
         assert not np.isnan(table).any()
         assert not np.signbit(table).any()
+
+    @given(data=st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_degrees_are_numbers_at_extreme_boundaries(self, data):
+        # every boundary finite and every support d - a finite: then no
+        # residual, infinities included, makes a degree NaN or leaves [0, 1]
+        bounded = [data.draw(input_partitions(st.sampled_from([1.0, 1e150, 1e300])))
+                   for _ in range(5)]
+        half = st.floats(1e-3, 8.9e307)
+        outputs = tuple(OutputPartition(-a, -a / 2, d / 2, d)
+                        for a, d in data.draw(st.lists(st.tuples(half, half),
+                                                       min_size=7, max_size=7)))
+        rows = data.draw(residual_rows(bounded))
+        cfg = DetectorConfig(tuple(p for p, _ in bounded), outputs)
+        degrees = DetectorKernel(cfg).degrees(rows)
+        assert ((degrees >= 0.0) & (degrees <= 1.0)).all()
 
     @every_rulebase
     @given(data=st.data())
@@ -459,22 +469,31 @@ class TestParamsConfig:
         assert loaded == cfg
 
     @pytest.mark.parametrize("kind, sha256", [
-        ("swarm", "90681d8fc67e81d77a12851bbbf23fded91c595b68933061aab22ead1572fbbb"),
-        ("genetic", "78ac8ea837c26ab5aaed67228227fcbfe006f6793b88c1bd8e9dc77c15f77b47"),
+        ("swarm", "87c39368b2df065b760d96221d0664e0b4cd3b33a61ee18ca048987a3fd7bac4"),
+        ("genetic", "4f51aba836bd70dbbddba5c2f4c7ea74631c264ada38f8e41ddd87131d9e4591"),
     ])
     def test_config_file_bytes_pinned(self, tmp_path, kind, sha256):
-        # the file format is plain JSON of the dataclass, "max_fault_order": 2
-        # included; any change to its bytes is a change to the format
+        # the file format is plain JSON of the dataclass: 50 values, no
+        # beta and no fault order; any change to its bytes is a change to
+        # the format
         path = tmp_path / "cfg.json"
         fuzzy.save_config(fuzzy.example_tuned_config(kind), str(path))
         assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
 
-    def test_config_without_fault_order_loads_equal(self, tuned_cfg):
+    def test_keys_of_older_files_rejected_by_name(self, tuned_cfg):
+        # files written when a config held a fault order and partition
+        # betas: the unknown-field rule names the key, and deleting it
+        # converts the file
         obj = plant.to_json(tuned_cfg)
-        assert obj["max_fault_order"] == 2
-        without = {key: value for key, value in obj.items() if key != "max_fault_order"}
-        assert (plant.from_json(DetectorConfig, without, "detector config")
-                == plant.from_json(DetectorConfig, obj, "detector config") == tuned_cfg)
+        assert "max_fault_order" not in obj
+        assert "beta" not in obj["input_partitions"][0]
+        with pytest.raises(fuzzy.SchemaError,
+                           match=r"unknown field\(s\) in detector config: \['max_fault_order'\]"):
+            plant.from_json(DetectorConfig, {**obj, "max_fault_order": 2}, "detector config")
+        old = {**obj, "input_partitions": [{**p, "beta": 25.0} for p in obj["input_partitions"]]}
+        with pytest.raises(fuzzy.SchemaError, match=(r"unknown field\(s\) in detector config "
+                                                     r"input_partitions\[0\]: \['beta'\]")):
+            plant.from_json(DetectorConfig, old, "detector config")
 
     def test_config_json_schema_errors(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -681,3 +700,10 @@ class TestDetector:
             DetectorConfig((InputPartition(1, 2, 3, 4),) * 5,
                            (OutputPartition(-1, -0.3, 0.3, 1),) * 7,
                            debounce=0)
+
+    def test_debounce_at_most_the_longest_trace(self, tuned_cfg):
+        # a longer window could never flag; its state would fill memory
+        cfg = dataclasses.replace(tuned_cfg, debounce=plant.MAX_STEPS)
+        assert Detector(cfg).detect(np.zeros(5))[1].tolist() == [False] * 7
+        with pytest.raises(ValueError, match=f"got {plant.MAX_STEPS + 1}"):
+            dataclasses.replace(tuned_cfg, debounce=plant.MAX_STEPS + 1)

@@ -373,7 +373,7 @@ class TestFitness:
 
     @pytest.mark.parametrize("name", list(OBJECTIVE_VECTORS))
     def test_make_fitness_matches_fitness_report(self, name, scoring):
-        # the lean objective must reproduce the report path bit for bit
+        # the objective is the report's scalar, bit for bit
         suite, bank, objective = scoring
         x = OBJECTIVE_VECTORS[name]
         report = tuner.fitness(x, suite, plant.PlantParams(), OPERATING_INPUTS, bank=bank)
@@ -397,7 +397,7 @@ class TestFitness:
         assert "program" in vars(fuzzy.build_rulebase())
 
     def test_delay_breaks_error_ties(self):
-        fast = tuner.FitnessReport(0.2, 0.5, ())
-        slow = tuner.FitnessReport(0.2, 4.0, ())
-        worse = tuner.FitnessReport(0.22, 0.0, ())
+        fast = tuner.FitnessReport(0.2, 0.5)
+        slow = tuner.FitnessReport(0.2, 4.0)
+        worse = tuner.FitnessReport(0.22, 0.0)
         assert fast.scalar() < slow.scalar() < worse.scalar()
