@@ -816,6 +816,21 @@ class TestMalformedInput:
         assert "unrecognized arguments: --max-fault-order 2" in capsys.readouterr().err
         assert sorted(os.listdir(tmp_path)) == ["cfg.json"]
 
+    @pytest.mark.parametrize("order", [1, 3, 7])
+    @pytest.mark.parametrize("command", ["evaluate", "detect"])
+    def test_config_fault_order_other_than_2_exits_2(self, tmp_path, scenario_file,
+                                                     command, order, capsys):
+        # the config holds no fault order, so any value is an unknown field
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**plant.to_json(
+            fuzzy.example_tuned_config("swarm")), "max_fault_order": order}))
+        out = tmp_path / "out.csv"
+        source = ["--generate", "3"] if command == "evaluate" else ["--scenario", scenario_file]
+        assert main([command, "--config", str(path), *source, "--out", str(out)]) == 2
+        assert ("unknown field(s) in detector config: ['max_fault_order']"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     @pytest.mark.parametrize("key", ["max_fault_order", "beta"])
     @pytest.mark.parametrize("command", ["evaluate", "detect"])
     def test_config_key_of_older_files_exits_2(self, tmp_path, scenario_file,
