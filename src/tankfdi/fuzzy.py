@@ -10,10 +10,11 @@ premises read Z, nonZ = max(NB, N, P, PB), or nothing (``any``).
 ``DetectorKernel`` is the one implementation of this pipeline. It computes
 Z and nonZ in closed form on |r| over rows of residuals and runs the rule
 base as a compiled program (``compile_rules``, ``RuleProgram.run``):
-binary min/max operations on rows, with the pairs that several rules or
-several variables share computed once. Batch evaluation runs it over whole
-suites; the streaming ``Detector`` runs it one row at a time on the hold
-and debounce state it carries.
+binary min/max operations on rows (on Python floats for a single row),
+with the pairs that several rules or several variables share computed
+once. Batch evaluation runs it over whole suites; the streaming
+``Detector`` runs it one row at a time on the hold and debounce state it
+carries.
 
 The rule base is generated mechanically from the fault-signature matrix:
 one rule per candidate fault set (each single fault and each pair), with
@@ -33,7 +34,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache, cached_property
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -148,7 +149,8 @@ _TABLE = 14
 _COLUMN = {"Z": 0, "nonZ": 1}
 
 
-class RuleProgram(NamedTuple):
+@dataclass(frozen=True)
+class RuleProgram:
     """A rule base compiled to straight-line binary min/max operations.
 
     ``run`` executes it over ``rows`` rows of length T laid out as
@@ -160,12 +162,21 @@ class RuleProgram(NamedTuple):
     Rules absorbed by a concluding rule with a subset of their premise
     reads are left out (see ``compile_rules``). AL/OK are therefore those
     of the full rule base bit for bit only on a table that holds no NaN
-    and no -0.0; ``DetectorKernel`` writes neither.
+    and no -0.0; ``DetectorKernel`` writes neither. On such a table the
+    builtin ``min``/``max`` return the same operand as ``np.minimum``/
+    ``np.maximum``, so a single sample runs the same ops on Python floats
+    (numpy call overhead dominates one-element rows) with the same bits.
     """
 
     rows: int
     ops: tuple[tuple[np.ufunc, int, int, int], ...]
     ones: tuple[int, ...]
+
+    @cached_property
+    def _float_ops(self) -> tuple[tuple[object, int, int, int], ...]:
+        """``ops`` with each ufunc replaced by its builtin on floats."""
+        builtin = {np.minimum: min, np.maximum: max}
+        return tuple((builtin[ufunc], dst, a, b) for ufunc, dst, a, b in self.ops)
 
     def work(self, t_len: int) -> np.ndarray:
         """An empty work buffer for ``run`` over ``t_len`` samples."""
@@ -175,8 +186,17 @@ class RuleProgram(NamedTuple):
         """AL and OK rows (7, T) of the membership table in ``work[:10]``
         (Z of r1..r5, then nonZ; one column per sample). The rest of
         ``work`` is scratch, and so is the table once the program read it.
+        A single column runs on Python floats.
         """
         t_len = work.shape[1]
+        if t_len == 1:
+            rows = [0.0] * _TABLE + work[:, 0].tolist()
+            for op, dst, a, b in self._float_ops:
+                rows[dst] = op(rows[a], rows[b])
+            for row in self.ones:
+                rows[row] = 1.0
+            al, ok = np.array(rows[:_TABLE]).reshape(2, 7, 1)
+            return al, ok
         al, ok = np.empty((7, t_len)), np.empty((7, t_len))
         rows = [*al, *ok, *work]
         for ufunc, dst, a, b in self.ops:

@@ -83,8 +83,8 @@ class ResidualEvaluator:
 
     def __init__(self, params: PlantParams, dt: float, tau: float | None = None,
                  spike_window: int = 1):
-        if dt <= 0:
-            raise ValueError("dt must be positive")
+        if not (math.isfinite(dt) and dt > 0):
+            raise ValueError(f"dt must be a finite positive number, got {dt!r}")
         if spike_window < 1:
             raise ValueError("spike_window must be at least 1")
         self.params = params

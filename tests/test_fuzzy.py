@@ -351,6 +351,13 @@ class TestInfer:
             expected = brute_force_activations(memberships, rb)
             assert al[:, t].tobytes() == np.array([expected[v]["AL"] for v in VARIABLES]).tobytes()
             assert ok[:, t].tobytes() == np.array([expected[v]["OK"] for v in VARIABLES]).tobytes()
+            # a single column runs on Python floats, with the same bits
+            single = rb.program.work(1)
+            single[:10, 0] = table[:, t]
+            al1, ok1 = rb.program.run(single)
+            assert (al1.shape, ok1.shape) == ((7, 1), (7, 1))
+            assert al1.tobytes() == al[:, t].tobytes()
+            assert ok1.tobytes() == ok[:, t].tobytes()
 
     def test_compiled_program_shares_pairs(self):
         # the order-2 rule base as a plain loop is 130 min and 197 max
@@ -542,8 +549,9 @@ class TestDetector:
         det = Detector(tuned_cfg)
         for i, row in enumerate(rows):
             deg, fl = det.detect(row)
-            np.testing.assert_array_equal(deg, batch_deg[i])
-            np.testing.assert_array_equal(fl, batch_flags[i])
+            # bit for bit: assert_array_equal would take -0.0 for 0.0
+            assert deg.tobytes() == batch_deg[i].tobytes()
+            assert fl.tobytes() == batch_flags[i].tobytes()
 
     @given(data=st.data())
     @settings(max_examples=80, deadline=None)
@@ -574,13 +582,15 @@ class TestDetector:
 
         held, recent = np.zeros(7), np.zeros((debounce - 1, 7), dtype=bool)
         chunks = [kernel.run(chunk, held, recent) for chunk in np.split(rows, sorted(cuts))]
-        np.testing.assert_array_equal(np.vstack([d for d, _ in chunks]), degrees)
-        np.testing.assert_array_equal(np.vstack([f for _, f in chunks]), flags)
+        # bit for bit, NaN rows included: assert_array_equal would take
+        # -0.0 for 0.0
+        assert np.vstack([d for d, _ in chunks]).tobytes() == degrees.tobytes()
+        assert np.vstack([f for _, f in chunks]).tobytes() == flags.tobytes()
 
         det = Detector(cfg)
         streamed = [det.detect(row) for row in rows]
-        np.testing.assert_array_equal([d for d, _ in streamed], degrees)
-        np.testing.assert_array_equal([f for _, f in streamed], flags)
+        assert np.array([d for d, _ in streamed]).tobytes() == degrees.tobytes()
+        assert np.array([f for _, f in streamed]).tobytes() == flags.tobytes()
 
     def test_block_evaluation_matches_per_trace(self, tuned_cfg, rng):
         lengths = [30, 17, 44]

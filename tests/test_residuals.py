@@ -69,6 +69,13 @@ class TestDerivativeEstimate:
         with pytest.raises(ValueError, match="tau must be a finite non-negative number"):
             ResidualEvaluator(unit_params, dt=0.1, tau=tau)
 
+    # a NaN or infinite dt makes the low-pass gain NaN and every residual
+    # NaN, which the detector would read as a dropped-out residual
+    @pytest.mark.parametrize("dt", [0.0, -0.1, float("nan"), float("inf"), float("-inf")])
+    def test_non_positive_or_non_finite_dt_rejected(self, unit_params, dt):
+        with pytest.raises(ValueError, match="dt must be a finite positive number"):
+            ResidualEvaluator(unit_params, dt=dt, tau=0.3, spike_window=3)
+
 
 class TestEvaluateArrs:
     def test_all_zero_frames(self, params):
