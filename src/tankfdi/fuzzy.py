@@ -8,13 +8,14 @@ threshold for ``debounce`` consecutive samples raise the fault flag. Rule
 premises read Z, nonZ = max(NB, N, P, PB), or nothing (``any``).
 
 ``DetectorKernel`` is the one implementation of this pipeline. It computes
-Z and nonZ in closed form on |r| over rows of residuals and runs the rule
-base as a compiled program (``compile_rules``, ``RuleProgram.run``):
-binary min/max operations on rows (on Python floats for a single row),
+Z and nonZ in closed form on |r| (``MEMBERSHIP_OPS``) and runs the rule
+base as a compiled program (``compile_rules``): binary min/max operations,
 with the pairs that several rules or several variables share computed
-once. Batch evaluation runs it over whole suites; the streaming
-``Detector`` runs it one row at a time on the hold and debounce state it
-carries.
+once. Both op lists run as numpy calls on blocks of rows
+(``RuleProgram.run``) and, for a single row, as one generated function on
+Python floats (``RuleProgram.run_row``), with the same bits. Batch
+evaluation runs the kernel over whole suites; the streaming ``Detector``
+runs it one row at a time on the hold and debounce state it carries.
 
 The rule base is generated mechanically from the fault-signature matrix:
 one rule per candidate fault set (each single fault and each pair), with
@@ -34,7 +35,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache, cached_property
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -148,6 +149,73 @@ class RuleBase:
 _TABLE = 14
 _COLUMN = {"Z": 0, "nonZ": 1}
 
+#: The memberships in closed form on x = |r|, as ops ``(ufunc, dst,
+#: *operands)`` on named rows: the residuals ``r``, ``x``, the partition's
+#: ``a1``..``a4`` with ``rise`` = a2 - a1 and ``fall`` = a4 - a3, the
+#: scratch row ``edge`` and the table rows ``Z`` and ``nonZ``; a float
+#: operand is that constant. The partition is symmetric, so
+#:
+#:     Z    = clip((a2 - x)/rise, 0, 1)
+#:     nonZ = clip(max(min((x - a1)/rise, (a4 - x)/fall), (x - a3)/fall), 0, 1)
+#:
+#: (nonZ = max(NB, N, P, PB) is the P/PB envelope of the five trapezoids).
+#: When a1/a2 or a3/a4 is below about 1e-300 a quotient of nonZ underflows
+#: to -0.0, which clip returns on some numpy versions; adding 0.0 makes it
+#: 0.0. Z never underflows, because rise < a2. A NaN residual reads 0 in
+#: every set, outside these ops.
+MEMBERSHIP_OPS = (
+    (np.absolute, "x", "r"),
+    (np.subtract, "Z", "a2", "x"),
+    (np.divide, "Z", "Z", "rise"),
+    (np.clip, "Z", "Z", 0.0, 1.0),
+    (np.subtract, "nonZ", "x", "a1"),
+    (np.divide, "nonZ", "nonZ", "rise"),
+    (np.subtract, "edge", "a4", "x"),
+    (np.divide, "edge", "edge", "fall"),
+    (np.minimum, "nonZ", "nonZ", "edge"),
+    (np.subtract, "edge", "x", "a3"),
+    (np.divide, "edge", "edge", "fall"),
+    (np.maximum, "nonZ", "nonZ", "edge"),
+    (np.clip, "nonZ", "nonZ", 0.0, 1.0),
+    (np.add, "nonZ", "nonZ", 0.0),
+)
+#: The partition operands of ``MEMBERSHIP_OPS``, in the order
+#: ``RuleProgram.run_row`` takes their floats (each for r1..r5).
+_PARTITION = ("a1", "a2", "a3", "a4", "rise", "fall")
+
+#: Each ufunc of the op lists as Python statements on floats; clip is max
+#: then min, as numpy defines it. min and max return the second operand on
+#: a tie. Only 0.0 and -0.0 tie with different bits, and no membership or
+#: table row ends as -0.0, so which operand numpy returns does not matter.
+_FLOAT_SOURCE = {
+    np.absolute: ("{0} = abs({1})",),
+    np.add: ("{0} = {1} + {2}",),
+    np.subtract: ("{0} = {1} - {2}",),
+    np.divide: ("{0} = {1} / {2}",),
+    np.minimum: ("{0} = {1} if {1} < {2} else {2}",),
+    np.maximum: ("{0} = {1} if {1} > {2} else {2}",),
+    np.clip: ("{0} = {1} if {1} > {2} else {2}", "{0} = {0} if {0} < {3} else {3}"),
+}
+
+
+def _float_source(ufunc: np.ufunc, names: list[str]) -> list[str]:
+    """The statements of one op on the Python variables ``names``."""
+    return [line.format(*names) for line in _FLOAT_SOURCE[ufunc]]
+
+
+def _membership_source(i: int) -> list[str]:
+    """The statements that write residual ``i``'s Z and nonZ table rows
+    from ``r_i`` and its partition floats, NaN reading 0."""
+    rows = {c: f"w{_TABLE + 5 * k + i}" for c, k in _COLUMN.items()}
+
+    def name(operand):
+        return repr(operand) if isinstance(operand, float) else rows.get(operand, f"{operand}_{i}")
+
+    ops = [line for ufunc, *operands in MEMBERSHIP_OPS
+           for line in _float_source(ufunc, [name(x) for x in operands])]
+    return ([f"if r_{i} == r_{i}:"] + [f"    {line}" for line in ops]
+            + ["else:", f"    {' = '.join(rows.values())} = 0.0"])
+
 
 @dataclass(frozen=True)
 class RuleProgram:
@@ -157,15 +225,16 @@ class RuleProgram:
     ``_TABLE`` says. Each op ``(ufunc, dst, a, b)`` computes
     ``ufunc(row[a], row[b], out=row[dst])``. ``ones`` lists the output rows
     that are 1.0 everywhere: a rule with no premise reads fires at 1.0, and
-    the max of any firing with 1.0 is 1.0.
+    the max of any firing with 1.0 is 1.0. ``run_row`` runs the
+    memberships and the program on one row's Python floats.
 
     Rules absorbed by a concluding rule with a subset of their premise
     reads are left out (see ``compile_rules``). AL/OK are therefore those
     of the full rule base bit for bit only on a table that holds no NaN
-    and no -0.0; ``DetectorKernel`` writes neither. On such a table the
-    builtin ``min``/``max`` return the same operand as ``np.minimum``/
-    ``np.maximum``, so a single sample runs the same ops on Python floats
-    (numpy call overhead dominates one-element rows) with the same bits.
+    and no -0.0; ``DetectorKernel`` writes neither. On such a table every
+    tie of a min or max is between equal bits, so the conditional
+    expressions of ``run_row`` return the same floats as ``np.minimum``/
+    ``np.maximum``.
     """
 
     rows: int
@@ -173,10 +242,26 @@ class RuleProgram:
     ones: tuple[int, ...]
 
     @cached_property
-    def _float_ops(self) -> tuple[tuple[object, int, int, int], ...]:
-        """``ops`` with each ufunc replaced by its builtin on floats."""
-        builtin = {np.minimum: min, np.maximum: max}
-        return tuple((builtin[ufunc], dst, a, b) for ufunc, dst, a, b in self.ops)
+    def run_row(self) -> Callable[[Sequence[float], Sequence[float]], tuple[float, ...]]:
+        """``MEMBERSHIP_OPS`` and ``ops`` as one straight-line function,
+        ``run_row(r, partition)``: the five residuals of one row and the
+        partition floats (``_PARTITION`` order) in, AL then OK (14 floats)
+        out. Each row is a local variable; compiled once per program.
+        numpy call overhead dominates one-element rows, and a conditional
+        expression is several times cheaper than a builtin ``min`` call."""
+        body = [", ".join(f"r_{i}" for i in range(5)) + " = r",
+                ", ".join(f"{name}_{i}" for name in _PARTITION for i in range(5))
+                + " = partition"]
+        for i in range(5):
+            body += _membership_source(i)
+        for ufunc, *rows in self.ops:
+            body += _float_source(ufunc, [f"w{row}" for row in rows])
+        body += [f"w{row} = 1.0" for row in self.ones]
+        body.append("return " + ", ".join(f"w{row}" for row in range(_TABLE)))
+        source = "def run_row(r, partition):\n" + "".join(f"    {line}\n" for line in body)
+        namespace: dict = {}
+        exec(compile(source, "<rule program>", "exec"), namespace)
+        return namespace["run_row"]
 
     def work(self, t_len: int) -> np.ndarray:
         """An empty work buffer for ``run`` over ``t_len`` samples."""
@@ -186,18 +271,8 @@ class RuleProgram:
         """AL and OK rows (7, T) of the membership table in ``work[:10]``
         (Z of r1..r5, then nonZ; one column per sample). The rest of
         ``work`` is scratch, and so is the table once the program read it.
-        A single column runs on Python floats.
         """
-        t_len = work.shape[1]
-        if t_len == 1:
-            rows = [0.0] * _TABLE + work[:, 0].tolist()
-            for op, dst, a, b in self._float_ops:
-                rows[dst] = op(rows[a], rows[b])
-            for row in self.ones:
-                rows[row] = 1.0
-            al, ok = np.array(rows[:_TABLE]).reshape(2, 7, 1)
-            return al, ok
-        al, ok = np.empty((7, t_len)), np.empty((7, t_len))
+        al, ok = np.empty((7, work.shape[1])), np.empty((7, work.shape[1]))
         rows = [*al, *ok, *work]
         for ufunc, dst, a, b in self.ops:
             ufunc(rows[a], rows[b], out=rows[dst])
@@ -496,58 +571,56 @@ def _hold(values: np.ndarray, defined: np.ndarray, held0: np.ndarray | None = No
 class DetectorKernel:
     """The detector: the whole pipeline over residual rows (T, 5).
 
-    Memberships are closed forms on ``x = |r|``. The partition is symmetric,
-    so with ``w12 = a2 - a1`` and ``w34 = a4 - a3``
-
-        Z    = clip((a2 - x)/w12, 0, 1)
-        nonZ = clip(max(min((x - a1)/w12, (a4 - x)/w34), (x - a3)/w34), 0, 1)
-
-    (nonZ = max(NB, N, P, PB) is the P/PB envelope of the five
-    trapezoids); a NaN residual reads 0 in
+    Memberships are the closed forms of ``MEMBERSHIP_OPS`` on ``x = |r|``,
+    run as numpy calls over all rows at once; a NaN residual reads 0 in
     every set. ``RuleProgram.run`` turns the table into AL/OK rows, and the
-    AL share of the clipped output areas is the alarm degree.
+    AL share of the clipped output areas is the alarm degree. A single row
+    runs memberships and program as ``RuleProgram.run_row`` on Python
+    floats, with the same bits; defuzzification, hold and debounce stay on
+    numpy.
 
     ``run`` takes one trace, whole or chunk by chunk on carried state (the
     streaming ``Detector`` runs it one row at a time); ``run_block`` takes
-    many traces concatenated.
+    many traces concatenated. Every entry point takes residuals as rows of
+    five values and rejects any other shape.
     """
 
     def __init__(self, cfg: DetectorConfig):
         self.cfg = cfg
         self.program = build_rulebase().program
         parts = cfg.input_partitions
-        self._a = [np.array([getattr(p, f) for p in parts])[:, None]
-                   for f in ("a1", "a2", "a3", "a4")]
+        a1, a2, a3, a4 = (np.array([getattr(p, f) for p in parts])[:, None]
+                          for f in ("a1", "a2", "a3", "a4"))
+        self._partition = {"a1": a1, "a2": a2, "a3": a3, "a4": a4,
+                           "rise": a2 - a1, "fall": a4 - a3}
+        # the same values as floats, for ``RuleProgram.run_row``
+        self._row_partition = tuple(v for name in _PARTITION
+                                    for v in self._partition[name][:, 0].tolist())
         self.support = np.array([p.support for p in cfg.output_partitions])
         self._span = np.array([p.support - p.core for p in cfg.output_partitions])[:, None]
 
     def _memberships(self, r: np.ndarray, table: np.ndarray) -> None:
         """Write the membership table of residual rows ``r`` (T, 5) into
         ``table`` (2 * 5, T): Z of r1..r5, then nonZ."""
-        a1, a2, a3, a4 = self._a
-        x, edge = np.empty((2, 5, r.shape[0]))
-        np.abs(r.T, out=x)
-        rise, fall = a2 - a1, a4 - a3
-        z, nonz = table[:5], table[5:]
-        np.subtract(a2, x, out=z)
-        z /= rise
-        np.clip(z, 0.0, 1.0, out=z)
-        np.subtract(x, a1, out=nonz)
-        nonz /= rise
-        np.subtract(a4, x, out=edge)
-        edge /= fall
-        np.minimum(nonz, edge, out=nonz)
-        np.subtract(x, a3, out=edge)
-        edge /= fall
-        np.maximum(nonz, edge, out=nonz)
-        np.clip(nonz, 0.0, 1.0, out=nonz)
-        missing = np.isnan(x)
+        rows = {**self._partition, "r": r.T, "Z": table[:5], "nonZ": table[5:]}
+        rows["x"], rows["edge"] = np.empty((2, 5, r.shape[0]))
+        for ufunc, dst, *operands in MEMBERSHIP_OPS:
+            ufunc(*[rows.get(x, x) for x in operands], out=rows[dst])
+        missing = np.isnan(rows["x"])
         if missing.any():
             table.reshape(2, 5, -1)[:, missing] = 0.0
 
     def activations(self, residuals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per-variable (AL, OK) activations for residual rows (T, 5)."""
+        """Per-variable (AL, OK) activations (T, 7) for residual rows (T, 5).
+        One row runs on Python floats (``RuleProgram.run_row``)."""
         r = np.asarray(residuals, dtype=float)
+        if r.ndim != 2 or r.shape[1] != 5:
+            raise ValueError(f"residuals must be rows of 5 values, shape (T, 5); "
+                             f"got shape {r.shape}")
+        if len(r) == 1:
+            al, ok = np.array(self.program.run_row(r[0].tolist(), self._row_partition)
+                              ).reshape(2, 1, 7)
+            return al, ok
         work = self.program.work(r.shape[0])
         self._memberships(r, work[:10])
         al, ok = self.program.run(work)

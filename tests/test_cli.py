@@ -332,6 +332,27 @@ class TestDetect:
         assert len(lines) == 81
         assert dot.read_text().startswith("digraph")
 
+    def test_one_row_equals_the_first_of_two(self, tmp_path, config_file):
+        # duration == dt leaves one residual row, which the kernel runs on
+        # Python floats; with two rows it runs numpy calls. A noisy De1 step
+        # at t = 0 gives fractional degrees
+        lines = []
+        for steps in (1, 2):
+            path, out = tmp_path / f"scenario{steps}.json", tmp_path / f"degrees{steps}.csv"
+            path.write_text(json.dumps({
+                "schema": 1, "seed": 7, "duration": steps * 0.1, "dt": 0.1,
+                "noise_std_R": 0.02, "noise_std_C": 0.02,
+                "events": [{"target": "De1", "start": 0.0, "magnitude": 0.6,
+                            "profile": "step"}]}))
+            assert main(["detect", "--config", config_file, "--scenario", str(path),
+                         "--out", str(out)]) == 0
+            lines.append(out.read_bytes().splitlines())
+        one, two = lines
+        assert (len(one), len(two)) == (2, 3)
+        assert one == two[:2]
+        degrees = [float(v) for v in one[1].split(b",")[1:8]]
+        assert any(0.0 < d < 1.0 for d in degrees)
+
     def test_agrees_with_evaluate(self, tmp_path, config_file):
         # detect runs the kernel on one scenario's bank; evaluate runs it
         # on the block of the whole suite's bank

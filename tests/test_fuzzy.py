@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from tankfdi.fuzzy import (DetectorConfig, Detector, DetectorKernel,
                            InputPartition, OutputPartition, Rule,
                            build_rulebase, config_to_params, params_to_config)
 from tankfdi.plant import VARIABLES
+from tankfdi.residuals import ResidualVector
 
 import oracle
 from oracle import Memberships, defuzzify, fuzzify, infer
@@ -84,17 +86,22 @@ every_rulebase = pytest.mark.parametrize(
 
 
 @st.composite
-def input_partitions(draw, scale=st.just(1.0)):
+def input_partitions(draw, scale=st.just(1.0), each_gap=False):
     """Valid partitions, including a2 == a3, with every boundary gap scaled
-    by a draw of ``scale``; each paired with an oracle domain bound
-    beta >= a4, beta == a4 included."""
-    s = draw(scale)
-    gap = st.floats(0.01, 2.0).map(lambda g: g * s)
-    a1 = draw(gap)
-    a2 = a1 + draw(gap)
-    a3 = a2 + draw(st.one_of(st.just(0.0), gap))
-    a4 = a3 + draw(gap)
-    beta = a4 + draw(st.one_of(st.just(0.0), st.floats(0.01, 20.0).map(lambda g: g * s)))
+    by a draw of ``scale`` (with ``each_gap``, one draw per gap, sorted
+    rising so that no gap vanishes in rounding: a1/a2 and a3/a4 can then
+    be as small as the scales allow); each paired with an oracle domain
+    bound beta >= a4, beta == a4 included."""
+    s1, s2, s3, s4 = sorted(draw(scale) for _ in range(4)) if each_gap else [draw(scale)] * 4
+
+    def gap(s):
+        return st.floats(0.01, 2.0).map(lambda g: g * s)
+
+    a1 = draw(gap(s1))
+    a2 = a1 + draw(gap(s2))
+    a3 = a2 + draw(st.one_of(st.just(0.0), gap(s3)))
+    a4 = a3 + draw(gap(s4))
+    beta = a4 + draw(st.one_of(st.just(0.0), st.floats(0.01, 20.0).map(lambda g: g * s4)))
     return InputPartition(a1, a2, a3, a4), beta
 
 
@@ -302,13 +309,16 @@ class TestInfer:
                     for v, p, h in zip(VARIABLES, outputs, held)]
             assert degrees[t].tolist() == held
 
+    # a huge residual over a tiny rise or fall is inf, which clips to 1
+    @pytest.mark.filterwarnings("ignore:overflow encountered in divide:RuntimeWarning")
     @given(data=st.data())
     @settings(max_examples=100, deadline=None)
     def test_memberships_hold_no_nan_and_no_negative_zero(self, data):
         # the precondition under which the compiled program, with its
         # absorbed rules left out, equals the full rule base bit for bit
         scale = st.one_of(st.sampled_from([1.0, 1e-150, 1e-300]), st.floats(1e-300, 1.0))
-        bounded = [data.draw(input_partitions(scale)) for _ in range(5)]
+        each_gap = data.draw(st.booleans())
+        bounded = [data.draw(input_partitions(scale, each_gap)) for _ in range(5)]
         parts = tuple(p for p, _ in bounded)
         rows = data.draw(residual_rows(bounded))
         outputs = (OutputPartition(-1, -0.3, 0.3, 1),) * 7
@@ -317,6 +327,22 @@ class TestInfer:
         kernel._memberships(rows, table)
         assert not np.isnan(table).any()
         assert not np.signbit(table).any()
+
+    def test_underflowing_nonz_reads_zero_not_negative_zero(self):
+        # at r = 0, (x - a1)/rise and (x - a3)/fall underflow to -0.0, and
+        # numpy 2 clips -0.0 to -0.0: a degree then printed as "-0.0"
+        part = InputPartition(1e-300, 1e300, 1.1e300, 1.2e300)
+        cfg = DetectorConfig((part,) * 5, (OutputPartition(-1, -0.3, 0.3, 1),) * 7)
+        kernel = DetectorKernel(cfg)
+        rows = np.zeros((2, 5))
+        table = np.empty((10, 2))
+        kernel._memberships(rows, table)
+        # Z = 1 and nonZ = +0.0 for every residual
+        assert table.tobytes() == np.array([[1.0, 1.0]] * 5 + [[0.0, 0.0]] * 5).tobytes()
+        for r in (rows, rows[:1]):
+            al, ok = kernel.activations(r)
+            assert not np.signbit(al).any() and not np.signbit(ok).any()
+            assert not np.signbit(kernel.degrees(r)).any()
 
     @given(data=st.data())
     @settings(max_examples=50, deadline=None)
@@ -351,13 +377,42 @@ class TestInfer:
             expected = brute_force_activations(memberships, rb)
             assert al[:, t].tobytes() == np.array([expected[v]["AL"] for v in VARIABLES]).tobytes()
             assert ok[:, t].tobytes() == np.array([expected[v]["OK"] for v in VARIABLES]).tobytes()
-            # a single column runs on Python floats, with the same bits
+            # a single column runs the same numpy calls
             single = rb.program.work(1)
             single[:10, 0] = table[:, t]
             al1, ok1 = rb.program.run(single)
             assert (al1.shape, ok1.shape) == ((7, 1), (7, 1))
             assert al1.tobytes() == al[:, t].tobytes()
             assert ok1.tobytes() == ok[:, t].tobytes()
+
+    # a huge residual over a tiny rise or fall is inf, which clips to 1
+    @pytest.mark.filterwarnings("ignore:overflow encountered in divide:RuntimeWarning")
+    @every_rulebase
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_one_row_matches_block_bytes(self, rb, data):
+        # one row runs memberships and program on Python floats, a block on
+        # numpy. NaN, +-inf, +-0.0, boundary ties and partitions from 1e-300
+        # to 1e300 decide which operand each min, max and clip returns;
+        # tier-1 runs this on every numpy version it tests
+        scale = st.sampled_from([1e-300, 1e-150, 1.0, 1e150, 1e300])
+        bounded = [data.draw(input_partitions(scale, data.draw(st.booleans())))
+                   for _ in range(5)]
+        outputs = tuple(data.draw(output_partitions()) for _ in range(7))
+        rows = data.draw(residual_rows(bounded))
+        kernel = DetectorKernel(DetectorConfig(tuple(p for p, _ in bounded), outputs))
+        kernel.program = rb.program
+        # two copies, so that a one-row draw runs as a block too; every row
+        # starts a trace, so one-row runs see the block's state
+        block = np.concatenate([rows, rows])
+        al, ok = kernel.activations(block)
+        degrees, flags = kernel.run_block(block, np.arange(len(block)))
+        for t in range(len(rows)):
+            al1, ok1 = kernel.activations(rows[t:t + 1])
+            assert al1.tobytes() == al[t].tobytes() and ok1.tobytes() == ok[t].tobytes()
+            degrees1, flags1 = kernel.run(rows[t:t + 1])
+            assert degrees1.tobytes() == degrees[t].tobytes()
+            assert flags1.tobytes() == flags[t].tobytes()
 
     def test_compiled_program_shares_pairs(self):
         # the order-2 rule base as a plain loop is 130 min and 197 max
@@ -688,6 +743,33 @@ class TestDetector:
         assert degrees[-1, VARIABLES.index("Df2")] > 0.5
         assert flags[-1, VARIABLES.index("De2")]
         assert flags[-1, VARIABLES.index("Df2")]
+
+    @pytest.mark.parametrize("shape", [(5,), (4, 1), (3, 4), (2, 5, 1), ()])
+    def test_misshaped_residuals_rejected(self, tuned_cfg, shape):
+        # a flat sample or a column used to broadcast into other samples
+        kernel = DetectorKernel(tuned_cfg)
+        r = np.full(shape, 3.0)
+        calls = (kernel.activations, kernel.degrees, kernel.run,
+                 lambda r: kernel.run_block(r, np.array([0])))
+        for call in calls:
+            with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+                call(r)
+
+    def test_detect_reads_any_real_input_as_float64(self, tuned_cfg):
+        values = np.array([[3, 0, 0, 0, 1], [1, 1, 0, 0, 0], [0, 0, -2, 0, 1]])
+        fractions = np.array([[1.2, 0.3, -0.9, 0.05, 1.6], [0.4, 1.1, 0.0, -0.7, 0.2]],
+                             dtype=np.float32)
+        for rows in (values, values.astype(bool), fractions):
+            reference = Detector(tuned_cfg)
+            expected = [reference.detect(row.astype(np.float64)) for row in rows]
+            as_list, as_array, as_vector = (Detector(tuned_cfg) for _ in range(3))
+            for row, (degrees, flags) in zip(rows, expected):
+                vector = ResidualVector(0.0, *row.tolist())
+                for got in (as_list.detect(row.tolist()), as_array.detect(row),
+                            as_vector.detect(vector)):
+                    assert got[0].dtype == np.float64
+                    assert got[0].tobytes() == degrees.tobytes()
+                    assert got[1].tobytes() == flags.tobytes()
 
     def test_detector_reset(self, tuned_cfg):
         det = Detector(tuned_cfg)
