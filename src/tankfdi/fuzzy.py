@@ -8,14 +8,15 @@ threshold for ``debounce`` consecutive samples raise the fault flag. Rule
 premises read Z, nonZ = max(NB, N, P, PB), or nothing (``any``).
 
 ``DetectorKernel`` is the one implementation of this pipeline. It computes
-Z and nonZ in closed form on |r| (``MEMBERSHIP_OPS``) and runs the rule
-base as a compiled program (``compile_rules``): binary min/max operations,
-with the pairs that several rules or several variables share computed
-once. Both op lists run as numpy calls on blocks of rows
-(``RuleProgram.run``) and, for a single row, as one generated function on
-Python floats (``RuleProgram.run_row``), with the same bits. Batch
-evaluation runs the kernel over whole suites; the streaming ``Detector``
-runs it one row at a time on the hold and debounce state it carries.
+Z and nonZ in closed form on |r| (``MEMBERSHIP_OPS``), runs the rule base
+as a compiled program (``compile_rules``): binary min/max operations, with
+the pairs that several rules or several variables share computed once,
+and defuzzifies by the clipped output areas (``DEFUZZIFY_OPS``). The op
+lists run as numpy calls on blocks of rows and, for a single row, as one
+generated function on Python floats that also holds and debounces
+(``RuleProgram.run_row``), with the same bits. Batch evaluation runs the
+kernel over whole suites; the streaming ``Detector`` runs the one-row
+function on the held degrees and above-threshold runs it carries.
 
 The rule base is generated mechanically from the fault-signature matrix:
 one rule per candidate fault set (each single fault and each pair), with
@@ -183,14 +184,40 @@ MEMBERSHIP_OPS = (
 #: ``RuleProgram.run_row`` takes their floats (each for r1..r5).
 _PARTITION = ("a1", "a2", "a3", "a4", "rise", "fall")
 
+#: The clipped-area defuzzification of one variable's AL and OK
+#: activations, as ops on named rows like ``MEMBERSHIP_OPS``: ``al`` and
+#: ``ok``, overwritten by their masses, the output partition's ``span`` =
+#: support - core and ``support``, and the scratch rows ``sq`` and
+#: ``total``. In closed form,
+#:
+#:     al_mass = span * (al - al*al/2),  ok_mass = ok*support - ok*ok*span/2
+#:
+#: and the alarm degree is al_mass / total where total = al_mass + ok_mass
+#: is positive; elsewhere neither set is activated and the degree holds.
+DEFUZZIFY_OPS = (
+    (np.multiply, "sq", "al", "al"),
+    (np.multiply, "sq", "sq", 0.5),
+    (np.subtract, "al", "al", "sq"),
+    (np.multiply, "al", "al", "span"),
+    (np.multiply, "sq", "ok", "ok"),
+    (np.multiply, "sq", "sq", "span"),
+    (np.multiply, "sq", "sq", 0.5),
+    (np.multiply, "ok", "ok", "support"),
+    (np.subtract, "ok", "ok", "sq"),
+    (np.add, "total", "al", "ok"),
+)
+
 #: Each ufunc of the op lists as Python statements on floats; clip is max
 #: then min, as numpy defines it. min and max return the second operand on
 #: a tie. Only 0.0 and -0.0 tie with different bits, and no membership or
 #: table row ends as -0.0, so which operand numpy returns does not matter.
+#: No op of the lists meets two NaNs, where numpy and Python may return
+#: different ones.
 _FLOAT_SOURCE = {
     np.absolute: ("{0} = abs({1})",),
     np.add: ("{0} = {1} + {2}",),
     np.subtract: ("{0} = {1} - {2}",),
+    np.multiply: ("{0} = {1} * {2}",),
     np.divide: ("{0} = {1} / {2}",),
     np.minimum: ("{0} = {1} if {1} < {2} else {2}",),
     np.maximum: ("{0} = {1} if {1} > {2} else {2}",),
@@ -203,18 +230,40 @@ def _float_source(ufunc: np.ufunc, names: list[str]) -> list[str]:
     return [line.format(*names) for line in _FLOAT_SOURCE[ufunc]]
 
 
+def _ops_source(ops: tuple, rows: dict[str, str], i: int) -> list[str]:
+    """The statements of an op list on Python floats: a named row is the
+    variable ``rows`` maps it to, else ``{name}_{i}``; a float operand is
+    that constant."""
+    def name(operand):
+        return repr(operand) if isinstance(operand, float) else rows.get(operand, f"{operand}_{i}")
+
+    return [line for ufunc, *operands in ops
+            for line in _float_source(ufunc, [name(x) for x in operands])]
+
+
 def _membership_source(i: int) -> list[str]:
     """The statements that write residual ``i``'s Z and nonZ table rows
     from ``r_i`` and its partition floats, NaN reading 0."""
     rows = {c: f"w{_TABLE + 5 * k + i}" for c, k in _COLUMN.items()}
-
-    def name(operand):
-        return repr(operand) if isinstance(operand, float) else rows.get(operand, f"{operand}_{i}")
-
-    ops = [line for ufunc, *operands in MEMBERSHIP_OPS
-           for line in _float_source(ufunc, [name(x) for x in operands])]
+    ops = _ops_source(MEMBERSHIP_OPS, rows, i)
     return ([f"if r_{i} == r_{i}:"] + [f"    {line}" for line in ops]
             + ["else:", f"    {' = '.join(rows.values())} = 0.0"])
+
+
+def _decision_source(j: int) -> list[str]:
+    """The statements that turn variable ``j``'s AL and OK (rows ``j`` and
+    ``7 + j``) into its held degree ``d_j``, its flag ``f_j`` and its run
+    ``n_j`` of above-threshold rows before the next one, capped at
+    ``last`` = debounce - 1."""
+    return _ops_source(DEFUZZIFY_OPS, {"al": f"w{j}", "ok": f"w{7 + j}"}, j) + [
+        f"d_{j} = w{j} / total_{j} if total_{j} > 0.0 else d_{j}",
+        f"if d_{j} > threshold:",
+        f"    f_{j} = n_{j} >= last",
+        f"    n_{j} = last if f_{j} else n_{j} + 1",
+        "else:",
+        f"    f_{j} = False",
+        f"    n_{j} = 0",
+    ]
 
 
 @dataclass(frozen=True)
@@ -225,8 +274,9 @@ class RuleProgram:
     ``_TABLE`` says. Each op ``(ufunc, dst, a, b)`` computes
     ``ufunc(row[a], row[b], out=row[dst])``. ``ones`` lists the output rows
     that are 1.0 everywhere: a rule with no premise reads fires at 1.0, and
-    the max of any firing with 1.0 is 1.0. ``run_row`` runs the
-    memberships and the program on one row's Python floats.
+    the max of any firing with 1.0 is 1.0. ``run_row`` runs the whole
+    detector step on one row's Python floats: memberships, the program,
+    defuzzification, hold and debounce.
 
     Rules absorbed by a concluding rule with a subset of their premise
     reads are left out (see ``compile_rules``). AL/OK are therefore those
@@ -242,23 +292,41 @@ class RuleProgram:
     ones: tuple[int, ...]
 
     @cached_property
-    def run_row(self) -> Callable[[Sequence[float], Sequence[float]], tuple[float, ...]]:
-        """``MEMBERSHIP_OPS`` and ``ops`` as one straight-line function,
-        ``run_row(r, partition)``: the five residuals of one row and the
-        partition floats (``_PARTITION`` order) in, AL then OK (14 floats)
-        out. Each row is a local variable; compiled once per program.
-        numpy call overhead dominates one-element rows, and a conditional
-        expression is several times cheaper than a builtin ``min`` call."""
+    def run_row(self) -> Callable[..., tuple]:
+        """One detector step as one straight-line function on Python
+        floats, ``run_row(r, partition, output, state)``:
+
+        - ``r``, the five residuals of one row;
+        - ``partition``, the input partition floats (``_PARTITION`` order);
+        - ``output``, the seven output spans (support - core), the seven
+          supports, the alarm threshold and ``last`` = debounce - 1;
+        - ``state``, the seven held degrees and the seven runs of
+          above-threshold rows before this one, each capped at ``last``.
+
+        It runs ``MEMBERSHIP_OPS``, ``ops`` and ``DEFUZZIFY_OPS``, holds
+        the degree where neither set is activated and flags a variable
+        above the threshold whose run reached ``last``. It returns the new
+        state (14 values) and then the seven flags. Each row is a local
+        variable. Everything a config sets is an argument, so the function
+        is compiled once per program. numpy call overhead dominates
+        one-element rows, and a conditional expression is several times
+        cheaper than a builtin ``min`` call."""
         body = [", ".join(f"r_{i}" for i in range(5)) + " = r",
                 ", ".join(f"{name}_{i}" for name in _PARTITION for i in range(5))
-                + " = partition"]
+                + " = partition",
+                ", ".join([f"{name}_{j}" for name in ("span", "support") for j in range(7)]
+                          + ["threshold", "last"]) + " = output",
+                ", ".join(f"{name}_{j}" for name in "dn" for j in range(7)) + " = state"]
         for i in range(5):
             body += _membership_source(i)
         for ufunc, *rows in self.ops:
             body += _float_source(ufunc, [f"w{row}" for row in rows])
         body += [f"w{row} = 1.0" for row in self.ones]
-        body.append("return " + ", ".join(f"w{row}" for row in range(_TABLE)))
-        source = "def run_row(r, partition):\n" + "".join(f"    {line}\n" for line in body)
+        for j in range(7):
+            body += _decision_source(j)
+        body.append("return " + ", ".join(f"{name}_{j}" for name in "dnf" for j in range(7)))
+        source = ("def run_row(r, partition, output, state):\n"
+                  + "".join(f"    {line}\n" for line in body))
         namespace: dict = {}
         exec(compile(source, "<rule program>", "exec"), namespace)
         return namespace["run_row"]
@@ -573,16 +641,16 @@ class DetectorKernel:
 
     Memberships are the closed forms of ``MEMBERSHIP_OPS`` on ``x = |r|``,
     run as numpy calls over all rows at once; a NaN residual reads 0 in
-    every set. ``RuleProgram.run`` turns the table into AL/OK rows, and the
-    AL share of the clipped output areas is the alarm degree. A single row
-    runs memberships and program as ``RuleProgram.run_row`` on Python
-    floats, with the same bits; defuzzification, hold and debounce stay on
-    numpy.
+    every set. ``RuleProgram.run`` turns the table into AL/OK rows, and
+    ``DEFUZZIFY_OPS`` turn those into the AL share of the clipped output
+    areas, the alarm degree.
 
-    ``run`` takes one trace, whole or chunk by chunk on carried state (the
-    streaming ``Detector`` runs it one row at a time); ``run_block`` takes
-    many traces concatenated. Every entry point takes residuals as rows of
-    five values and rejects any other shape.
+    ``run`` takes one trace, whole or chunk by chunk on carried state;
+    ``run_block`` takes many traces concatenated. Every entry point takes
+    residuals as rows of five values and rejects any other shape. ``step``
+    runs the same op lists on one row's Python floats, hold and debounce
+    included (``RuleProgram.run_row``), with the same bits; the streaming
+    ``Detector`` calls it once a row.
     """
 
     def __init__(self, cfg: DetectorConfig):
@@ -593,34 +661,34 @@ class DetectorKernel:
                           for f in ("a1", "a2", "a3", "a4"))
         self._partition = {"a1": a1, "a2": a2, "a3": a3, "a4": a4,
                            "rise": a2 - a1, "fall": a4 - a3}
-        # the same values as floats, for ``RuleProgram.run_row``
+        support = np.array([p.support for p in cfg.output_partitions])
+        span = np.array([p.support - p.core for p in cfg.output_partitions])
+        self._output = {"support": support[:, None], "span": span[:, None]}
+        # the same values as Python floats, for ``RuleProgram.run_row``
         self._row_partition = tuple(v for name in _PARTITION
                                     for v in self._partition[name][:, 0].tolist())
-        self.support = np.array([p.support for p in cfg.output_partitions])
-        self._span = np.array([p.support - p.core for p in cfg.output_partitions])[:, None]
+        self._row_output = (*span.tolist(), *support.tolist(), float(cfg.alarm_threshold),
+                            cfg.debounce - 1)
 
     def _memberships(self, r: np.ndarray, table: np.ndarray) -> None:
         """Write the membership table of residual rows ``r`` (T, 5) into
         ``table`` (2 * 5, T): Z of r1..r5, then nonZ."""
         rows = {**self._partition, "r": r.T, "Z": table[:5], "nonZ": table[5:]}
         rows["x"], rows["edge"] = np.empty((2, 5, r.shape[0]))
-        for ufunc, dst, *operands in MEMBERSHIP_OPS:
-            ufunc(*[rows.get(x, x) for x in operands], out=rows[dst])
+        # a huge residual over a tiny rise or fall is inf, which clips to 1
+        with np.errstate(over="ignore"):
+            for ufunc, dst, *operands in MEMBERSHIP_OPS:
+                ufunc(*[rows.get(x, x) for x in operands], out=rows[dst])
         missing = np.isnan(rows["x"])
         if missing.any():
             table.reshape(2, 5, -1)[:, missing] = 0.0
 
     def activations(self, residuals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per-variable (AL, OK) activations (T, 7) for residual rows (T, 5).
-        One row runs on Python floats (``RuleProgram.run_row``)."""
+        """Per-variable (AL, OK) activations (T, 7) for residual rows (T, 5)."""
         r = np.asarray(residuals, dtype=float)
         if r.ndim != 2 or r.shape[1] != 5:
             raise ValueError(f"residuals must be rows of 5 values, shape (T, 5); "
                              f"got shape {r.shape}")
-        if len(r) == 1:
-            al, ok = np.array(self.program.run_row(r[0].tolist(), self._row_partition)
-                              ).reshape(2, 1, 7)
-            return al, ok
         work = self.program.work(r.shape[0])
         self._memberships(r, work[:10])
         al, ok = self.program.run(work)
@@ -629,23 +697,16 @@ class DetectorKernel:
     def _defuzzify(self, residuals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Unheld alarm degrees ``raw`` (7, T) and where they are ``defined``.
 
-        The degree is the AL share of the clipped output areas. A sample
-        with neither set activated is undefined and reads 0 in ``raw``.
+        ``DEFUZZIFY_OPS`` run in place on the activations. A sample with
+        neither set activated is undefined and reads 0 in ``raw``.
         """
         al, ok = self.activations(residuals)
-        al, ok = al.T, ok.T
-        # the clipped areas, evaluated in place:
-        # al_mass = span * (al - al*al/2), ok_mass = ok*support - ok*ok*span/2
-        sq = al * al
-        sq *= 0.5
-        al_mass = np.subtract(al, sq, out=al)
-        al_mass *= self._span
-        np.multiply(ok, ok, out=sq)
-        sq *= self._span
-        sq *= 0.5
-        ok_mass = np.multiply(ok, self.support[:, None], out=ok)
-        ok_mass -= sq
-        total = np.add(al_mass, ok_mass, out=sq)
+        rows = {**self._output, "al": al.T, "ok": ok.T}
+        # total is written last, when sq is read for the last time
+        rows["sq"] = rows["total"] = np.empty_like(rows["al"])
+        for ufunc, dst, *operands in DEFUZZIFY_OPS:
+            ufunc(*[rows.get(x, x) for x in operands], out=rows[dst])
+        al_mass, total = rows["al"], rows["total"]
         defined = total > 0.0
         # both masses are non-negative, so al_mass is 0 wherever total is
         return np.divide(al_mass, total, out=al_mass, where=defined), defined
@@ -708,10 +769,23 @@ class DetectorKernel:
         degrees = _hold(raw, defined, None, starts).T
         return degrees, self._debounce(degrees > self.cfg.alarm_threshold, starts)
 
+    def step(self, r: Sequence[float], state: tuple) -> tuple:
+        """One row of five Python floats on the carried ``state``: the held
+        degrees of the seven variables, then their runs of above-threshold
+        rows before this one, capped at debounce - 1 (``Detector.START`` at
+        a trace's start). Returns the state after the row, then the seven
+        flags. Chained over a trace's rows, it equals ``run`` on the whole
+        trace bit for bit."""
+        return self.program.run_row(r, self._row_partition, self._row_output, state)
+
 
 class Detector:
-    """Streaming detector: the kernel run one row at a time on the state it
-    carries between rows."""
+    """Streaming detector: the kernel's one-row ``step`` on the held degrees
+    and the runs of above-threshold rows it carries, 14 values whatever the
+    debounce."""
+
+    #: The state at a trace's start: every degree 0, no above-threshold row.
+    START = (0.0,) * 7 + (0,) * 7
 
     def __init__(self, cfg: DetectorConfig):
         self.cfg = cfg
@@ -719,14 +793,19 @@ class Detector:
         self.reset()
 
     def reset(self) -> None:
-        self._held = np.zeros(7)
-        self._recent = np.zeros((self.cfg.debounce - 1, 7), dtype=bool)
+        self._state = self.START
 
     def detect(self, residuals) -> tuple[np.ndarray, np.ndarray]:
-        """One step: residual values (5,) -> (degrees (7,), flags (7,) bool)."""
-        r = residuals.as_array() if hasattr(residuals, "as_array") else np.asarray(residuals)
-        degrees, flags = self.kernel.run(r.reshape(1, 5), self._held, self._recent)
-        return degrees[0], flags[0]
+        """One step: one sample of five residual values, as a list, an array
+        or a ``ResidualVector`` -> (degrees (7,), flags (7,) bool)."""
+        r = np.asarray(residuals.as_array() if hasattr(residuals, "as_array") else residuals,
+                       dtype=float)
+        if r.shape != (5,):
+            raise ValueError(f"residuals must be one sample of 5 values, shape (5,); "
+                             f"got shape {r.shape}")
+        out = self.kernel.step(r.tolist(), self._state)
+        self._state = out[:14]
+        return np.array(out[:7]), np.array(out[14:])
 
 
 # ---------------------------------------------------------------------------

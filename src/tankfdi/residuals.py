@@ -79,6 +79,12 @@ class ResidualEvaluator:
     before smoothing. An additive step fault on a pressure channel shows up
     as a one-sample impulse in the measured derivative; the median rejects
     it so the detector only sees the settled offset.
+
+    Each step conditions the three derivative channels on Python floats,
+    equal bit for bit to ``residual_batch`` on the same signals: a full
+    window of three takes ``_float_median3`` and the low-pass
+    ``_float_low_pass``. Other windows, such as the warm-up ones, take
+    ``np.median`` over the window as the batch path does.
     """
 
     def __init__(self, params: PlantParams, dt: float, tau: float | None = None,
@@ -93,34 +99,48 @@ class ResidualEvaluator:
         self.spike_window = spike_window
         self._alpha = _low_pass_alpha(tau, dt)
         self._prev: MeasurementFrame | None = None
-        self._filtered: np.ndarray | None = None
-        self._recent: deque[np.ndarray] = deque(maxlen=spike_window)
+        self._filtered: tuple[float, ...] | None = None
+        self._recent: deque[tuple[float, ...]] = deque(maxlen=spike_window)
 
     def update(self, frame: MeasurementFrame) -> ResidualVector:
         prev = self._prev
         self._prev = frame
         if prev is None:
             raise InsufficientHistory("first frame of a trace has no derivative")
-        raw = np.array([
-            (frame.De1 - prev.De1) / self.dt,
-            (frame.De2 - prev.De2) / self.dt,
-            (frame.De3 - prev.De3) / self.dt,
-        ])
+        dt = self.dt
+        raw = ((frame.De1 - prev.De1) / dt, (frame.De2 - prev.De2) / dt,
+               (frame.De3 - prev.De3) / dt)
         if self.spike_window > 1:
-            self._recent.append(raw)
-            raw = _window_median(self._recent)
-        if self._filtered is None or self._alpha is None:
-            self._filtered = raw
-        else:
-            self._filtered = _low_pass(self._filtered, raw, self._alpha)
-        return ResidualVector(frame.t, *arr_residuals(_frame_signals(frame),
-                                                      self._filtered, self.params))
+            window = self._recent
+            window.append(raw)
+            raw = (tuple(map(_float_median3, *window)) if len(window) == 3
+                   else tuple(np.median(window, axis=0).tolist()))
+        filtered, alpha = self._filtered, self._alpha
+        if filtered is not None and alpha is not None:
+            raw = (_float_low_pass(filtered[0], raw[0], alpha),
+                   _float_low_pass(filtered[1], raw[1], alpha),
+                   _float_low_pass(filtered[2], raw[2], alpha))
+        self._filtered = raw
+        return ResidualVector(frame.t, *arr_residuals(_frame_signals(frame), raw, self.params))
 
 
 def _median3(a, b, c):
     """Median of three by exact selection; the value ``np.median`` picks,
     NaN propagating as it does there."""
     return np.maximum(np.minimum(a, b), np.minimum(np.maximum(a, b), c))
+
+
+def _float_median3(a: float, b: float, c: float) -> float:
+    """``_median3`` on Python floats. Without NaN, conditional expressions
+    that return the second operand on a tie, as ``np.minimum`` and
+    ``np.maximum`` do (0.0 and -0.0 tie with different bits); with one,
+    the first NaN, which those two return."""
+    if a == a and b == b and c == c:
+        lo = a if a < b else b
+        hi = a if a > b else b
+        mid = hi if hi < c else c
+        return lo if lo > mid else mid
+    return a if a != a else b if b != b else c
 
 
 def _window_median(rows):
@@ -150,6 +170,14 @@ def _low_pass(filtered, raw, alpha, out=None, scratch=None):
     ``scratch`` (new arrays where None). ``out`` may be ``raw``."""
     step = np.subtract(raw, filtered, scratch)
     return np.add(filtered, np.multiply(alpha, step, step), out)
+
+
+def _float_low_pass(filtered: float, raw: float, alpha: float) -> float:
+    """``_low_pass`` on one channel's Python floats. A NaN state stays as it
+    is, the NaN numpy's add returns on a one-trace block given two NaNs:
+    CPython's float add returns either, depending on whether the
+    interpreter has specialised the instruction yet."""
+    return filtered if filtered != filtered else filtered + alpha * (raw - filtered)
 
 
 def _rolling_median(raw: np.ndarray, window: int) -> np.ndarray:

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -310,7 +311,8 @@ class TestInfer:
             assert degrees[t].tolist() == held
 
     # a huge residual over a tiny rise or fall is inf, which clips to 1
-    @pytest.mark.filterwarnings("ignore:overflow encountered in divide:RuntimeWarning")
+    # without a warning
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @given(data=st.data())
     @settings(max_examples=100, deadline=None)
     def test_memberships_hold_no_nan_and_no_negative_zero(self, data):
@@ -386,7 +388,8 @@ class TestInfer:
             assert ok1.tobytes() == ok[:, t].tobytes()
 
     # a huge residual over a tiny rise or fall is inf, which clips to 1
-    @pytest.mark.filterwarnings("ignore:overflow encountered in divide:RuntimeWarning")
+    # without a warning
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @every_rulebase
     @given(data=st.data())
     @settings(max_examples=60, deadline=None)
@@ -413,6 +416,10 @@ class TestInfer:
             degrees1, flags1 = kernel.run(rows[t:t + 1])
             assert degrees1.tobytes() == degrees[t].tobytes()
             assert flags1.tobytes() == flags[t].tobytes()
+            # the one-row step on Python floats, from a trace's start
+            step = kernel.step(rows[t].tolist(), Detector.START)
+            assert np.array(step[:7]).tobytes() == degrees[t].tobytes()
+            assert np.array(step[14:]).tobytes() == flags[t].tobytes()
 
     def test_compiled_program_shares_pairs(self):
         # the order-2 rule base as a plain loop is 130 min and 197 max
@@ -614,7 +621,7 @@ class TestDetector:
         # the streaming detector is the kernel on carried hold and debounce
         # state, so any chunking of a trace, down to single rows, changes
         # no degree and no flag
-        debounce = data.draw(st.integers(1, 5))
+        debounce = data.draw(st.integers(1, 40))
         cfg = dataclasses.replace(params_to_config(fuzzy.EXAMPLE_SWARM_TUNED)[0],
                                   debounce=debounce)
         patterns = st.sampled_from([
@@ -626,8 +633,11 @@ class TestDetector:
             [np.nan] * 5,                        # every residual drops out
         ])
         noisy = st.lists(st.floats(-4, 4), min_size=5, max_size=5)
+        # runs as long as the debounce, and just shorter or longer
+        lengths = st.one_of(st.integers(1, 6),
+                            st.integers(max(1, debounce - 2), debounce + 2))
         segments = data.draw(st.lists(
-            st.tuples(st.one_of(patterns, noisy), st.integers(1, 6)),
+            st.tuples(st.one_of(patterns, noisy), lengths),
             min_size=1, max_size=10))
         rows = np.array([row for row, n in segments for _ in range(n)], dtype=float)
         cuts = data.draw(st.lists(st.integers(1, len(rows) - 1), unique=True)
@@ -770,6 +780,32 @@ class TestDetector:
                     assert got[0].dtype == np.float64
                     assert got[0].tobytes() == degrees.tobytes()
                     assert got[1].tobytes() == flags.tobytes()
+
+    @pytest.mark.parametrize("shape", [(5, 1), (1, 5), (6,), (4,), ()])
+    def test_detect_takes_one_sample_of_five(self, tuned_cfg, shape):
+        # a column or a row of five used to be reshaped without complaint
+        det = Detector(tuned_cfg)
+        for r in (np.full(shape, 3.0), np.full(shape, 3.0).tolist()):
+            with pytest.raises(ValueError, match=re.escape(f"shape (5,); got shape {shape}")):
+                det.detect(r)
+        assert det.detect(np.zeros(5))[0].tolist() == [0.0] * 7
+
+    def test_detector_state_does_not_grow_with_debounce(self, tuned_cfg):
+        # the carried state is one held degree and one run length per
+        # variable; a (debounce - 1, 7) window of above-threshold rows
+        # peaked at 20 MB over these samples
+        cfg = dataclasses.replace(tuned_cfg, debounce=plant.MAX_STEPS)
+        Detector(cfg).detect(np.zeros(5))  # compiles the shared program
+        rows = np.random.default_rng(5).normal(scale=2.0, size=(100, 5))
+        tracemalloc.start()
+        try:
+            det = Detector(cfg)
+            for row in rows:
+                det.detect(row)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
 
     def test_detector_reset(self, tuned_cfg):
         det = Detector(tuned_cfg)

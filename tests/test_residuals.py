@@ -1,6 +1,7 @@
 """Residual evaluation, signature structure and self-consistency oracles."""
 
 import itertools
+import types
 
 import numpy as np
 import pytest
@@ -168,6 +169,38 @@ class TestRollingMedian:
                                       [[[1.0], [3.0]]])
 
 
+class TestFloatConditioning:
+    #: NaN of both signs: inf - inf is the negative one
+    VALUES = (-np.inf, -1.0, -0.0, 0.0, 1.0, np.inf, np.nan, np.inf - np.inf)
+
+    def test_median_of_three_is_the_block_median_bytes(self):
+        # every ordered triple, so every tie of 0.0 and -0.0 and every
+        # order of the two NaNs
+        for triple in itertools.product(self.VALUES, repeat=3):
+            want = residuals._median3(*(np.array([x]) for x in triple))
+            got = np.array([residuals._float_median3(*triple)])
+            assert got.tobytes() == want.tobytes(), triple
+
+    def test_low_pass_is_the_block_low_pass_bytes(self):
+        # a one-trace block of three channels, as residual_batch filters it.
+        # Given two NaNs, CPython's float add returns one before the
+        # interpreter specialises the instruction and the other after, so
+        # each pair runs on a fresh copy of the function and on a warm one
+        def fresh():
+            code = residuals._float_low_pass.__code__
+            return types.FunctionType(code.replace(), residuals.__dict__)
+
+        warm = fresh()
+        for _ in range(100):
+            warm(1.0, 2.0, 0.25)
+        for filtered, raw in itertools.product(self.VALUES, repeat=2):
+            with np.errstate(invalid="ignore"):
+                want = residuals._low_pass(np.full(3, filtered), np.full(3, raw), 0.25)
+            for low_pass in (fresh(), warm):
+                got = np.full(3, low_pass(filtered, raw, 0.25))
+                assert got.tobytes() == want.tobytes(), (filtered, raw)
+
+
 class TestResidualBatch:
     def test_each_row_equals_its_own_trace(self, params):
         scenarios = [FaultScenario(seed=s, duration=4.0, dt=0.1, noise_std_R=0.02,
@@ -204,6 +237,31 @@ class TestResidualBatch:
         with pytest.raises(InsufficientHistory):
             stream.update(frames[0])
         rows = np.array([stream.update(f).as_array() for f in frames[1:]])
+        assert rows.tobytes() == batch.tobytes()
+
+    #: Signal values that tie, differ only in sign (+-0.0), or are not finite
+    PRESSURES = st.sampled_from([0.0, -0.0, 1.0, np.nan, np.inf, -np.inf])
+    HOSTILE = st.one_of(PRESSURES, st.floats(-3.0, 3.0))
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_streaming_evaluator_equals_batch_on_hostile_frames(self, data):
+        # repeated pressures tie in the median, 0.0 and -0.0 tie with
+        # different bits, and NaN and +-inf (inf - inf is a NaN of the
+        # other sign) decide which operand each median and low-pass step
+        # returns: the streamed rows must still be the batch rows' bytes
+        spike_window = data.draw(st.integers(1, 4))
+        tau = data.draw(st.sampled_from([None, 0.3]))
+        row = st.tuples(*[self.HOSTILE] * 2, *[self.PRESSURES] * 3, *[self.HOSTILE] * 2)
+        signals = np.array(data.draw(st.lists(row, min_size=2, max_size=24)))
+        params = plant.PlantParams()
+        stream = ResidualEvaluator(params, dt=0.1, tau=tau, spike_window=spike_window)
+        frames = [frame_at(0.1 * k, *row) for k, row in enumerate(signals.tolist())]
+        with np.errstate(invalid="ignore"):  # inf - inf, in both paths
+            batch = residual_batch(signals[None], 0.1, params, tau, spike_window)[0]
+            with pytest.raises(InsufficientHistory):
+                stream.update(frames[0])
+            rows = np.array([stream.update(f).as_array() for f in frames[1:]])
         assert rows.tobytes() == batch.tobytes()
 
 
