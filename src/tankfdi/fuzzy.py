@@ -603,22 +603,16 @@ def load_config(path: str) -> DetectorConfig:
 _GAP_PAD = 1024
 
 
-def _hold(values: np.ndarray, defined: np.ndarray, held0: np.ndarray | None = None,
-          starts: np.ndarray | None = None) -> np.ndarray:
+def _hold(values: np.ndarray, defined: np.ndarray, starts: np.ndarray) -> np.ndarray:
     """Forward-fill ``values`` (V, T) in place over its undefined samples.
 
     An undefined sample takes the value of the last defined one in its
-    row; before column 0 a row reads ``held0`` (V,). Undefined samples must
-    read 0 (False), the default ``held0``, and each column listed in
-    ``starts`` starts a fresh trace from that value.
+    row. Each column listed in ``starts``, and column 0, starts a trace: an
+    undefined sample there keeps its value, which must read 0 (False).
     """
-    if starts is not None:
+    if values.shape[1]:
         defined[:, starts] = True
-    if defined.all():
-        return values
-    if held0 is not None:
-        np.copyto(values[:, 0], held0, where=~defined[:, 0])
-    defined[:, 0] = True
+        defined[:, 0] = True
     if defined.all():
         return values
     # flat (C order) indices of the gaps, then _GAP_PAD indices past the
@@ -645,9 +639,10 @@ class DetectorKernel:
     ``DEFUZZIFY_OPS`` turn those into the AL share of the clipped output
     areas, the alarm degree.
 
-    ``run`` takes one trace, whole or chunk by chunk on carried state;
-    ``run_block`` takes many traces concatenated. Every entry point takes
-    residuals as rows of five values and rejects any other shape. ``step``
+    ``run_block`` is the one block pass, over many traces concatenated;
+    ``run`` is ``run_block`` on one trace, and ``degrees`` its degrees.
+    Every entry point takes residuals as rows of five values and rejects
+    any other shape. ``step``
     runs the same op lists on one row's Python floats, hold and debounce
     included (``RuleProgram.run_row``), with the same bits; the streaming
     ``Detector`` calls it once a row.
@@ -711,26 +706,17 @@ class DetectorKernel:
         # both masses are non-negative, so al_mass is 0 wherever total is
         return np.divide(al_mass, total, out=al_mass, where=defined), defined
 
-    def degrees(self, residuals: np.ndarray,
-                held0: np.ndarray | None = None) -> np.ndarray:
-        """Alarm degrees (T, 7); undefined samples hold the previous degree,
-        and before the first row that is ``held0`` (zeros by default)."""
-        raw, defined = self._defuzzify(residuals)
-        return _hold(raw, defined, held0).T
+    def degrees(self, residuals: np.ndarray) -> np.ndarray:
+        """Alarm degrees (T, 7) of one trace: ``run``'s degrees."""
+        return self.run(residuals)[0]
 
-    def _debounce(self, above: np.ndarray, starts: np.ndarray | None = None,
-                  recent: np.ndarray | None = None) -> np.ndarray:
+    def _debounce(self, above: np.ndarray, starts: np.ndarray) -> np.ndarray:
         """Debounced flags: the "above threshold" rows (T, 7) that end a run
-        of ``debounce`` above rows. The first windows reach back into
-        ``recent`` (debounce - 1, 7), the above rows before row 0 (none by
-        default), which is updated in place to the last ones. With
-        ``starts`` every listed row starts a fresh window."""
+        of ``debounce`` above rows, counted from the last listed row of
+        ``starts`` at or before them."""
         d = self.cfg.debounce
-        before = np.zeros((d - 1, 7), dtype=bool) if recent is None else recent
         # one row per variable, the layout the callers' (T, 7) arrays have
-        window = np.concatenate([before.T, above.T], axis=1)
-        if recent is not None:
-            recent[:] = window[:, len(above):].T
+        window = np.concatenate([np.zeros((d - 1, 7), dtype=bool).T, above.T], axis=1)
         # window[:, t] holds "above on rows t .. t + width - 1" of the
         # prefixed rows; AND-ing it with itself shifted by at most ``width``
         # widens that, and after debounce - 1 shifts it has T columns
@@ -740,33 +726,24 @@ class DetectorKernel:
             window = window[:, step:] & window[:, :-step]
             width += step
         out = window.T
-        if starts is not None and d > 1:
+        if d > 1:
             for s in starts:
                 out[s: s + d - 1] = False
         return out
 
-    def run(self, residuals: np.ndarray, held: np.ndarray | None = None,
-            recent: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """Degrees and debounced flags (T, 7) of one trace, or of its next
-        chunk: ``held`` (7,), the last degrees, and ``recent`` (debounce - 1,
-        7), the last above-threshold rows, carry the trace's state. Both are
-        read as the state before the first row and updated in place to the
-        state after the last, so chunked runs equal the whole run."""
-        degrees = self.degrees(residuals, held)
-        if held is not None and len(degrees):
-            held[:] = degrees[-1]
-        return degrees, self._debounce(degrees > self.cfg.alarm_threshold, None, recent)
+    def run(self, residuals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Degrees and debounced flags (T, 7) of one trace: ``run_block``
+        on a block that starts a trace at row 0 only."""
+        return self.run_block(residuals, np.zeros(1, dtype=int))
 
     def run_block(self, residuals: np.ndarray,
                   starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Evaluate several concatenated traces in one vectorized pass.
-
-        ``starts`` holds the first row index of each trace. Hold state and
-        debounce windows are reset at trace boundaries, so the result equals
-        running each trace separately.
-        """
+        """Degrees and debounced flags (T, 7) of traces concatenated, in one
+        vectorized pass. ``starts`` holds the first row of each trace; every
+        trace starts with degrees 0 and no above-threshold row, so the
+        result equals running each trace separately."""
         raw, defined = self._defuzzify(residuals)
-        degrees = _hold(raw, defined, None, starts).T
+        degrees = _hold(raw, defined, starts).T
         return degrees, self._debounce(degrees > self.cfg.alarm_threshold, starts)
 
     def step(self, r: Sequence[float], state: tuple) -> tuple:

@@ -107,6 +107,9 @@ class GaParams:
             raise ValueError("population must be at least 2")
         if not 0 <= self.elite_count < self.population:
             raise ValueError("elite_count must satisfy 0 <= elite < population")
+        for name in ("max_generations", "stall_generations"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative")
         if self.stall_generations > self.max_generations:
             raise ValueError(f"stall_generations ({shown(self.stall_generations)}) must not "
                              f"exceed max_generations ({shown(self.max_generations)})")

@@ -192,17 +192,12 @@ def ideal_flag_set(support: Iterable[int], rulebase: RuleBase) -> frozenset[str]
                      if act[v]["AL"] >= 1.0 - 1e-12 and act[v]["OK"] <= 1e-12)
 
 
-def hold(values: np.ndarray, defined: np.ndarray, held0: np.ndarray | None = None,
-         starts: np.ndarray | None = None) -> np.ndarray:
+def hold(values: np.ndarray, defined: np.ndarray, starts: np.ndarray) -> np.ndarray:
     """Forward-fill ``values`` (V, T) in place over its undefined samples,
     with the contract of ``tankfdi.fuzzy._hold``: a running maximum of the
-    last defined column over every row that has a gap."""
-    if starts is not None:
-        defined[:, starts] = True
-    if defined.all():
-        return values
-    if held0 is not None:
-        np.copyto(values[:, 0], held0, where=~defined[:, 0])
+    last defined column over every row that has a gap, each column of
+    ``starts`` and column 0 counting as defined."""
+    defined[:, starts] = True
     defined[:, 0] = True
     rows = (~defined.all(axis=1)).nonzero()[0]
     if not rows.size:

@@ -218,6 +218,19 @@ class TestTune:
                 in capsys.readouterr().err)
         assert not out.exists()
 
+    @pytest.mark.parametrize("max_generations,stall_generations,name", [
+        ("-1", "-1", "max_generations"), ("5", "-2", "stall_generations")])
+    def test_negative_generation_count_exits_2(self, tmp_path, capsys, max_generations,
+                                               stall_generations, name):
+        out = tmp_path / "cfg.json"
+        code = main(["tune", "--method", "ga", "--generate", "3", "--population", "3",
+                     "--max-generations", max_generations,
+                     "--stall-generations", stall_generations,
+                     "--out-config", str(out), "--out-history", str(tmp_path / "hist.csv")])
+        assert code == 2
+        assert f"{name} must be non-negative" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
     @pytest.mark.parametrize("method,flag,value", [("pso", "--population", "99"),
                                                    ("ga", "--c1", "2.5")])
     def test_flag_of_the_other_method_exits_2(self, tmp_path, suite_file, method, flag,

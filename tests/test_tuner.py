@@ -241,6 +241,15 @@ class TestGa:
         with pytest.raises(ValueError):
             GaParams(crossover_fraction=1.5)
 
+    @pytest.mark.parametrize("max_generations,stall_generations,name", [
+        (-1, -1, "max_generations"), (5, -2, "stall_generations")])
+    def test_negative_generation_count_rejected(self, max_generations, stall_generations,
+                                                name):
+        # a negative count used to return the random initial population, or
+        # to stop after one generation
+        with pytest.raises(ValueError, match=f"^{name} must be non-negative$"):
+            GaParams(max_generations=max_generations, stall_generations=stall_generations)
+
 
 class TestPooled:
     """``tuner.pooled`` scores a population across forked workers."""
