@@ -355,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-history", required=True)
     p.set_defaults(func=cmd_tune)
 
-    p = sub.add_parser("detect", help="stream a scenario through a detector config")
+    p = sub.add_parser("detect", help="per-sample degrees and flags of one scenario's residuals")
     p.add_argument("--config", required=True, help="detector config JSON")
     p.add_argument("--scenario", required=True)
     p.add_argument("--plant")

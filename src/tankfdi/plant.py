@@ -236,20 +236,6 @@ class PlantParams:
 
 
 @dataclass(frozen=True)
-class MeasurementFrame:
-    """The seven supervised signals at one timestep."""
-
-    t: float
-    Msf1: float
-    Msf2: float
-    De1: float
-    De2: float
-    De3: float
-    Df1: float
-    Df2: float
-
-
-@dataclass(frozen=True)
 class FaultEvent:
     """Additive fault on one supervised channel.
 
@@ -335,12 +321,10 @@ class Trace:
     def __len__(self) -> int:
         return len(self.times)
 
-    def frame(self, i: int) -> MeasurementFrame:
-        row = self.signals[i]
-        return MeasurementFrame(float(self.times[i]), *(float(v) for v in row))
-
-    def frames(self) -> Iterable[MeasurementFrame]:
-        return (self.frame(i) for i in range(len(self)))
+    def frames(self) -> Iterable[tuple[float, ...]]:
+        """Rows ``(t, Msf1, Msf2, De1, De2, De3, Df1, Df2)`` of Python floats,
+        as ``write_trace_csv`` writes them and ``ResidualEvaluator`` takes them."""
+        return map(tuple, np.column_stack([self.times, self.signals]).tolist())
 
 
 def _flows(de1, de2, de3, r12, r23, params: PlantParams, mode: str) -> tuple:
@@ -595,4 +579,4 @@ def load_scenario(path: str) -> tuple[FaultScenario, tuple[float, float]]:
 
 def write_trace_csv(trace: Trace, path: str) -> None:
     """Write `t,Msf1,Msf2,De1,De2,De3,Df1,Df2` rows at full float precision."""
-    write_csv(("t",) + VARIABLES, np.column_stack([trace.times, trace.signals]).tolist(), path)
+    write_csv(("t",) + VARIABLES, trace.frames(), path)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .plant import MeasurementFrame, PlantParams, Trace, write_csv
+from .plant import PlantParams, Trace, shown, write_csv
 
 RESIDUAL_NAMES = ("r1", "r2", "r3", "r4", "r5")
 
@@ -64,16 +64,11 @@ def arr_residuals(s, d, params: PlantParams) -> tuple:
             (de1 - de2) / p.R12 - df1)
 
 
-def _frame_signals(frame: MeasurementFrame) -> tuple[float, ...]:
-    return (frame.Msf1, frame.Msf2, frame.De1, frame.De2, frame.De3,
-            frame.Df1, frame.Df2)
-
-
 class ResidualEvaluator:
     """Streaming residual evaluation with optional derivative conditioning.
 
-    Feed frames in time order; the first frame primes the derivative history
-    and raises InsufficientHistory if a residual is requested for it.
+    Feed one trace's rows, as ``Trace.frames`` yields them, in time order;
+    the first primes the derivative history and raises InsufficientHistory.
 
     ``spike_window`` > 1 runs a rolling median of that many raw differences
     before smoothing. An additive step fault on a pressure channel shows up
@@ -98,18 +93,23 @@ class ResidualEvaluator:
         self.tau = tau
         self.spike_window = spike_window
         self._alpha = _low_pass_alpha(tau, dt)
-        self._prev: MeasurementFrame | None = None
+        self._prev: tuple[float, float, float] | None = None
         self._filtered: tuple[float, ...] | None = None
         self._recent: deque[tuple[float, ...]] = deque(maxlen=spike_window)
 
-    def update(self, frame: MeasurementFrame) -> ResidualVector:
+    def update(self, row) -> ResidualVector:
+        """Residuals at one row of eight numbers: a tuple, list or (8,) array.
+        Any other row raises ValueError and leaves the evaluator as it was."""
+        try:
+            t, msf1, msf2, de1, de2, de3, df1, df2 = row
+        except (TypeError, ValueError):
+            raise ValueError(f"a row holds t and the seven signals, got {shown(row)}") from None
         prev = self._prev
-        self._prev = frame
+        self._prev = (de1, de2, de3)
         if prev is None:
-            raise InsufficientHistory("first frame of a trace has no derivative")
+            raise InsufficientHistory("first row of a trace has no derivative")
         dt = self.dt
-        raw = ((frame.De1 - prev.De1) / dt, (frame.De2 - prev.De2) / dt,
-               (frame.De3 - prev.De3) / dt)
+        raw = ((de1 - prev[0]) / dt, (de2 - prev[1]) / dt, (de3 - prev[2]) / dt)
         if self.spike_window > 1:
             window = self._recent
             window.append(raw)
@@ -121,7 +121,8 @@ class ResidualEvaluator:
                    _float_low_pass(filtered[1], raw[1], alpha),
                    _float_low_pass(filtered[2], raw[2], alpha))
         self._filtered = raw
-        return ResidualVector(frame.t, *arr_residuals(_frame_signals(frame), raw, self.params))
+        return ResidualVector(t, *arr_residuals((msf1, msf2, de1, de2, de3, df1, df2), raw,
+                                                self.params))
 
 
 def _median3(a, b, c):

@@ -8,7 +8,7 @@ vectorized ``tankfdi.fuzzy.DetectorKernel`` must agree with it bit for
 bit; its hold, which fills each gap from its source sample, must
 equal ``hold`` here, a running maximum over whole rows. Likewise the plant
 one step at a time: a ``PlantState`` advanced by one RK4 ``step``, R/C
-noise drawn step by step, the ``coupling_flows`` and sensor frames with
+noise drawn step by step, the ``coupling_flows`` and sensor rows with
 each event's ``offset_at``, which ``simulate`` runs from any initial
 state and ``tankfdi.plant.run`` must reproduce row for row from the
 steady state; and the valve law on ``math`` floats, ``valve_flow``,
@@ -19,8 +19,7 @@ One scenario's conditioned residuals through ``tankfdi.plant.run`` and
 must equal bit for bit. Last, the accessors and fixtures only tests use:
 the residual fault directions, a variable's signature row, a de-tuned
 detector, a bank's per-scenario rows, the metrics rows of several configs
-on one suite, and plain forms of plant parameters, frames and trace
-columns.
+on one suite, and plain forms of plant parameters and trace columns.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ from tankfdi.fuzzy import (DetectorConfig, InputPartition, OutputPartition, Rule
 from tankfdi.harness import (DERIVATIVE_SPIKE_WINDOW, DERIVATIVE_TAU_FACTOR, DetectionReport,
                              ResidualBank, evaluate_bank, metrics_row)
 from tankfdi.plant import (NOISY_PARAMS, VARIABLE_INDEX, VARIABLES, FaultEvent,
-                           FaultScenario, MeasurementFrame, PlantParams,
+                           FaultScenario, PlantParams,
                            SimulationDiverged, Trace, _flows, _rk4)
 from tankfdi.render import EDGES, _degree_map, color_index
 
@@ -274,17 +273,31 @@ def perturb_params(params: PlantParams, noise_std_R: float, noise_std_C: float,
     return replace(params, **updates)
 
 
+class SensorRow(NamedTuple):
+    """One measured sample by name: a trace-CSV row, as ``Trace.frames``
+    yields it and ``ResidualEvaluator.update`` takes it."""
+
+    t: float
+    Msf1: float
+    Msf2: float
+    De1: float
+    De2: float
+    De3: float
+    Df1: float
+    Df2: float
+
+
 def measure(state: PlantState, inputs: tuple[float, float], params: PlantParams,
             events: Sequence[FaultEvent] = (), t: float | None = None,
-            mode: str = "linear") -> MeasurementFrame:
-    """Sensor frame at time t: true signals plus any active additive offsets."""
+            mode: str = "linear") -> SensorRow:
+    """Sensor row at time t: true signals plus any active additive offsets."""
     if t is None:
         t = state.t
     df1, df2 = coupling_flows(state.De1, state.De2, state.De3, params, mode)
     values = [inputs[0], inputs[1], state.De1, state.De2, state.De3, df1, df2]
     for ev in events:
         values[VARIABLE_INDEX[ev.target]] += offset_at(ev, t)
-    return MeasurementFrame(t, *values)
+    return SensorRow(t, *values)
 
 
 def simulate(scenario: FaultScenario, params: PlantParams, inputs: tuple[float, float],
@@ -298,7 +311,7 @@ def simulate(scenario: FaultScenario, params: PlantParams, inputs: tuple[float, 
     state, rows = x0, []
     for t in times.tolist():
         p = perturb_params(params, scenario.noise_std_R, scenario.noise_std_C, rng)
-        rows.append(frame_vector(measure(state, inputs, p, scenario.events, t, mode)))
+        rows.append(measure(state, inputs, p, scenario.events, t, mode)[1:])
         state = step(replace(state, t=t), inputs, p, dt, mode)
     return Trace(times, np.array(rows), dt)
 
@@ -364,11 +377,6 @@ def detuned_config() -> DetectorConfig:
 def plant_params_dict(params: PlantParams) -> dict:
     """A plant config object, as ``plant.from_json`` reads it for ``PlantParams``."""
     return {"schema": 1, **{k: getattr(params, k) for k in params.__dataclass_fields__}}
-
-
-def frame_vector(frame: MeasurementFrame) -> np.ndarray:
-    """A frame's signals in canonical VARIABLES order (time excluded)."""
-    return np.array([getattr(frame, name) for name in VARIABLES])
 
 
 def column(trace: Trace, name: str) -> np.ndarray:

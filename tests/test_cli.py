@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tankfdi import cli, fuzzy, harness, plant, render, tuner
+from tankfdi import cli, fuzzy, harness, plant, render, residuals, tuner
 from tankfdi.cli import main
 
 import oracle
@@ -392,6 +392,44 @@ class TestDetect:
         (report,) = [json.loads(line) for line in (tmp_path / "r.jsonl").read_text().splitlines()]
         assert first == report["flagged"]
         assert sorted(first) == ["Msf1", "Msf2"]
+
+
+    @pytest.mark.parametrize("events", [
+        (plant.FaultEvent("De1", 3.0, 2.0),),
+        (plant.FaultEvent("Msf2", 2.0, 0.3, "ramp"),),
+        harness.compensation_pair(2.0, plant.PlantParams(), start=4.0),
+        (),
+    ], ids=["step", "ramp", "compensation pair", "no fault"])
+    def test_streamed_trace_csv_rows_equal_detect(self, tmp_path, config_file, events):
+        # the on-line path: the rows that simulate --out-trace writes, read
+        # back from the text, through ResidualEvaluator and Detector one
+        # at a time, give detect's CSV byte for byte
+        scenario = plant.FaultScenario(seed=5, duration=10.0, dt=0.1, noise_std_R=0.02,
+                                       noise_std_C=0.02, events=events)
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(plant.to_json(scenario)))
+        trace, detected, streamed = tmp_path / "t.csv", tmp_path / "d.csv", tmp_path / "s.csv"
+        assert main(["simulate", "--scenario", str(path), "--out-trace", str(trace),
+                     "--out-residuals", str(tmp_path / "r.csv")]) == 0
+        assert main(["detect", "--config", config_file, "--scenario", str(path),
+                     "--out", str(detected)]) == 0
+        with open(trace, newline="") as fh:
+            rows = [[float(v) for v in row] for row in list(csv.reader(fh))[1:]]
+        evaluator = residuals.ResidualEvaluator(
+            plant.PlantParams(), scenario.dt, tau=harness.DERIVATIVE_TAU_FACTOR * scenario.dt,
+            spike_window=harness.DERIVATIVE_SPIKE_WINDOW)
+        detector = fuzzy.Detector(fuzzy.load_config(config_file))
+        with pytest.raises(residuals.InsufficientHistory):
+            evaluator.update(rows[0])
+        out = []
+        for row in rows[1:]:
+            vec = evaluator.update(row)
+            degrees, flags = detector.detect(vec)
+            out.append([vec.t, *degrees.tolist(), *flags.tolist()])
+        header = (["t"] + [f"deg_{v}" for v in plant.VARIABLES]
+                  + [f"flag_{v}" for v in plant.VARIABLES])
+        plant.write_csv(header, out, str(streamed))
+        assert streamed.read_bytes() == detected.read_bytes()
 
 
 class TestEvaluate:

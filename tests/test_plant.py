@@ -195,7 +195,7 @@ class TestRun:
         sc = FaultScenario(seed=0, duration=2.0, dt=0.1)
         trace = plant.run(sc, params, OPERATING_INPUTS)
         ss = PlantState(*plant.steady_state(OPERATING_INPUTS, params))
-        assert trace.frame(0).De1 == pytest.approx(ss.De1)
+        assert column(trace, "De1")[0] == pytest.approx(ss.De1)
         # equilibrium start: signals stay flat without faults or noise
         assert np.ptp(column(trace, "De2")) < 1e-12
 
@@ -430,7 +430,7 @@ class TestTraceCsv:
         assert len(lines) == len(trace) + 1
         # full float precision survives a round trip
         first = [float(v) for v in lines[1].split(",")]
-        assert first[3] == trace.frame(0).De1
+        assert first[3] == column(trace, "De1")[0]
 
 
 class TestFileHelpers:

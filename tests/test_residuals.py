@@ -9,16 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tankfdi import plant, residuals
-from tankfdi.plant import FaultEvent, FaultScenario, MeasurementFrame
+from tankfdi.plant import FaultEvent, FaultScenario
 from tankfdi.residuals import (InsufficientHistory, ResidualEvaluator,
                                residual_batch, residual_trace, signature_matrix)
 
 from conftest import OPERATING_INPUTS
 from oracle import PlantState, fault_direction, signature_row, simulate
-
-
-def frame_at(t, msf1, msf2, de1, de2, de3, df1, df2):
-    return MeasurementFrame(t, msf1, msf2, de1, de2, de3, df1, df2)
 
 
 def derivative_from_r1(xs, dt, params, tau=None):
@@ -47,7 +43,7 @@ class TestDerivativeEstimate:
         # one frame gives no residual row in batch and raises when streamed
         assert residual_batch(np.ones((1, 1, 7)), 0.1, unit_params).shape == (1, 0, 5)
         with pytest.raises(InsufficientHistory):
-            ResidualEvaluator(unit_params, dt=0.1).update(frame_at(0.0, *[1.0] * 7))
+            ResidualEvaluator(unit_params, dt=0.1).update((0.0, *[1.0] * 7))
 
     def test_smoothing_converges_to_constant_slope(self, unit_params):
         xs = [3 * t for t in np.arange(0, 5, 0.1)]
@@ -80,8 +76,8 @@ class TestDerivativeEstimate:
 
 class TestEvaluateArrs:
     def test_all_zero_frames(self, params):
-        z0 = frame_at(0.0, 0, 0, 0, 0, 0, 0, 0)
-        z1 = frame_at(0.1, 0, 0, 0, 0, 0, 0, 0)
+        z0 = (0.0, 0, 0, 0, 0, 0, 0, 0)
+        z1 = (0.1, 0, 0, 0, 0, 0, 0, 0)
         stream = ResidualEvaluator(params, dt=0.1)
         with pytest.raises(InsufficientHistory):
             stream.update(z0)
@@ -123,15 +119,15 @@ class TestEvaluateArrs:
         trace = plant.run(sc, params, OPERATING_INPUTS)
         times, batch = residual_trace(trace, params, tau=0.3, spike_window=3)
         stream = ResidualEvaluator(params, dt=0.1, tau=0.3, spike_window=3)
+        frames = list(trace.frames())
         with pytest.raises(InsufficientHistory):
-            stream.update(trace.frame(0))
-        rows = [stream.update(trace.frame(i)).as_array()
-                for i in range(1, len(trace))]
+            stream.update(frames[0])
+        rows = [stream.update(f).as_array() for f in frames[1:]]
         np.testing.assert_allclose(np.array(rows), batch, rtol=0, atol=1e-14)
 
     def test_requires_previous_frame(self, params):
         # derivative conditioning does not stand in for the missing history
-        z = frame_at(0.0, 0, 0, 0, 0, 0, 0, 0)
+        z = (0.0, 0, 0, 0, 0, 0, 0, 0)
         with pytest.raises(InsufficientHistory):
             ResidualEvaluator(params, dt=0.1, tau=0.3, spike_window=3).update(z)
 
@@ -256,13 +252,70 @@ class TestResidualBatch:
         signals = np.array(data.draw(st.lists(row, min_size=2, max_size=24)))
         params = plant.PlantParams()
         stream = ResidualEvaluator(params, dt=0.1, tau=tau, spike_window=spike_window)
-        frames = [frame_at(0.1 * k, *row) for k, row in enumerate(signals.tolist())]
+        frames = [(0.1 * k, *row) for k, row in enumerate(signals.tolist())]
         with np.errstate(invalid="ignore"):  # inf - inf, in both paths
             batch = residual_batch(signals[None], 0.1, params, tau, spike_window)[0]
             with pytest.raises(InsufficientHistory):
                 stream.update(frames[0])
             rows = np.array([stream.update(f).as_array() for f in frames[1:]])
         assert rows.tobytes() == batch.tobytes()
+
+
+class TestRowContract:
+    """``update`` takes a trace-CSV row: t and the seven signals, as a
+    tuple, a list or an (8,) array."""
+
+    @pytest.fixture
+    def rows(self, params):
+        sc = FaultScenario(seed=8, duration=8.0, dt=0.1, noise_std_R=0.03,
+                           noise_std_C=0.03,
+                           events=(FaultEvent("De2", 2.0, 1.0),
+                                   FaultEvent("Msf1", 3.0, 0.2, "ramp")))
+        return list(plant.run(sc, params, OPERATING_INPUTS).frames())
+
+    @staticmethod
+    def stream(params, rows, bad=None, at=()):
+        """Residual bytes of ``rows`` streamed in order, with ``bad`` offered
+        (and rejected) before each row whose index is in ``at``."""
+        evaluator = ResidualEvaluator(params, dt=0.1, tau=0.3, spike_window=3)
+        out = []
+        for k, row in enumerate(rows):
+            if k in at:
+                with pytest.raises(ValueError, match="a row holds t and the seven signals"):
+                    evaluator.update(bad)
+            try:
+                out.append(evaluator.update(row).as_array().tobytes())
+            except InsufficientHistory:
+                assert k == 0
+        return out
+
+    @pytest.mark.parametrize("bad", [(0.0,) * 7, (0.0,) * 9, np.zeros((1, 8)), 1.0],
+                             ids=["7 values", "9 values", "(1, 8) array", "a number"])
+    def test_wrong_row_rejected_and_state_kept(self, params, rows, bad):
+        # the check runs before InsufficientHistory (row 0) and leaves the
+        # derivative history, the median window and the low-pass as they were
+        expected = self.stream(params, rows)
+        assert self.stream(params, rows, bad, at=(0, 1, 2, 3, 40)) == expected
+
+    def test_tuple_list_and_array_rows_agree(self, params, rows):
+        expected = self.stream(params, rows)
+        assert self.stream(params, [list(r) for r in rows]) == expected
+        assert self.stream(params, list(np.array(rows))) == expected
+
+    @pytest.mark.parametrize("buffer", [[0.0] * 8, np.zeros(8)], ids=["list", "array"])
+    def test_caller_may_reuse_the_row(self, params, rows, buffer):
+        # one buffer refilled for every sample and spoilt after each update:
+        # the evaluator keeps the pressures, not the caller's row object
+        evaluator = ResidualEvaluator(params, dt=0.1, tau=0.3, spike_window=3)
+        out = []
+        for row in rows:
+            buffer[:] = row
+            try:
+                out.append(evaluator.update(buffer).as_array().tobytes())
+            except InsufficientHistory:
+                pass
+            buffer[:] = [np.nan] * 8
+        assert out == self.stream(params, rows)
 
 
 class TestLinearity:
