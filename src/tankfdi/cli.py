@@ -13,7 +13,7 @@ A compare NAME is also its directory under ``--render``, so a NAME that is
 without ``--render``.
 Evaluate and compare score their configs through one function on one
 ``ResidualBank``; detect reads its scenario's residuals from a bank too.
-Exit codes: 0 success, 2 usage/config error, 3 simulation divergence.
+Exit codes: 0 success, 2 usage/config error, 3 non-finite simulated signal.
 """
 
 from __future__ import annotations

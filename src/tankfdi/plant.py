@@ -44,7 +44,8 @@ OPERATING_POINT = (1.0, 0.8)
 
 
 class SimulationDiverged(RuntimeError):
-    """Raised when a state variable becomes non-finite during integration.
+    """Raised when a simulated signal is non-finite: a diverged pressure, or
+    a flow or fault offset that overflows.
 
     ``scenario`` is the index of the diverging scenario when a whole suite
     was simulated, else None.
@@ -202,10 +203,11 @@ def write_csv(header: Sequence[str], rows: Iterable[Sequence], path: str) -> Non
 
 @dataclass(frozen=True)
 class PlantParams:
-    """Physical constants of the process.
+    """Physical constants of the process, each finite and positive.
 
     Defaults are normalized units chosen to give O(1) signals and time
     constants of a few seconds; all values can be overridden via config.
+    ``valve`` is nonlinear mode's coupling flow at unit pressure difference.
     """
 
     C1: float = 1.0
@@ -216,23 +218,14 @@ class PlantParams:
     R3: float = 2.0
     R12: float = 1.0
     R23: float = 1.0
-    az: float = 1.0       # outflow coefficient, dimensionless
-    S_conn: float = 1.0   # connecting-valve cross section
-    g: float = 9.81
-    rho: float = 2.0      # chosen so the square-root coupling law matches the
-                          # linear one at unit pressure difference
+    valve: float = 1.0
 
     def __post_init__(self):
         for name in self.__dataclass_fields__:
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"PlantParams.{name} must be finite")
-        for name in ("C1", "C2", "C3", "R1", "R2", "R3", "R12", "R23"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"PlantParams.{name} must be strictly positive")
-        if not 0 < self.az <= 1:
-            raise ValueError("PlantParams.az must be in (0, 1]")
-        if self.S_conn <= 0 or self.g <= 0 or self.rho <= 0:
-            raise ValueError("PlantParams S_conn, g and rho must be positive")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"PlantParams.{name} must be finite and positive, "
+                                 f"got {shown(value)}")
 
 
 @dataclass(frozen=True)
@@ -333,18 +326,15 @@ def _flows(de1, de2, de3, r12, r23, params: PlantParams, mode: str) -> tuple:
     Linear mode divides the pressure difference by the step's (possibly
     noisy) coupling resistance ``r12`` or ``r23``. Nonlinear mode uses the
     sign-preserving square-root valve law
-    ``az * S * sgn(hi - hj) * sqrt(2 g |hi - hj|)`` with ``h = De / (rho g)``
-    and the valve constants of ``params``, in numpy ufuncs: a difference of
-    +0.0 or -0.0 gives +0.0, and NaN propagates.
+    ``valve * sgn(hi - hj) * sqrt(|hi - hj|)``, in numpy ufuncs: a
+    difference of +0.0 or -0.0 gives +0.0, and NaN propagates.
     """
     if mode == "linear":
         return (de1 - de2) / r12, (de3 - de2) / r23
     if mode == "nonlinear":
-        k = params.az * params.S_conn
-
         def q(hi, hj):
-            d = (hi - hj) / (params.rho * params.g)
-            return k * np.copysign(np.sqrt(2.0 * params.g * np.abs(d)), d + 0.0)
+            d = hi - hj
+            return params.valve * np.copysign(np.sqrt(np.abs(d)), d + 0.0)
 
         return q(de1, de2), q(de3, de2)
     raise ValueError(f"unknown plant mode {mode!r}")
@@ -373,7 +363,7 @@ def _rk4(de: tuple, inputs: tuple[float, float], rc: Sequence[float],
     """One classical RK4 step of the three pressures, on Python floats.
 
     ``rc`` holds the step's R and C in NOISY_PARAMS order; ``params``
-    supplies the valve constants of nonlinear mode.
+    supplies the valve constant of nonlinear mode.
     """
     k1 = _derivatives(de, inputs, rc, params, mode)
     k2 = _derivatives(tuple(x + 0.5 * dt * k for x, k in zip(de, k1)), inputs, rc, params, mode)
@@ -423,25 +413,22 @@ def _signals(de: np.ndarray, rc: np.ndarray, inputs: tuple[float, float],
     """Times (T,) and signals (S, T, 7) of ``suite`` from its pressures
     ``de`` (T, 3, S) and R/C rows ``rc`` (T, 8, S), with each scenario's
     fault offsets; raises SimulationDiverged for the first non-finite
-    pressure by scenario, then step, then tank, at the end of its step."""
-    finite = np.isfinite(de[1:])
-    if not finite.all():
-        bad = ~finite.all(axis=1)                       # (steps, S)
-        i = int(np.argmax(bad.any(axis=0)))
-        k = int(np.argmax(bad[:, i]))
-        j = int(np.argmin(finite[k, :, i]))
-        raise SimulationDiverged(("De1", "De2", "De3")[j], k * dt + dt, scenario=i)
+    signal by scenario, then sample, then VARIABLES order, at that
+    sample's time."""
     times = np.arange(len(de)) * dt
     signals = np.empty((de.shape[2], len(de), 7))
     signals[:, :, 0], signals[:, :, 1] = inputs
     signals[:, :, 2:5] = de.transpose(2, 0, 1)
     with np.errstate(over="ignore", invalid="ignore"):
         df1, df2 = _flows(de[:, 0], de[:, 1], de[:, 2], rc[:, 3], rc[:, 4], params, mode)
-    signals[:, :, 5], signals[:, :, 6] = df1.T, df2.T
-    for rows, sc in zip(signals, suite):
-        for ev in sc.events:
-            offset = ev.magnitude if ev.profile == "step" else ev.magnitude * (times - ev.start)
-            rows[:, VARIABLE_INDEX[ev.target]] += np.where(times < ev.start, 0.0, offset)
+        signals[:, :, 5], signals[:, :, 6] = df1.T, df2.T
+        for rows, sc in zip(signals, suite):
+            for ev in sc.events:
+                offset = ev.magnitude if ev.profile == "step" else ev.magnitude * (times - ev.start)
+                rows[:, VARIABLE_INDEX[ev.target]] += np.where(times < ev.start, 0.0, offset)
+    if not np.isfinite(signals).all():
+        i, k, j = np.argwhere(~np.isfinite(signals))[0]
+        raise SimulationDiverged(VARIABLES[j], float(times[k]), scenario=int(i))
     return times, signals
 
 

@@ -231,9 +231,8 @@ def coupling_flows(De1: float, De2: float, De3: float, params: PlantParams,
 def valve_flow(hi: float, hj: float, params: PlantParams) -> float:
     """The square-root valve law from pressure ``hi`` to ``hj`` on Python
     floats, through ``math``: 0.0 where the pressures are equal."""
-    k = params.az * params.S_conn
-    d = (hi - hj) / (params.rho * params.g)
-    return k * math.copysign(math.sqrt(2.0 * params.g * abs(d)), d) if d else 0.0
+    d = hi - hj
+    return params.valve * math.copysign(math.sqrt(abs(d)), d) if d else 0.0
 
 
 def step(state: PlantState, inputs: tuple[float, float], params: PlantParams,

@@ -98,6 +98,35 @@ class TestSimulate:
         assert code == 3
         assert "diverged" in capsys.readouterr().err
 
+    def test_overflowing_fault_offset_exits_3(self, tmp_path, capsys, recwarn):
+        # every value is finite, but the ramp's offset passes 1.8e308 at
+        # t = 2.8 s: no inf trace or residual is written, and numpy warns nothing
+        sc = tmp_path / "sc.json"
+        sc.write_text(json.dumps({"duration": 20.0, "events": [
+            {"target": "Df2", "start": 1.0, "magnitude": 1e308, "profile": "ramp"}]}))
+        code = main(["simulate", "--scenario", str(sc),
+                     "--out-trace", str(tmp_path / "t.csv"),
+                     "--out-residuals", str(tmp_path / "r.csv")])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "error: simulation diverged: Df2 is non-finite at t=2.8s\n")
+        assert sorted(os.listdir(tmp_path)) == ["sc.json"]
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+    # a plant file from before the valve law took one constant
+    @pytest.mark.parametrize("key", ["az", "S_conn", "g", "rho"])
+    def test_old_valve_constant_exits_2_naming_the_key(self, tmp_path, scenario_file,
+                                                       key, capsys):
+        plant_cfg = tmp_path / "plant.json"
+        plant_cfg.write_text(json.dumps({"schema": 1, key: 1.0}))
+        code = main(["simulate", "--scenario", scenario_file, "--plant", str(plant_cfg),
+                     "--out-trace", str(tmp_path / "t.csv"),
+                     "--out-residuals", str(tmp_path / "r.csv")])
+        assert code == 2
+        assert (f"unknown field(s) in plant config: [{key!r}]"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "t.csv").exists()
+
     # -0.1 = -dt divided by zero, -0.05 gave a filter gain of 2, NaN wrote
     # NaN residuals
     @pytest.mark.parametrize("tau", ["-0.1", "-0.05", "nan", "inf"])
@@ -575,6 +604,21 @@ class TestSimulateModes:
             assert code == 0
             outs[mode] = trace.read_bytes()
         assert outs["linear"] != outs["nonlinear"]
+
+    def test_valve_sets_the_nonlinear_coupling_only(self, tmp_path, scenario_file):
+        plant_cfg = tmp_path / "plant.json"
+        plant_cfg.write_text(json.dumps({"schema": 1, "valve": 0.5}))
+        outs = {}
+        for mode in ("linear", "nonlinear"):
+            for plant_args in ([], ["--plant", str(plant_cfg)]):
+                trace = tmp_path / f"{mode}{len(plant_args)}.csv"
+                code = main(["simulate", "--scenario", scenario_file, "--mode", mode,
+                             *plant_args, "--out-trace", str(trace), "--out-residuals",
+                             str(tmp_path / f"{mode}{len(plant_args)}_r.csv")])
+                assert code == 0
+                outs[mode, bool(plant_args)] = trace.read_bytes()
+        assert outs["linear", False] == outs["linear", True]
+        assert outs["nonlinear", False] != outs["nonlinear", True]
 
 
 class TestRender:

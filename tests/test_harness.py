@@ -483,6 +483,17 @@ class TestResidualBank:
             ResidualBank.from_suite(suite, params, OPERATING_INPUTS)
         assert (err.value.scenario, err.value.variable, err.value.t) == diverged[0]
 
+    @pytest.mark.parametrize("block", [1, harness.BANK_BLOCK])
+    def test_overflowing_fault_offset_names_its_scenario(self, params, monkeypatch, block):
+        # a finite ramp whose offset overflows Df2 at t = 2.8 s, in scenario 2
+        # of 4: the plant stays finite, the measured signal does not
+        monkeypatch.setattr(harness, "BANK_BLOCK", block)
+        suite = generate_suite(4, seed=2)
+        suite[2] = FaultScenario(seed=9, events=(FaultEvent("Df2", 1.0, 1e308, "ramp"),))
+        with pytest.raises(plant.SimulationDiverged) as err:
+            ResidualBank.from_suite(suite, params, OPERATING_INPUTS)
+        assert str(err.value) == "simulation diverged: Df2 is non-finite at t=2.8s in scenario 2"
+
 
 class TestCompare:
     def test_identical_configs_identical_rows(self, params, tuned_cfg):
